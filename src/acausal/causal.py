@@ -41,15 +41,13 @@ class CausalProtocol:
     ``orders[(m, a_first)]`` is the full activation order (a permutation
     starting with ``first``) chosen once the first party knows m and her
     own input. Messages are full-forwarding: each activated party appends
-    ``(party, input)`` to the transcript. ``outputs`` maps information
-    sets ``(m, a_m, transcript)`` to the guesser's outcome bit and is
-    filled in by evaluation with the conditional-majority rule.
+    ``(party, input)`` to the transcript; the guesser's outcome follows the
+    conditional-majority rule of the evaluation.
     """
 
     n: int
     first: int
     orders: Mapping[tuple[int, int], tuple[int, ...]]
-    outputs: Mapping[tuple, int] | None = None
 
     def order_for(self, m: int, a_first: int) -> tuple[int, ...]:
         return self.orders[(m, a_first)]
@@ -89,12 +87,12 @@ def repeated_success(n: int, rounds: int) -> Fraction:
     return causal_bound(n) ** rounds
 
 
-def _evaluate(n: int, first: int, orders) -> tuple[Fraction, tuple[Fraction, ...], dict]:
+def _evaluate(n: int, first: int, orders) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact value of a protocol shell under optimal deterministic outputs.
 
     For each information set of the guesser the conditional-majority
     output is optimal (everything else being deterministic and the unseen
-    inputs uniform); ties resolve toward 0 without affecting the value.
+    inputs uniform), so each set contributes its majority count.
     """
     counts: dict[tuple, list[int]] = {}
     for m in range(n):
@@ -107,12 +105,10 @@ def _evaluate(n: int, first: int, orders) -> tuple[Fraction, tuple[Fraction, ...
             key = (m, a[m], transcript)
             counts.setdefault(key, [0, 0])[target] += 1
     per_m_wins = [0] * n
-    outputs = {}
     for key, (c0, c1) in counts.items():
-        outputs[key] = 0 if c0 >= c1 else 1
         per_m_wins[key[0]] += max(c0, c1)
     per_m = tuple(Fraction(wins, 1 << n) for wins in per_m_wins)
-    return sum(per_m) / n, per_m, outputs
+    return sum(per_m) / n, per_m
 
 
 def forwarding_strategy_success(n: int) -> CausalValue:
@@ -137,8 +133,8 @@ def forwarding_strategy_success(n: int) -> CausalValue:
             else:
                 order = (first, *(p for p in rest if p != m), m)
             orders[(m, a_first)] = order
-    value, per_m, outputs = _evaluate(n, first, orders)
-    protocol = CausalProtocol(n=n, first=first, orders=orders, outputs=outputs)
+    value, per_m = _evaluate(n, first, orders)
+    protocol = CausalProtocol(n=n, first=first, orders=orders)
     return CausalValue(
         n=n, value=value, bound=causal_bound(n), protocol=protocol, per_m=per_m
     )
@@ -170,7 +166,7 @@ def enumerate_protocol_values(
             orders = {
                 key: (first, *tail) for key, tail in zip(domain, assignment)
             }
-            value, _, _ = _evaluate(n, first, orders)
+            value, _ = _evaluate(n, first, orders)
             yield value, first, tuple(orders.items())
 
 
@@ -187,8 +183,8 @@ def brute_force_causal(n: int, fixed_order: bool = False) -> CausalValue:
         if best is None or value > best[0]:
             best = (value, first, dict(order_items))
     value, first, orders = best
-    _, per_m, outputs = _evaluate(n, first, orders)
-    protocol = CausalProtocol(n=n, first=first, orders=orders, outputs=outputs)
+    _, per_m = _evaluate(n, first, orders)
+    protocol = CausalProtocol(n=n, first=first, orders=orders)
     return CausalValue(
         n=n,
         value=value,

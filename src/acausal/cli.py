@@ -20,8 +20,8 @@ from fractions import Fraction
 from .causal import MODEL, brute_force_causal, causal_bound, forwarding_strategy_success
 from .diagop import (
     DiagOperator,
-    LayoutError,
     dense_csv_lines,
+    dyadic_json,
     operator_from_json,
     operator_to_json,
 )
@@ -32,7 +32,7 @@ from .game import (
     success_probability_exact,
     winning_behavior,
 )
-from .process import UnsupportedPartyCount, build_w, validate_process
+from .process import build_w, validate_process
 
 DENSE_WIDTH_CAP = 24
 
@@ -41,10 +41,6 @@ def _fmt(value: Fraction, as_float: bool) -> str:
     if as_float:
         return f"{float(value):.17g}"
     return str(value)
-
-
-def _dyadic_json(value: Fraction) -> dict:
-    return {"num": value.numerator, "log2den": value.denominator.bit_length() - 1}
 
 
 def _frac_json(value: Fraction) -> dict:
@@ -165,7 +161,7 @@ def _cmd_play(args) -> int:
             "m": round_.m,
             "a": list(round_.inputs),
             "distribution": [
-                {"x": list(xs), **_dyadic_json(p)}
+                {"x": list(xs), **dyadic_json(p)}
                 for xs, p in sorted(dist.items())
                 if p
             ],
@@ -298,10 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedPartyCount as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LayoutError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the package raises ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,13 @@ representations are used:
 * dense form: the full vector of ``2 ** width`` diagonal entries.
 
 The two are related by the parity (Walsh) transform and interconvert
-losslessly. All coefficients are exact dyadic rationals and every equality
-test is exact; no floating point enters the core.
+losslessly. Every coefficient is an exact dyadic rational, stored as an
+integer numerator over one power of two shared by the whole operator,
+``nums[mask] / 2**log2den``, in canonical form: zero terms are dropped and
+``log2den`` is as small as possible. Equal operators therefore have equal
+representations, every equality test is exact, and no floating point
+enters the core. Only this module knows the format; ``Fraction`` values
+appear at its boundary (constructor, ``terms``, ``to_dense``, ``trace``).
 
 Bit ordering convention: the first wire declared in a layout occupies the
 most significant bits of the global basis index, and within a multi-bit
@@ -28,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "LayoutError",
+    "FormatError",
     "Wire",
     "WireLayout",
     "ZMonomial",
@@ -48,10 +55,14 @@ __all__ = [
     "partial_trace",
     "reorder",
     "channel_apply",
+    "term_keys",
+    "contract",
     "to_dense",
+    "dense_numerators",
     "from_dense",
     "is_nonnegative",
     "abelian_psd_check",
+    "dyadic_json",
     "operator_to_json",
     "operator_from_json",
     "dense_csv_lines",
@@ -61,6 +72,10 @@ __all__ = [
 
 class LayoutError(ValueError):
     """Operands disagree about wires, or a wire is unknown/duplicated."""
+
+
+class FormatError(ValueError):
+    """A serialized operator does not follow the JSON schema."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +229,7 @@ class ZMonomial:
         return (1 << self.layout.width) if self.mask == 0 else 0
 
     def to_operator(self, coeff: Fraction | int = 1) -> "DiagOperator":
-        return DiagOperator(self.layout, {self.mask: Fraction(coeff)})
+        return DiagOperator(self.layout, {self.mask: coeff})
 
 
 def _log2den(c: Fraction) -> int:
@@ -224,51 +239,96 @@ def _log2den(c: Fraction) -> int:
     return d.bit_length() - 1
 
 
+def _dyadic_ints(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """Numerators of exact dyadic values over their smallest common power of
+    two; rejects any other rational."""
+    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    shifts = [_log2den(c) for c in fracs]
+    log2den = max(shifts, default=0)
+    return [c.numerator << (log2den - k) for c, k in zip(fracs, shifts)], log2den
+
+
+def _spare_twos(values: Iterable[int], log2den: int) -> int:
+    """Largest ``k <= log2den`` such that ``2**k`` divides every value."""
+    common = 0
+    for v in values:
+        common |= v
+    return min((common & -common).bit_length() - 1, log2den) if common else log2den
+
+
+def _canonical(nums: Mapping[int, int], log2den: int) -> tuple[dict[int, int], int]:
+    """Canonical form of ``nums[mask] / 2**log2den``: zero terms dropped and
+    ``log2den`` as small as possible (never negative)."""
+    up = max(-log2den, 0)
+    nums = {m: v << up for m, v in nums.items() if v}
+    shift = _spare_twos(nums.values(), log2den + up)
+    if shift:
+        nums = {m: v >> shift for m, v in nums.items()}
+    return nums, log2den + up - shift
+
+
+def _make(layout: WireLayout, nums: Mapping[int, int], log2den: int) -> "DiagOperator":
+    """Operator with coefficients ``nums[mask] / 2**log2den`` (masks trusted)."""
+    op = object.__new__(DiagOperator)
+    op.layout = layout
+    op.nums, op.log2den = _canonical(nums, log2den)
+    op._terms = None
+    return op
+
+
 class DiagOperator:
     """Exact diagonal operator in sparse parity form over a layout.
 
-    ``terms`` maps masks to nonzero dyadic coefficients; the diagonal
-    entry at basis string ``b`` is ``sum(c * (-1)**popcount(b & m))``.
-    Instances are immutable by convention.
+    The coefficient of mask ``m`` is ``nums[m] / 2**log2den``, stored in
+    canonical form (see the module docstring). The constructor takes masks
+    mapped to ``Fraction``/``int`` values and rejects non-dyadic ones;
+    ``terms`` is the read-only ``Fraction`` view of the coefficients, built
+    on first use. Instances are immutable by convention.
     """
 
-    __slots__ = ("layout", "terms")
+    __slots__ = ("layout", "nums", "log2den", "_terms")
 
     def __init__(self, layout: WireLayout, terms: Mapping[int, Fraction | int]):
-        top = 1 << layout.width
-        clean: dict[int, Fraction] = {}
         for mask, coeff in terms.items():
-            c = Fraction(coeff)
-            if not c:
-                continue
-            if not 0 <= mask < top:
+            if coeff and (mask < 0 or mask.bit_length() > layout.width):
                 raise LayoutError(f"mask {mask:#x} outside layout width {layout.width}")
-            _log2den(c)
-            clean[mask] = c
+        nums, log2den = _dyadic_ints(terms.values())
         self.layout = layout
-        self.terms = clean
+        self.nums, self.log2den = _canonical(dict(zip(terms, nums)), log2den)
+        self._terms = None
+
+    @property
+    def terms(self) -> Mapping[int, Fraction]:
+        if self._terms is None:
+            den = 1 << self.log2den
+            # Coefficients repeat a lot; share one Fraction per value.
+            shared = {v: Fraction(v, den) for v in set(self.nums.values())}
+            self._terms = MappingProxyType({m: shared[v] for m, v in self.nums.items()})
+        return self._terms
 
     def entry(self, index: int) -> Fraction:
         """Diagonal entry at one basis string (sum over parity terms)."""
-        total = Fraction(0)
-        for mask, c in self.terms.items():
-            total += -c if (index & mask).bit_count() & 1 else c
-        return total
+        total = 0
+        for mask, v in self.nums.items():
+            total += -v if (index & mask).bit_count() & 1 else v
+        return Fraction(total, 1 << self.log2den)
 
     def __eq__(self, other):
         if not isinstance(other, DiagOperator):
             return NotImplemented
-        return self.layout == other.layout and self.terms == other.terms
+        return (self.layout == other.layout and self.log2den == other.log2den
+                and self.nums == other.nums)
 
     def __add__(self, other):
         if not isinstance(other, DiagOperator):
             return NotImplemented
         if other.layout != self.layout:
             raise LayoutError("layout mismatch in addition")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return DiagOperator(self.layout, out)
+        log2den = max(self.log2den, other.log2den)
+        out = {m: v << (log2den - self.log2den) for m, v in self.nums.items()}
+        for m, v in other.nums.items():
+            out[m] = out.get(m, 0) + (v << (log2den - other.log2den))
+        return _make(self.layout, out, log2den)
 
     def __sub__(self, other):
         return self + (other * -1)
@@ -276,23 +336,24 @@ class DiagOperator:
     def __mul__(self, scalar):
         if isinstance(scalar, DiagOperator):
             return NotImplemented
-        s = Fraction(scalar)
-        return DiagOperator(self.layout, {m: c * s for m, c in self.terms.items()})
+        (s,), log2den = _dyadic_ints([scalar])
+        return _make(self.layout, {m: v * s for m, v in self.nums.items()},
+                     self.log2den + log2den)
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"DiagOperator({self.layout!r}, {len(self.terms)} terms)"
+        return f"DiagOperator({self.layout!r}, {len(self.nums)} terms)"
 
 
 def identity(layout: WireLayout) -> DiagOperator:
-    return DiagOperator(layout, {0: Fraction(1)})
+    return _make(layout, {0: 1}, 0)
 
 
 def monomial(layout: WireLayout, fields: Mapping[str, int],
              coeff: Fraction | int = 1) -> DiagOperator:
     """Single parity term given per-wire local masks."""
-    return DiagOperator(layout, {mask_from_fields(layout, fields): Fraction(coeff)})
+    return DiagOperator(layout, {mask_from_fields(layout, fields): coeff})
 
 
 def point_mass(layout: WireLayout, index: int) -> DiagOperator:
@@ -300,8 +361,8 @@ def point_mass(layout: WireLayout, index: int) -> DiagOperator:
     n = 1 << layout.width
     if not 0 <= index < n:
         raise ValueError(f"index {index} out of range for width {layout.width}")
-    vec = [Fraction(0)] * n
-    vec[index] = Fraction(1)
+    vec = [0] * n
+    vec[index] = 1
     return from_dense(layout, vec)
 
 
@@ -310,11 +371,11 @@ def tensor(a: DiagOperator, b: DiagOperator) -> DiagOperator:
     multiply."""
     layout = a.layout.concat(b.layout)
     shift = b.layout.width
-    terms = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            terms[(ma << shift) | mb] = ca * cb
-    return DiagOperator(layout, terms)
+    nums = {}
+    for ma, va in a.nums.items():
+        for mb, vb in b.nums.items():
+            nums[(ma << shift) | mb] = va * vb
+    return _make(layout, nums, a.log2den + b.log2den)
 
 
 def multiply(a: DiagOperator, b: DiagOperator) -> DiagOperator:
@@ -325,18 +386,17 @@ def multiply(a: DiagOperator, b: DiagOperator) -> DiagOperator:
     """
     if a.layout != b.layout:
         raise LayoutError("layout mismatch in multiply")
-    terms: dict[int, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    nums: dict[int, int] = {}
+    for ma, va in a.nums.items():
+        for mb, vb in b.nums.items():
             key = ma ^ mb
-            c = terms.get(key)
-            terms[key] = ca * cb if c is None else c + ca * cb
-    return DiagOperator(a.layout, terms)
+            nums[key] = nums.get(key, 0) + va * vb
+    return _make(a.layout, nums, a.log2den + b.log2den)
 
 
 def trace(a: DiagOperator) -> Fraction:
     """Sum of the diagonal; only the empty mask contributes."""
-    return (1 << a.layout.width) * a.terms.get(0, Fraction(0))
+    return Fraction(a.nums.get(0, 0) << a.layout.width, 1 << a.log2den)
 
 
 def partial_trace(a: DiagOperator, wires: Iterable[str]) -> DiagOperator:
@@ -353,13 +413,12 @@ def partial_trace(a: DiagOperator, wires: Iterable[str]) -> DiagOperator:
         traced_width += a.layout.field(name)[1]
     kept = [w.name for w in a.layout.wires if w.name not in set(traced)]
     out_layout = a.layout.restrict(kept)
-    scale = Fraction(1 << traced_width)
-    terms = {}
-    for mask, c in a.terms.items():
-        if mask & traced_mask:
-            continue
-        terms[mask_fields(a.layout, mask, kept)] = c * scale
-    return DiagOperator(out_layout, terms)
+    nums = {
+        mask_fields(a.layout, mask, kept): v
+        for mask, v in a.nums.items()
+        if not mask & traced_mask
+    }
+    return _make(out_layout, nums, a.log2den - traced_width)
 
 
 def reorder(a: DiagOperator, layout: WireLayout) -> DiagOperator:
@@ -370,8 +429,8 @@ def reorder(a: DiagOperator, layout: WireLayout) -> DiagOperator:
         if a.layout.field(w.name)[1] != w.width:
             raise LayoutError(f"wire {w.name} changes width in reorder")
     names = layout.names
-    terms = {mask_fields(a.layout, mask, names): c for mask, c in a.terms.items()}
-    return DiagOperator(layout, terms)
+    nums = {mask_fields(a.layout, mask, names): v for mask, v in a.nums.items()}
+    return _make(layout, nums, a.log2den)
 
 
 def channel_apply(channel: DiagOperator, state: DiagOperator) -> DiagOperator:
@@ -391,6 +450,40 @@ def channel_apply(channel: DiagOperator, state: DiagOperator) -> DiagOperator:
     return partial_trace(multiply(channel, extended), cond)
 
 
+def term_keys(a: DiagOperator,
+              groups: Sequence[Sequence[str]]) -> list[tuple[int, tuple[int, ...]]]:
+    """Each term of ``a`` as its numerator and its mask restricted to every
+    wire group, the table :func:`contract` reads; the groups must partition
+    the layout's wires."""
+    return [
+        (v, tuple(mask_fields(a.layout, mask, group) for group in groups))
+        for mask, v in a.nums.items()
+    ]
+
+
+def contract(a: DiagOperator, keys: Sequence[tuple[int, tuple[int, ...]]],
+             factors: Sequence[DiagOperator]) -> Fraction:
+    """``trace(a * (factors[0] (x) factors[1] (x) ...))``.
+
+    ``keys`` is ``term_keys(a, groups)`` and factor i lives on the wires of
+    group i, in that order. Monomials are orthogonal under the trace, so
+    each term of ``a`` pairs with exactly one term of every factor.
+    """
+    dicts = [f.nums for f in factors]
+    log2den = a.log2den + sum([f.log2den for f in factors])
+    acc = 0
+    for num, masks in keys:
+        prod = num
+        for d, key in zip(dicts, masks):
+            v = d.get(key)
+            if not v:
+                prod = 0
+                break
+            prod *= v
+        acc += prod
+    return Fraction(acc << a.layout.width, 1 << log2den)
+
+
 def _wht(vec: list[int]) -> None:
     """In-place unnormalized Walsh-Hadamard transform (self-inverse up to N)."""
     n = len(vec)
@@ -406,18 +499,28 @@ def _wht(vec: list[int]) -> None:
         h = step
 
 
+def _dense_nums(a: DiagOperator) -> list[int]:
+    """Dense diagonal of ``a`` as numerators over ``2**a.log2den``."""
+    vec = [0] * (1 << a.layout.width)
+    for mask, v in a.nums.items():
+        vec[mask] = v
+    _wht(vec)
+    return vec
+
+
 def to_dense(a: DiagOperator) -> list[Fraction]:
     """Full diagonal vector, indexed by the global basis string."""
-    n = 1 << a.layout.width
-    if not a.terms:
-        return [Fraction(0)] * n
-    scale = max(_log2den(c) for c in a.terms.values())
-    vec = [0] * n
-    for mask, c in a.terms.items():
-        vec[mask] = c.numerator << (scale - _log2den(c))
-    _wht(vec)
-    den = 1 << scale
-    return [Fraction(v, den) for v in vec]
+    den = 1 << a.log2den
+    return [Fraction(v, den) for v in _dense_nums(a)]
+
+
+def dense_numerators(ops: Sequence[DiagOperator]) -> tuple[list[list[int]], int]:
+    """Dense diagonals of several operators as integer numerators over
+    their smallest common power of two, returned as its exponent."""
+    log2den = max((a.log2den for a in ops), default=0)
+    vecs = [[v << (log2den - a.log2den) for v in _dense_nums(a)] for a in ops]
+    shift = _spare_twos((v for vec in vecs for v in vec), log2den)
+    return [[v >> shift for v in vec] for vec in vecs], log2den - shift
 
 
 def from_dense(layout: WireLayout, values: Sequence[Fraction | int]) -> DiagOperator:
@@ -425,25 +528,15 @@ def from_dense(layout: WireLayout, values: Sequence[Fraction | int]) -> DiagOper
     n = 1 << layout.width
     if len(values) != n:
         raise ValueError(f"dense vector must have length {n}, got {len(values)}")
-    fracs = [Fraction(v) for v in values]
-    scale = max((_log2den(c) for c in fracs if c), default=0)
-    vec = [c.numerator << (scale - _log2den(c)) if c else 0 for c in fracs]
+    vec, log2den = _dyadic_ints(values)
     _wht(vec)
-    den = 1 << (scale + layout.width)
-    return DiagOperator(layout, {m: Fraction(v, den) for m, v in enumerate(vec) if v})
+    return _make(layout, {m: v for m, v in enumerate(vec) if v}, log2den + layout.width)
 
 
 def is_nonnegative(a: DiagOperator) -> bool:
     """True iff every dense entry is >= 0 (positive semi-definiteness for
     diagonal operators)."""
-    if not a.terms:
-        return True
-    scale = max(_log2den(c) for c in a.terms.values())
-    vec = [0] * (1 << a.layout.width)
-    for mask, c in a.terms.items():
-        vec[mask] = c.numerator << (scale - _log2den(c))
-    _wht(vec)
-    return all(v >= 0 for v in vec)
+    return all(v >= 0 for v in _dense_nums(a))
 
 
 @dataclass(frozen=True)
@@ -471,7 +564,7 @@ def abelian_psd_check(monomials: Iterable[ZMonomial]) -> GroupPsdReport:
             raise LayoutError("monomials must share a layout")
     masks = {m.mask for m in mons}
     is_group = 0 in masks and all(x ^ y in masks for x in masks for y in masks)
-    total = DiagOperator(layout, {m: Fraction(1) for m in masks})
+    total = _make(layout, dict.fromkeys(masks, 1), 0)
     return GroupPsdReport(is_group=is_group, sum_nonneg=is_nonnegative(total))
 
 
@@ -479,39 +572,74 @@ def abelian_psd_check(monomials: Iterable[ZMonomial]) -> GroupPsdReport:
 # serialization: JSON operator schema and dense CSV
 # ---------------------------------------------------------------------------
 
-def _wire_to_json(w: Wire) -> dict:
-    return {"party": w.party, "kind": w.kind, "width": w.width}
+def dyadic_json(value: Fraction | int) -> dict:
+    """``{"num", "log2den"}`` form of a dyadic rational in lowest terms."""
+    value = Fraction(value)
+    return {"num": value.numerator, "log2den": _log2den(value)}
 
 
-def _wire_from_json(obj: Mapping) -> Wire:
-    return Wire(party=obj["party"], kind=obj["kind"], width=obj["width"])
+def _field(obj, key: str, where: str, *kinds: type):
+    """``obj[key]``, checked to exist and to have one of the JSON types."""
+    if not isinstance(obj, Mapping) or key not in obj:
+        raise FormatError(f"{where} must be an object with a {key!r} field")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise FormatError(f"{where}: {key!r} must be {names}, got {type(value).__name__}")
+    return value
+
+
+def _wire_from_json(obj, where: str) -> Wire:
+    return Wire(party=_field(obj, "party", where, int, str),
+                kind=_field(obj, "kind", where, str),
+                width=_field(obj, "width", where, int))
 
 
 def operator_to_json(a: DiagOperator) -> dict:
     """JSON form: layout plus sorted terms with dyadic coefficients."""
     return {
-        "layout": [_wire_to_json(w) for w in a.layout.wires],
+        "layout": [
+            {"party": w.party, "kind": w.kind, "width": w.width} for w in a.layout.wires
+        ],
         "terms": [
-            {"mask": f"{mask:#x}", "num": c.numerator, "log2den": _log2den(c)}
+            {"mask": f"{mask:#x}", **dyadic_json(c)}
             for mask, c in sorted(a.terms.items())
         ],
     }
 
 
-def operator_from_json(obj: Mapping) -> DiagOperator:
-    layout = WireLayout(_wire_from_json(w) for w in obj["layout"])
-    terms = {
-        int(t["mask"], 16): Fraction(t["num"], 1 << t["log2den"])
-        for t in obj["terms"]
-    }
-    return DiagOperator(layout, terms)
+def operator_from_json(obj) -> DiagOperator:
+    """Operator from its JSON form; a document that breaks the schema raises
+    :class:`FormatError`."""
+    wires = _field(obj, "layout", "operator", list)
+    terms = _field(obj, "terms", "operator", list)
+    layout = WireLayout(_wire_from_json(w, f"layout[{i}]") for i, w in enumerate(wires))
+    parsed = {}
+    for i, t in enumerate(terms):
+        where = f"terms[{i}]"
+        text = _field(t, "mask", where, str)
+        try:
+            mask = int(text, 16)
+        except ValueError:
+            raise FormatError(f"{where}: mask {text!r} is not a hex string") from None
+        num = _field(t, "num", where, int)
+        log2den = _field(t, "log2den", where, int)
+        if log2den < 0:
+            raise FormatError(f"{where}: log2den must be >= 0, got {log2den}")
+        if num and (mask < 0 or mask.bit_length() > layout.width):
+            raise LayoutError(f"mask {mask:#x} outside layout width {layout.width}")
+        parsed[mask] = (num, log2den)
+    log2den = max((k for _, k in parsed.values()), default=0)
+    return _make(layout, {m: v << (log2den - k) for m, (v, k) in parsed.items()}, log2den)
 
 
 def dense_csv_lines(a: DiagOperator) -> Iterable[str]:
-    """Dense CSV rows ``index,numerator,log2_denominator`` with a header."""
+    """Dense CSV rows ``index,numerator,log2_denominator`` with a header;
+    each entry is in lowest terms."""
     yield "index,numerator,log2_denominator"
-    for i, v in enumerate(to_dense(a)):
-        yield f"{i},{v.numerator},{_log2den(v)}"
+    for i, v in enumerate(_dense_nums(a)):
+        shift = _spare_twos((v,), a.log2den)
+        yield f"{i},{v >> shift},{a.log2den - shift}"
 
 
 def parse_dense_csv(lines: Iterable[str]) -> list[Fraction]:

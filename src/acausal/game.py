@@ -21,11 +21,13 @@ from .diagop import (
     LayoutError,
     Wire,
     WireLayout,
+    contract,
+    dense_numerators,
+    dyadic_json,
     from_dense,
     identity,
-    mask_fields,
     partial_trace,
-    to_dense,
+    term_keys,
 )
 from .process import (
     ProcessMatrix,
@@ -96,64 +98,42 @@ class LocalBehavior:
         self._cache: dict = {}
 
     @property
-    def widths(self) -> tuple[int, int]:
-        (o_wire, i_wire) = self.layout.wires
-        return o_wire.width, i_wire.width
-
-    def marginal_terms(self) -> dict[int, Fraction]:
-        """Parity terms of the outcome-summed channel."""
-        total: dict[int, Fraction] = {}
-        for op in self.ops.values():
-            for m, c in op.terms.items():
-                total[m] = total.get(m, Fraction(0)) + c
-        return {m: c for m, c in total.items() if c}
+    def channel(self) -> DiagOperator:
+        """The outcome-summed channel."""
+        if "channel" not in self._cache:
+            self._cache["channel"] = sum(self.ops.values(), DiagOperator(self.layout, {}))
+        return self._cache["channel"]
 
     def check(self) -> bool:
         """Normalization: the outcome-summed channel traces to the identity."""
         o_name = self.layout.wires[0].name
-        channel = DiagOperator(self.layout, self.marginal_terms())
-        traced = partial_trace(channel, [o_name])
+        traced = partial_trace(self.channel, [o_name])
         return traced == identity(self.layout.restrict([self.layout.wires[1].name]))
-
-    def scaled(self, x: int) -> tuple[dict[int, int], int]:
-        key = ("x", x)
-        if key not in self._cache:
-            self._cache[key] = _scaled_terms(self.ops[x].terms)
-        return self._cache[key]
-
-    def scaled_marginal(self) -> tuple[dict[int, int], int]:
-        if "marginal" not in self._cache:
-            self._cache["marginal"] = _scaled_terms(self.marginal_terms())
-        return self._cache["marginal"]
 
     def outcome_lookup(self) -> tuple[list[list[tuple[int, int, int]]], int]:
         """Sampling table: per input value, the (x, o, weight) choices.
 
-        Weights are numerators over a common power-of-two denominator and
-        sum to that denominator for every input value.
+        Weights are numerators over the smallest common power-of-two
+        denominator, returned as its exponent, and sum to that denominator
+        for every input value.
         """
         if "lookup" not in self._cache:
-            wo, wi = self.widths
-            dense = {x: to_dense(op) for x, op in self.ops.items()}
-            scale = 0
-            for vec in dense.values():
-                for val in vec:
-                    if val:
-                        scale = max(scale, val.denominator.bit_length() - 1)
+            wo, wi = (w.width for w in self.layout.wires)
+            xs = sorted(self.ops)
+            dense, scale = dense_numerators([self.ops[x] for x in xs])
             lookup: list[list[tuple[int, int, int]]] = []
             for v in range(1 << wi):
                 choices = []
-                for x in sorted(dense):
+                for x, vec in zip(xs, dense):
                     for o in range(1 << wo):
-                        p = dense[x][(o << wi) | v]
+                        p = vec[(o << wi) | v]
                         if p < 0:
                             raise ValueError(
                                 f"behavior of party {self.party} has a "
                                 f"negative weight at input {v}"
                             )
                         if p:
-                            num = p.numerator << (scale - (p.denominator.bit_length() - 1))
-                            choices.append((x, o, num))
+                            choices.append((x, o, p))
                 if sum(c[2] for c in choices) != 1 << scale:
                     raise ValueError(
                         f"behavior of party {self.party} is not normalized "
@@ -162,20 +142,6 @@ class LocalBehavior:
                 lookup.append(choices)
             self._cache["lookup"] = (lookup, scale)
         return self._cache["lookup"]
-
-
-def _scaled_terms(terms: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
-    """Integer numerators of dyadic coefficients at a common scale."""
-    if not terms:
-        return {}, 0
-    scale = max(c.denominator.bit_length() - 1 for c in terms.values())
-    return (
-        {
-            m: c.numerator << (scale - (c.denominator.bit_length() - 1))
-            for m, c in terms.items()
-        },
-        scale,
-    )
 
 
 def _projector_terms(width: int, norm_log2: int, local_mask: int | None,
@@ -284,9 +250,9 @@ def behavior_from_table(party: int, o_width: int, i_width: int,
     if len(table) != 1 << i_width:
         raise ValueError(f"table must cover all {1 << i_width} input values")
     layout = WireLayout([Wire(party, "O", o_width), Wire(party, "I", i_width)])
-    dense = {x: [Fraction(0)] * (1 << layout.width) for x in (0, 1)}
+    dense = {x: [0] * (1 << layout.width) for x in (0, 1)}
     for v, (x, o) in enumerate(table):
-        dense[x][(o << i_width) | v] = Fraction(1)
+        dense[x][(o << i_width) | v] = 1
     ops = {x: from_dense(layout, vec) for x, vec in dense.items()}
     return LocalBehavior(party=party, layout=layout, ops=ops)
 
@@ -294,40 +260,6 @@ def behavior_from_table(party: int, o_width: int, i_width: int,
 # ---------------------------------------------------------------------------
 # exact evaluation
 # ---------------------------------------------------------------------------
-
-def _pairing_table(w: ProcessMatrix):
-    """Per process term: integer numerator and per-party restricted keys."""
-    terms = w.operator.terms
-    scale = max(c.denominator.bit_length() - 1 for c in terms.values())
-    rows = []
-    for mask, c in terms.items():
-        num = c.numerator << (scale - (c.denominator.bit_length() - 1))
-        keys = tuple(
-            mask_fields(w.layout, mask, (f"O{i}", f"I{i}")) for i in range(w.n)
-        )
-        rows.append((num, keys))
-    return rows, scale
-
-
-def _pair(rows, w_scale, width, party_dicts) -> Fraction:
-    """Exact trace of the behavior product against the process operator."""
-    acc = 0
-    total_scale = w_scale
-    dicts = []
-    for d, s in party_dicts:
-        dicts.append(d)
-        total_scale += s
-    for num, keys in rows:
-        prod = num
-        for d, key in zip(dicts, keys):
-            v = d.get(key)
-            if not v:
-                prod = 0
-                break
-            prod *= v
-        acc += prod
-    return Fraction(acc << width, 1 << total_scale)
-
 
 def outcome_distribution(
     w: ProcessMatrix,
@@ -345,13 +277,12 @@ def outcome_distribution(
     for i, beh in enumerate(behaviors):
         if beh.party != i:
             raise LayoutError(f"behavior {i} belongs to party {beh.party}")
-    rows, w_scale = _pairing_table(w)
-    width = w.layout.width
+    keys = term_keys(w.operator, [(f"O{i}", f"I{i}") for i in range(n)])
     dist = {}
     for packed in range(1 << n):
         xs = tuple((packed >> (n - 1 - i)) & 1 for i in range(n))
-        party_dicts = [behaviors[i].scaled(xs[i]) for i in range(n)]
-        dist[xs] = _pair(rows, w_scale, width, party_dicts)
+        factors = [behaviors[i].ops[xs[i]] for i in range(n)]
+        dist[xs] = contract(w.operator, keys, factors)
     return dist
 
 
@@ -366,23 +297,19 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     if n < 2:
         raise ValueError(f"party count must be >= 2, got {n}")
     strategy = strategy or winning_behavior
-    w = build_w(n)
-    rows, w_scale = _pairing_table(w)
-    width = w.layout.width
+    op = build_w(n).operator
+    keys = term_keys(op, [(f"O{i}", f"I{i}") for i in range(n)])
     per_m = []
     for m in range(n):
         win = Fraction(0)
         for a_idx in range(1 << n):
             a_bits = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
             target = (a_idx.bit_count() - a_bits[m]) & 1
-            party_dicts = []
+            factors = []
             for i in range(n):
                 beh = strategy(n, m, i, a_bits[i])
-                if i == m:
-                    party_dicts.append(beh.scaled(target))
-                else:
-                    party_dicts.append(beh.scaled_marginal())
-            win += _pair(rows, w_scale, width, party_dicts)
+                factors.append(beh.ops[target] if i == m else beh.channel)
+            win += contract(op, keys, factors)
         per_m.append(win / (1 << n))
     return GameResult(n=n, per_m=tuple(per_m), p_succ=sum(per_m) / n)
 
@@ -396,13 +323,10 @@ class GameResult:
     p_succ: Fraction
 
     def to_json(self) -> dict:
-        def dyadic(v: Fraction) -> dict:
-            return {"num": v.numerator, "log2den": v.denominator.bit_length() - 1}
-
         return {
             "n": self.n,
-            "per_m": [dyadic(v) for v in self.per_m],
-            "p_succ": dyadic(self.p_succ),
+            "per_m": [dyadic_json(v) for v in self.per_m],
+            "p_succ": dyadic_json(self.p_succ),
         }
 
 
@@ -434,7 +358,10 @@ class SampleResult:
             "seed": self.seed,
             "rng": self.rng,
             "wins": self.wins,
+            "losses": self.losses,
             "estimate": self.estimate,
+            "per_m_wins": list(self.per_m_wins),
+            "per_m_shots": list(self.per_m_shots),
         }
 
 

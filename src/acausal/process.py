@@ -27,6 +27,7 @@ from .diagop import (
     Wire,
     WireLayout,
     channel_apply,
+    contract,
     from_dense,
     identity,
     is_nonnegative,
@@ -34,6 +35,7 @@ from .diagop import (
     mask_from_fields,
     partial_trace,
     point_mass,
+    term_keys,
     to_dense,
 )
 
@@ -219,24 +221,16 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.nonneg
-            and self.channel_norm
-            and self.bilinear.failed == 0
-            and self.term_structure
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        out = []
-        if not self.nonneg:
-            out.append("nonneg")
-        if not self.channel_norm:
-            out.append("channel_norm")
-        if self.bilinear.failed:
-            out.append("bilinear_norm")
-        if not self.term_structure:
-            out.append("term_structure")
-        return out
+        checks = {
+            "nonneg": self.nonneg,
+            "channel_norm": self.channel_norm,
+            "bilinear_norm": not self.bilinear.failed,
+            "term_structure": self.term_structure,
+        }
+        return [name for name, ok in checks.items() if not ok]
 
     def to_json(self) -> dict:
         return {
@@ -267,22 +261,13 @@ def _party_partition(layout: WireLayout) -> list[int]:
     return parties
 
 
-def _det_channel_coeffs(table: Sequence[int], wo: int, wi: int) -> dict[int, int]:
-    """Scaled parity coefficients of a deterministic channel ``o = f(i)``.
-
-    Keys pack the output-wire mask above the input-wire mask; values are
-    numerators at the fixed scale ``2 ** (wo + wi)``.
-    """
-    coeffs = {}
-    for mo in range(1 << wo):
-        for mi in range(1 << wi):
-            s = 0
-            for v in range(1 << wi):
-                sign = ((mo & table[v]).bit_count() + (mi & v).bit_count()) & 1
-                s += -1 if sign else 1
-            if s:
-                coeffs[(mo << wi) | mi] = s
-    return coeffs
+def _det_channel(layout: WireLayout, table: Sequence[int]) -> DiagOperator:
+    """The deterministic channel ``o = table[i]`` on a layout ``(O, I)``."""
+    wi = layout.wires[1].width
+    dense = [0] * (1 << layout.width)
+    for v, o in enumerate(table):
+        dense[(o << wi) | v] = 1
+    return from_dense(layout, dense)
 
 
 def validate_process(
@@ -308,7 +293,6 @@ def validate_process(
     op = process.operator if isinstance(process, ProcessMatrix) else process
     layout = op.layout
     parties = _party_partition(layout)
-    n = len(parties)
     i_names = [f"I{p}" for p in parties]
     o_names = [f"O{p}" for p in parties]
 
@@ -321,12 +305,12 @@ def validate_process(
     o_fields = {p: layout.field_mask(f"O{p}") for p in parties}
     term_structure = all(
         any(mask & o_fields[p] == 0 and mask & i_fields[p] for p in parties)
-        for mask in op.terms
+        for mask in op.nums
         if mask
     )
     signaling = tuple(
         tuple(
-            any(mask & o_fields[j] and mask & i_fields[i] for mask in op.terms)
+            any(mask & o_fields[j] and mask & i_fields[i] for mask in op.nums)
             for i in parties
         )
         for j in parties
@@ -344,63 +328,31 @@ def validate_process(
 
 
 def _bilinear_check(op, parties, exhaustive_limit, sample_count, seed):
-    layout = op.layout
-    n = len(parties)
-    widths = [
-        (layout.field(f"O{p}")[1], layout.field(f"I{p}")[1]) for p in parties
-    ]
-    scale_w = max(
-        c.denominator.bit_length() - 1 for c in op.terms.values()
-    )
-    w_table = [
-        (
-            (c * (1 << scale_w)).numerator,
-            tuple(
-                mask_fields(layout, mask, (f"O{p}", f"I{p}")) for p in parties
-            ),
-        )
-        for mask, c in op.terms.items()
-    ]
-    scale_total = scale_w + sum(wo + wi for wo, wi in widths)
-    expected = 1 << (scale_total - layout.width)
-
-    def total_is_one(coeff_dicts) -> bool:
-        acc = 0
-        for num, keys in w_table:
-            prod = num
-            for d, key in zip(coeff_dicts, keys):
-                v = d.get(key)
-                if not v:
-                    prod = 0
-                    break
-                prod *= v
-            acc += prod
-        return acc == expected
-
-    checked = 0
-    failed = 0
-    if n <= exhaustive_limit:
-        per_party = [
-            [
-                _det_channel_coeffs(table, wo, wi)
-                for table in itertools.product(range(1 << wo), repeat=1 << wi)
-            ]
-            for wo, wi in widths
-        ]
-        for combo in itertools.product(*per_party):
-            checked += 1
-            if not total_is_one(combo):
-                failed += 1
+    wires = {w.name: w for w in op.layout.wires}
+    groups = [(f"O{p}", f"I{p}") for p in parties]
+    layouts = [WireLayout([wires[o], wires[i]]) for o, i in groups]
+    widths = [(lay.wires[0].width, lay.wires[1].width) for lay in layouts]
+    keys = term_keys(op, groups)
+    channel = lru_cache(maxsize=None)(lambda p, table: _det_channel(layouts[p], table))
+    if len(parties) <= exhaustive_limit:
+        combos = itertools.product(*(
+            [channel(p, t) for t in itertools.product(range(1 << wo), repeat=1 << wi)]
+            for p, (wo, wi) in enumerate(widths)
+        ))
     else:
         rng = random.Random(seed)
-        for _ in range(sample_count):
-            combo = []
-            for wo, wi in widths:
-                table = tuple(rng.randrange(1 << wo) for _ in range(1 << wi))
-                combo.append(_det_channel_coeffs(table, wo, wi))
-            checked += 1
-            if not total_is_one(combo):
-                failed += 1
+        combos = (
+            [
+                channel(p, tuple(rng.randrange(1 << wo) for _ in range(1 << wi)))
+                for p, (wo, wi) in enumerate(widths)
+            ]
+            for _ in range(sample_count)
+        )
+    checked = failed = 0
+    for combo in combos:
+        checked += 1
+        if contract(op, keys, combo) != 1:
+            failed += 1
     return BilinearCheck(checked=checked, failed=failed)
 
 
@@ -500,7 +452,7 @@ def loop_decomposition(n: int) -> tuple[LoopChannel, ...]:
     layout = w.layout
     i_names = list(w.input_wires)
     i_width = sum(layout.field(name)[1] for name in i_names)
-    i_masks = {mask_fields(layout, mask, i_names) for mask in w.operator.terms}
+    i_masks = {mask_fields(layout, mask, i_names) for mask in w.operator.nums}
     flips = _gf2_kernel(i_masks, i_width)
     weight = Fraction(1, len(flips))
     sub = WireLayout([Wire(k, "I", layout.field(f"I{k}")[1]) for k in range(n)])

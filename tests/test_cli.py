@@ -95,7 +95,9 @@ def test_sample_json_deterministic(capsys):
     assert first == second
     payload = json.loads(first)
     assert payload == {"n": 3, "shots": 500, "seed": 11, "rng": "mt19937",
-                       "wins": 500, "estimate": 1.0}
+                       "wins": 500, "losses": 0, "estimate": 1.0,
+                       "per_m_wins": [163, 182, 155],
+                       "per_m_shots": [163, 182, 155]}
 
 
 def test_causal_bound_brute_force(capsys):
@@ -165,3 +167,37 @@ def test_float_rendering(capsys):
     code, out, _ = run(capsys, "causal-bound", "--n", "3", "--float")
     assert code == 0
     assert "0.83333333333333337" in out
+
+
+ONE_BIT = [{"party": 0, "kind": "I", "width": 1},
+           {"party": 0, "kind": "O", "width": 1}]
+
+
+@pytest.mark.parametrize("document", [
+    {"layout": []},
+    {"layout": [], "terms": 5},
+    {"layout": ONE_BIT, "terms": [{"mask": "0x0", "num": 1, "log2den": -1}]},
+    {"layout": ONE_BIT, "terms": [{"mask": "zz", "num": 1, "log2den": 0}]},
+    {"layout": ONE_BIT, "terms": [{"mask": "0x0", "num": 0.5, "log2den": 0}]},
+    {"layout": [{"party": 0, "kind": "I"}], "terms": []},
+    [],
+], ids=["no-terms", "terms-not-list", "negative-log2den", "mask-not-hex",
+        "num-not-int", "wire-without-width", "not-an-object"])
+def test_validate_malformed_file_is_usage_error(tmp_path, capsys, document):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_validate_operator_without_terms_fails_validation(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"layout": ONE_BIT, "terms": []}))
+    code, out, _ = run(capsys, "validate", "--file", str(path), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["channel_norm"] is False
+    assert payload["passed"] is False

@@ -1,0 +1,72 @@
+"""Byte-for-byte pins of CLI outputs.
+
+Each entry records the exit code and the sha256 digest of stdout for one
+command line; a change to the operator core or its serialization must
+reproduce them exactly. Input files are written from the library's own
+constructions.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from acausal.cli import main
+from acausal.diagop import operator_to_json
+from acausal.process import build_w, naive_even_w
+
+GOLDEN = {
+    ("build-w", "--n", "3", "--json"):
+        (0, "8a6c92228133ac635ce9817e8e879a0044ce55e1c8225774975d21791b28bcd6"),
+    ("build-w", "--n", "4", "--json"):
+        (0, "3a474fc1c1e18ffde825e0e144a45e034f2b918f4dff154659135315653c9e42"),
+    ("build-w", "--n", "5", "--json"):
+        (0, "490ba96b927c6ee1008e79df11b7006f309ece4139b22f725214e04d2b97d08a"),
+    ("build-w", "--n", "6", "--json"):
+        (0, "9a02c7edda093ab54369af4e46b82d131c6f5c5e6724d141ae192274d60cf501"),
+    ("build-w", "--n", "7", "--json"):
+        (0, "6525857adbad2251a83c6592227f577c789a5311c82076b68ec5417445d0915f"),
+    ("build-w", "--n", "8", "--json"):
+        (0, "2b67d7e9109b283e3e0a7736f01250cfbbea9243d2c443530323c02da0949ff3"),
+    ("build-w", "--n", "3"):
+        (0, "684e88e288b0d36dfb2afc9c630b884dccd2c27df5f97b5919649da905463c04"),
+    ("build-w", "--n", "4"):
+        (0, "64bf8bb034c76a972179e4066adae2cb4275839d6a0281f151bfad095c45446d"),
+    ("export", "--file", "{dir}/w5.json", "--format", "dense"):
+        (0, "b1464c8cfc9ff65fe22a69e029d8a8adf98ba7ecfccb82ae0b6cb9cce8c29e45"),
+    ("validate", "--file", "{dir}/w6.json", "--json"):
+        (0, "6cc10ee82b901fc299c3059040766f925f2762c6a70bf28753c6df9753ae89f4"),
+    ("validate", "--file", "{dir}/naive4.json", "--json"):
+        (1, "b54e2d75f4848bc159b85d0d5e6ea4362dde15012e9c573910fc7539346ae85c"),
+    ("play", "--n", "3", "--json"):
+        (0, "f48fc9765adea4fb711bc7f60fc1cee4eb3e6ac2861784e4d91457d6b6157c5f"),
+    ("play", "--n", "4", "--json"):
+        (0, "4b9ece6dc5af8c67203000353843b6a258ac05a036b2c02d125b26151b306e4b"),
+    ("play", "--n", "5", "--json"):
+        (0, "2f64a39d578fe76a2d3c5bc13994fe28cc85dab7ebea425212082844a6545ef0"),
+    ("play", "--n", "6", "--json"):
+        (0, "62a2d84e378e36a6288e80b5f75ab292bd8d7d619717b8e9a178d005f963d9ca"),
+    ("play", "--n", "6", "--m", "4", "--inputs", "1,0,1,1,0,1", "--json"):
+        (0, "d349e77e381ee3007e63d0984ed52a819b9e7fc170d9f76d9f262c35a1e83e5d"),
+    ("causal-bound", "--n", "4", "--json"):
+        (0, "7615fc02a96f999d75378d0205acc9f60ee951beceb8ab72c8952c41d7614f57"),
+}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    files = {
+        "w5": build_w(5).operator,
+        "w6": build_w(6).operator,
+        "naive4": naive_even_w(4),
+    }
+    for name, op in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(operator_to_json(op)))
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_cli_output_is_pinned(argv, inputs, capsys):
+    code = main([a.replace("{dir}", str(inputs)) for a in argv])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
