@@ -75,7 +75,8 @@ class LayoutError(ValueError):
 
 
 class FormatError(ValueError):
-    """A serialized operator does not follow the JSON schema."""
+    """A serialized operator does not follow the JSON schema or the dense
+    CSV format."""
 
 
 @dataclass(frozen=True)
@@ -305,13 +306,6 @@ class DiagOperator:
             shared = {v: Fraction(v, den) for v in set(self.nums.values())}
             self._terms = MappingProxyType({m: shared[v] for m, v in self.nums.items()})
         return self._terms
-
-    def entry(self, index: int) -> Fraction:
-        """Diagonal entry at one basis string (sum over parity terms)."""
-        total = 0
-        for mask, v in self.nums.items():
-            total += -v if (index & mask).bit_count() & 1 else v
-        return Fraction(total, 1 << self.log2den)
 
     def __eq__(self, other):
         if not isinstance(other, DiagOperator):
@@ -643,13 +637,19 @@ def dense_csv_lines(a: DiagOperator) -> Iterable[str]:
 
 
 def parse_dense_csv(lines: Iterable[str]) -> list[Fraction]:
+    """Dense diagonal from CSV rows; a malformed row raises
+    :class:`FormatError` naming its line number."""
     values = []
-    for line in lines:
+    for row, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("index"):
             continue
-        idx, num, log2den = line.split(",")
-        if int(idx) != len(values):
-            raise ValueError("dense CSV rows must be consecutive from 0")
-        values.append(Fraction(int(num), 1 << int(log2den)))
+        try:
+            idx, num, log2den = map(int, line.split(","))
+        except ValueError:
+            raise FormatError(f"line {row}: expected three integers, got {line!r}") from None
+        if idx != len(values) or log2den < 0:
+            raise FormatError(f"line {row}: need index {len(values)} and log2den >= 0, "
+                              f"got {line!r}")
+        values.append(Fraction(num, 1 << log2den))
     return values

@@ -144,7 +144,7 @@ class LocalBehavior:
         return self._cache["lookup"]
 
 
-def _projector_terms(width: int, norm_log2: int, local_mask: int | None,
+def _projector_terms(norm_log2: int, local_mask: int | None,
                      sign: int) -> dict[int, Fraction]:
     """Terms of ``(1 + (-1)^sign Z_mask) / 2**norm_log2`` on one wire,
     or of the bare scaled identity when ``local_mask`` is None."""
@@ -225,17 +225,17 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
         if wo == 2:
             code = wide_code(n, m)
             mask = _CODE_MASKS.get(code)
-            o_terms = _projector_terms(2, 2, mask, send)
+            o_terms = _projector_terms(2, mask, send)
         else:
-            o_terms = _projector_terms(1, 1, 0b1, send)
+            o_terms = _projector_terms(1, 0b1, send)
         if wi == 2:
             if starter:
-                i_terms = _projector_terms(2, 1, None, 0)
+                i_terms = _projector_terms(1, None, 0)
             else:
                 code = wide_code(n, m)
-                i_terms = _projector_terms(2, 1, _CODE_MASKS[code], x)
+                i_terms = _projector_terms(1, _CODE_MASKS[code], x)
         else:
-            i_terms = _projector_terms(1, 1, 0b1, x)
+            i_terms = _projector_terms(1, 0b1, x)
         terms = {}
         for mo, co in o_terms.items():
             for mi, ci in i_terms.items():

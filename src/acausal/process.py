@@ -31,8 +31,6 @@ from .diagop import (
     from_dense,
     identity,
     is_nonnegative,
-    mask_fields,
-    mask_from_fields,
     partial_trace,
     point_mass,
     term_keys,
@@ -68,9 +66,23 @@ def game_layout(n: int) -> WireLayout:
     return WireLayout(wires)
 
 
-def _bit(value: int, width: int, pos: int) -> int:
-    """Bit of ``value`` at 0-based position ``pos``, first position = MSB."""
-    return (value >> (width - 1 - pos)) & 1
+def _span(generators: Iterable[int]) -> list[int]:
+    """Every XOR of a subset of the (independent) generators; element i is
+    the XOR of the generators at the set bits of i."""
+    span = [0]
+    for g in generators:
+        span += [s ^ g for s in span]
+    return span
+
+
+def _generators(n: int) -> list[int]:
+    """The n - 1 generators of :func:`generator_group`, in the order whose
+    span lists the group in its documented order."""
+    if n % 2:
+        return [(1 << k) | 1 for k in range(1, n)]
+    width = n - 1
+    lifted = [(b << 2) | ((b >> (width - 2)) & 0b11) for b in _generators(n - 1)]
+    return lifted + [((1 << width) - 1) << 2]
 
 
 @lru_cache(maxsize=None)
@@ -84,23 +96,13 @@ def generator_group(n: int) -> tuple[int, ...]:
     group: each element is ``(beta << 2) | prime`` where ``beta`` runs over
     the plain and the globally-flipped copy of an (n-1)-group mask and
     ``prime`` repeats that mask's first two positions on a doubled block.
+    Either way it is the span of the n - 1 masks :func:`_generators` lists.
     """
     if n < 3:
         raise UnsupportedPartyCount(
             "no process-matrix group exists for fewer than 3 parties"
         )
-    if n % 2:
-        return tuple(m for m in range(1 << n) if m.bit_count() % 2 == 0)
-    base = generator_group(n - 1)
-    width = n - 1
-    flip_all = (1 << width) - 1
-
-    def prime(beta: int) -> int:
-        return (beta >> (width - 2)) & 0b11
-
-    plain = [(b << 2) | prime(b) for b in base]
-    barred = [((b ^ flip_all) << 2) | prime(b) for b in base]
-    return tuple(plain + barred)
+    return tuple(_span(_generators(n)))
 
 
 @dataclass(frozen=True)
@@ -121,32 +123,24 @@ class ProcessMatrix:
         return tuple(f"O{k}" for k in range(self.n))
 
 
-def _odd_term_fields(n: int, gamma: int) -> dict[str, int]:
-    """Wire placement of one odd-n group mask.
-
-    Position k of the mask lands on input wire ``I_k`` and on the output
-    wire of the preceding party, ``O_{k-1 mod n}``.
-    """
-    fields = {}
-    for k in range(n):
-        fields[f"I{k}"] = _bit(gamma, n, k)
-        fields[f"O{k}"] = _bit(gamma, n, (k + 1) % n)
-    return fields
+def _place(g: int, k: int) -> int:
+    """A group mask over k positions placed on a layout ``I_0.., O_0..``
+    with k bits per side: unchanged on the inputs and rotated one position
+    left on the outputs, so position j lands on ``I_j`` and on the output
+    of party j - 1. At even n the doubled block's two positions land
+    together on ``I_{n-1}`` and ``O_{n-2}``."""
+    return (g << k) | ((g << 1) & ((1 << k) - 1)) | (g >> (k - 1))
 
 
-def _even_term_fields(n: int, element: int) -> dict[str, int]:
-    """Wire placement of one even-n group element ``(beta << 2) | prime``."""
-    beta, prime = element >> 2, element & 0b11
-    width = n - 1
-    fields = {}
-    for k in range(n - 1):
-        fields[f"I{k}"] = _bit(beta, width, k)
-    fields[f"I{n - 1}"] = prime
-    for j in range(n - 2):
-        fields[f"O{j}"] = _bit(beta, width, j + 1)
-    fields[f"O{n - 2}"] = prime
-    fields[f"O{n - 1}"] = _bit(beta, width, 0)
-    return fields
+def _check_party_count(n: int) -> None:
+    """Refuse the party counts no circular process serves."""
+    if n == 2:
+        raise UnsupportedPartyCount(
+            "two parties are unsupported: the doubled-register channel cannot "
+            "signal on its own, and winning requires mutual signaling"
+        )
+    if n < 2:
+        raise ValueError(f"party count must be >= 2, got {n}")
 
 
 @lru_cache(maxsize=None)
@@ -156,22 +150,16 @@ def build_w(n: int) -> ProcessMatrix:
     The result is the normalized sum of the generator group, each element
     placed once on the input side and once, cyclically shifted, on the
     output side. For even n the doubled block sits on the wide wires
-    ``O_{n-2}`` and ``I_{n-1}`` and is not shifted.
+    ``O_{n-2}`` and ``I_{n-1}`` and is not split. Placement only copies
+    bits, so it is linear over GF(2): the terms are the span of the placed
+    generators.
     """
-    if n == 2:
-        raise UnsupportedPartyCount(
-            "two parties are unsupported: the doubled-register channel cannot "
-            "signal on its own, and winning requires mutual signaling"
-        )
-    if n < 2:
-        raise ValueError(f"party count must be >= 2, got {n}")
-    layout = game_layout(n)
-    group = generator_group(n)
-    place = _odd_term_fields if n % 2 else _even_term_fields
-    c = Fraction(1, 1 << (n if n % 2 else n + 1))
-    terms = {mask_from_fields(layout, place(n, g)): c for g in group}
-    op = DiagOperator(layout, terms)
-    return ProcessMatrix(n=n, layout=layout, operator=op, normalization=c)
+    _check_party_count(n)
+    k = n if n % 2 else n + 1
+    c = Fraction(1, 1 << k)
+    terms = dict.fromkeys(_span(_place(g, k) for g in _generators(n)), c)
+    op = DiagOperator(game_layout(n), terms)
+    return ProcessMatrix(n=n, layout=op.layout, operator=op, normalization=c)
 
 
 def naive_even_w(n: int) -> DiagOperator:
@@ -186,13 +174,9 @@ def naive_even_w(n: int) -> DiagOperator:
         raise ValueError(f"naive_even_w needs an even n >= 4, got {n}")
     wires = [Wire(k, "I") for k in range(n)] + [Wire(k, "O") for k in range(n)]
     layout = WireLayout(wires)
-    c = Fraction(1, 1 << n)
-    terms = {}
-    for gamma in range(1 << n):
-        if gamma.bit_count() % 2:
-            continue
-        terms[mask_from_fields(layout, _odd_term_fields(n, gamma))] = c
-    return DiagOperator(layout, terms)
+    # The even-parity masks are spanned by (1 << j) | 1, as in generator_group.
+    placed = [_place((1 << j) | 1, n) for j in range(1, n)]
+    return DiagOperator(layout, dict.fromkeys(_span(placed), Fraction(1, 1 << n)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +254,13 @@ def _det_channel(layout: WireLayout, table: Sequence[int]) -> DiagOperator:
     return from_dense(layout, dense)
 
 
-def validate_process(
-    process: ProcessMatrix | DiagOperator,
-    exhaustive_limit: int = 5,
-    sample_count: int = 1000,
-    seed: int = 0,
-) -> ValidationReport:
+# The bilinear check enumerates every tuple of deterministic local channels
+# up to this many parties, and draws this many seeded tuples beyond.
+EXHAUSTIVE_LIMIT = 5
+SAMPLE_COUNT = 1000
+
+
+def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> ValidationReport:
     """Run all logical-consistency checks on a process object.
 
     * ``nonneg``: every dense entry is >= 0;
@@ -283,7 +268,8 @@ def validate_process(
       outputs (each conditional distribution is normalized);
     * ``bilinear_norm``: for tuples of deterministic local channels
       ``f_i: I_i -> O_i``, the total outcome probability is 1; exhaustive
-      up to ``exhaustive_limit`` parties, seeded sampling beyond;
+      up to ``EXHAUSTIVE_LIMIT`` parties, ``SAMPLE_COUNT`` tuples drawn
+      with ``seed`` beyond;
     * ``term_structure``: every non-identity parity term leaves some party
       receiving without sending (sigma_z on its input, identity on its
       output), which rules out closed signaling cycles;
@@ -316,7 +302,7 @@ def validate_process(
         for j in parties
     )
 
-    bilinear = _bilinear_check(op, parties, exhaustive_limit, sample_count, seed)
+    bilinear = _bilinear_check(op, parties, seed)
 
     return ValidationReport(
         nonneg=nonneg,
@@ -327,14 +313,14 @@ def validate_process(
     )
 
 
-def _bilinear_check(op, parties, exhaustive_limit, sample_count, seed):
+def _bilinear_check(op, parties, seed):
     wires = {w.name: w for w in op.layout.wires}
     groups = [(f"O{p}", f"I{p}") for p in parties]
     layouts = [WireLayout([wires[o], wires[i]]) for o, i in groups]
     widths = [(lay.wires[0].width, lay.wires[1].width) for lay in layouts]
     keys = term_keys(op, groups)
     channel = lru_cache(maxsize=None)(lambda p, table: _det_channel(layouts[p], table))
-    if len(parties) <= exhaustive_limit:
+    if len(parties) <= EXHAUSTIVE_LIMIT:
         combos = itertools.product(*(
             [channel(p, t) for t in itertools.product(range(1 << wo), repeat=1 << wi)]
             for p, (wo, wi) in enumerate(widths)
@@ -346,7 +332,7 @@ def _bilinear_check(op, parties, exhaustive_limit, sample_count, seed):
                 channel(p, tuple(rng.randrange(1 << wo) for _ in range(1 << wi)))
                 for p, (wo, wi) in enumerate(widths)
             ]
-            for _ in range(sample_count)
+            for _ in range(SAMPLE_COUNT)
         )
     checked = failed = 0
     for combo in combos:
@@ -428,14 +414,14 @@ def _gf2_kernel(vectors: Iterable[int], width: int) -> list[int]:
             if q != p and (rows[q] >> p) & 1:
                 rows[q] ^= rows[p]
     free = [b for b in range(width) if b not in rows]
-    kernel = [0]
+    basis = []
     for f in free:
         d = 1 << f
         for p, r in rows.items():
             if (r >> f) & 1:
                 d |= 1 << p
-        kernel += [k ^ d for k in kernel]
-    return sorted(kernel)
+        basis.append(d)
+    return sorted(_span(basis))
 
 
 @lru_cache(maxsize=None)
@@ -445,17 +431,15 @@ def loop_decomposition(n: int) -> tuple[LoopChannel, ...]:
     The wiring is always the circular identity (party k's output feeds
     party k+1's input, bit for bit); the admissible flip patterns are
     derived, not assumed: they are exactly the GF(2) vectors orthogonal to
-    every input-side mask of the generator group. Odd n yields two loops
-    (identity and all-edges-flip), even n yields four.
+    every input-side mask of the generator group, that is, to its n - 1
+    generators, which :func:`_place` puts on the inputs unchanged. Odd n
+    yields two loops (identity and all-edges-flip), even n yields four.
+    ``build_w(n)`` is never built.
     """
-    w = build_w(n)
-    layout = w.layout
-    i_names = list(w.input_wires)
-    i_width = sum(layout.field(name)[1] for name in i_names)
-    i_masks = {mask_fields(layout, mask, i_names) for mask in w.operator.nums}
-    flips = _gf2_kernel(i_masks, i_width)
+    _check_party_count(n)
+    sub = game_layout(n).restrict(f"I{k}" for k in range(n))
+    flips = _gf2_kernel(_generators(n), sub.width)
     weight = Fraction(1, len(flips))
-    sub = WireLayout([Wire(k, "I", layout.field(f"I{k}")[1]) for k in range(n)])
     loops = []
     for d in flips:
         per_edge = tuple(sub.extract(d, f"I{(k + 1) % n}") for k in range(n))

@@ -71,6 +71,54 @@ def random_dyadic_distribution(rng: random.Random, k: int,
     return [Fraction(b, grain) for b in bins]
 
 
+def group_oracle(n: int) -> tuple[int, ...]:
+    """The generator group by enumeration: the even-parity filter over all
+    2**n masks for odd n, and the plain and flipped copies of the
+    (n-1)-party group for even n."""
+    if n % 2:
+        return tuple(m for m in range(1 << n) if m.bit_count() % 2 == 0)
+    base = group_oracle(n - 1)
+    width = n - 1
+    flip_all = (1 << width) - 1
+
+    def prime(beta: int) -> int:
+        return (beta >> (width - 2)) & 0b11
+
+    plain = [(b << 2) | prime(b) for b in base]
+    barred = [((b ^ flip_all) << 2) | prime(b) for b in base]
+    return tuple(plain + barred)
+
+
+def _bit(value: int, width: int, pos: int) -> int:
+    """Bit of ``value`` at 0-based position ``pos``, first position = MSB."""
+    return (value >> (width - 1 - pos)) & 1
+
+
+def odd_term_fields(n: int, gamma: int) -> dict[str, int]:
+    """Wire placement of one odd-n group mask: position k lands on ``I_k``
+    and on ``O_{k-1 mod n}``."""
+    fields = {}
+    for k in range(n):
+        fields[f"I{k}"] = _bit(gamma, n, k)
+        fields[f"O{k}"] = _bit(gamma, n, (k + 1) % n)
+    return fields
+
+
+def even_term_fields(n: int, element: int) -> dict[str, int]:
+    """Wire placement of one even-n group element ``(beta << 2) | prime``."""
+    beta, prime = element >> 2, element & 0b11
+    width = n - 1
+    fields = {}
+    for k in range(n - 1):
+        fields[f"I{k}"] = _bit(beta, width, k)
+    fields[f"I{n - 1}"] = prime
+    for j in range(n - 2):
+        fields[f"O{j}"] = _bit(beta, width, j + 1)
+    fields[f"O{n - 2}"] = prime
+    fields[f"O{n - 1}"] = _bit(beta, width, 0)
+    return fields
+
+
 def all_subgroups(masks) -> set[frozenset[int]]:
     """Every XOR-closed subset (containing 0) of the span of the masks."""
     seen = {frozenset({0})}

@@ -5,6 +5,7 @@ import pytest
 
 from acausal.diagop import (
     DiagOperator,
+    FormatError,
     LayoutError,
     Wire,
     WireLayout,
@@ -345,3 +346,10 @@ def test_dense_csv_roundtrip():
     lines = list(dense_csv_lines(a))
     assert lines[0] == "index,numerator,log2_denominator"
     assert parse_dense_csv(lines) == to_dense(a)
+
+
+@pytest.mark.parametrize("row", ["0,1", "0,1,0,5", "0,x,0", "0,1,-1", "1,1,0"])
+def test_dense_csv_malformed_row_raises_format_error(row):
+    lines = ["index,numerator,log2_denominator", row]
+    with pytest.raises(FormatError, match="^line 2: "):
+        parse_dense_csv(lines)

@@ -14,7 +14,7 @@ from acausal.game import (
     wide_code,
     winning_behavior,
 )
-from acausal.process import UnsupportedPartyCount, build_w
+from acausal.process import UnsupportedPartyCount, build_w, loop_decomposition
 
 F = Fraction
 
@@ -304,6 +304,16 @@ def test_sampler_deterministic_and_zero_loss():
     single = sample_game(4, 1, seed=5)
     assert single == sample_game(4, 1, seed=5)
     assert single.wins == 1
+
+
+def test_sampler_reaches_64_parties_without_building_w():
+    build_w.cache_clear()
+    loop_decomposition.cache_clear()
+    misses = build_w.cache_info().misses
+    assert len(loop_decomposition(64)) == 4
+    result = sample_game(64, 1000, seed=1)
+    assert (result.wins, result.losses) == (1000, 0)
+    assert build_w.cache_info().misses == misses
 
 
 def test_sampler_estimate_near_exact():

@@ -50,6 +50,12 @@ GOLDEN = {
         (0, "d349e77e381ee3007e63d0984ed52a819b9e7fc170d9f76d9f262c35a1e83e5d"),
     ("causal-bound", "--n", "4", "--json"):
         (0, "7615fc02a96f999d75378d0205acc9f60ee951beceb8ab72c8952c41d7614f57"),
+    ("sample", "--n", "4", "--shots", "2000", "--seed", "5", "--json"):
+        (0, "b9e0df8cf21e88f06679afd0574a1680cfa25c67cf89885b52f6aa3d7448a72f"),
+    ("sample", "--n", "7", "--shots", "2000", "--seed", "5", "--json"):
+        (0, "860f27d5cfdd28182da8346a3b0c65b3dcc6fb178b7217138c193368f12d69ca"),
+    ("sample", "--n", "16", "--shots", "2000", "--seed", "5", "--json"):
+        (0, "cbded908ea1990037a71fe559640c4b8cedff44390b3bf33e7f5b5235b93efe9"),
 }
 
 

@@ -10,6 +10,7 @@ from acausal.diagop import (
     ZMonomial,
     abelian_psd_check,
     identity,
+    mask_from_fields,
     partial_trace,
     to_dense,
     trace,
@@ -25,7 +26,13 @@ from acausal.process import (
     naive_even_w,
     validate_process,
 )
-from conftest import dense_oracle, total_probability_oracle
+from conftest import (
+    dense_oracle,
+    even_term_fields,
+    group_oracle,
+    odd_term_fields,
+    total_probability_oracle,
+)
 
 F = Fraction
 
@@ -92,6 +99,32 @@ def test_generator_group_is_group(n):
     assert layout.width == width
     report = abelian_psd_check([ZMonomial(layout, m) for m in masks])
     assert report.is_group and report.sum_nonneg
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_generator_group_equals_enumeration_oracle(n):
+    assert generator_group(n) == group_oracle(n)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_build_w_terms_are_the_placed_oracle_elements(n):
+    w = build_w(n)
+    place = odd_term_fields if n % 2 else even_term_fields
+    placed = [mask_from_fields(w.layout, place(n, g)) for g in group_oracle(n)]
+    assert list(w.operator.nums) == placed
+    assert w.operator.terms == dict.fromkeys(placed, F(1, 1 << (n if n % 2 else n + 1)))
+
+
+@pytest.mark.parametrize("n", range(4, 11, 2))
+def test_naive_even_w_equals_even_parity_filter(n):
+    op = naive_even_w(n)
+    masks = [
+        mask_from_fields(op.layout, odd_term_fields(n, gamma))
+        for gamma in range(1 << n)
+        if gamma.bit_count() % 2 == 0
+    ]
+    assert list(op.nums) == masks
+    assert op.terms == dict.fromkeys(masks, F(1, 1 << n))
 
 
 def test_generator_group_rejects_small_n():
