@@ -2,9 +2,10 @@
 
 Each of the n parties holds a uniform input bit ``a_i`` and must produce an
 outcome bit ``x_i``; a shared uniform variable ``m`` names the party whose
-outcome must equal the parity of everyone else's input. The exact evaluator
-contracts local behaviors against a process matrix; the Monte-Carlo sampler
-runs the equivalent circular-channel mixture shot by shot. Both yield
+outcome must equal the parity of everyone else's input. Both evaluators run
+on the process's uniform mixture of circular channels: the exact one
+multiplies one small matrix per party around each loop and sums the
+traces, the Monte-Carlo sampler walks the loops shot by shot. Both yield
 certain winning for the strategies built here, for every n >= 3.
 """
 
@@ -21,20 +22,13 @@ from .diagop import (
     LayoutError,
     Wire,
     WireLayout,
-    contract,
     dense_numerators,
     dyadic_json,
     from_dense,
     identity,
     partial_trace,
-    term_keys,
 )
-from .process import (
-    ProcessMatrix,
-    UnsupportedPartyCount,
-    build_w,
-    loop_decomposition,
-)
+from .process import ProcessMatrix, UnsupportedPartyCount, loop_decomposition
 
 __all__ = [
     "GameRound",
@@ -144,6 +138,24 @@ class LocalBehavior:
         return self._cache["lookup"]
 
 
+def _check_game_size(n: int) -> None:
+    """Refuse the party counts the parity game cannot be played with."""
+    if n == 2:
+        raise UnsupportedPartyCount("the parity game has no 2-party strategy")
+    if n < 2:
+        raise ValueError(f"party count must be >= 2, got {n}")
+
+
+def _party_layout(n: int, i: int) -> WireLayout:
+    """Party i's wires ``(O_i, I_i)``: for even n the second-to-last party
+    sends and the last party receives on two bits."""
+    even = n % 2 == 0
+    return WireLayout([
+        Wire(i, "O", 2 if even and i == n - 2 else 1),
+        Wire(i, "I", 2 if even and i == n - 1 else 1),
+    ])
+
+
 def _projector_terms(norm_log2: int, local_mask: int | None,
                      sign: int) -> dict[int, Fraction]:
     """Terms of ``(1 + (-1)^sign Z_mask) / 2**norm_log2`` on one wire,
@@ -202,10 +214,7 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
     wide-register parties encode/decode through the bits selected by
     :func:`wide_code`.
     """
-    if n == 2:
-        raise UnsupportedPartyCount("the parity game has no 2-party strategy")
-    if n < 2:
-        raise ValueError(f"party count must be >= 2, got {n}")
+    _check_game_size(n)
     if not 0 <= m < n:
         raise ValueError(f"m must lie in 0..{n - 1}, got {m}")
     if not 0 <= i < n:
@@ -213,11 +222,9 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
     if a_i not in (0, 1):
         raise ValueError("a_i must be a bit")
 
-    even = n % 2 == 0
     starter = i == (m + 1) % n
-    wo = 2 if even and i == n - 2 else 1
-    wi = 2 if even and i == n - 1 else 1
-    layout = WireLayout([Wire(i, "O", wo), Wire(i, "I", wi)])
+    layout = _party_layout(n, i)
+    wo, wi = (w.width for w in layout.wires)
 
     ops = {}
     for x in (0, 1):
@@ -261,15 +268,55 @@ def behavior_from_table(party: int, o_width: int, i_width: int,
 # exact evaluation
 # ---------------------------------------------------------------------------
 
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _loop_traces(n: int, choices: Sequence[Sequence[DiagOperator]]) -> list[Fraction]:
+    """Contractions against the process's loop mixture, one per choice of
+    an operator on ``(O_i, I_i)`` from ``choices[i]`` for every party i,
+    listed with party 0's choice most significant.
+
+    On one loop, party i's operator is an integer matrix from its input
+    ``v`` to the next party's input ``o ^ flip``, and a choice contracts to
+    the trace of the product around the cycle. Choices share the products
+    of their common prefixes; the loops are averaged uniformly.
+    """
+    loops = loop_decomposition(n)
+    parties = []
+    log2den = 0
+    for i, ops in enumerate(choices):
+        layout = _party_layout(n, i)
+        for op in ops:
+            if op.layout != layout:
+                raise LayoutError(f"party {i} operators must sit on {layout}, got {op.layout}")
+        vecs, scale = dense_numerators(ops)
+        parties.append((vecs, *(w.width for w in layout.wires)))
+        log2den += scale
+    per_loop = []
+    for loop in loops:
+        level = [[[1, 0], [0, 1]]]  # party 0 reads one bit
+        for (vecs, wo, wi), flip in zip(parties, loop.edge_flips):
+            mats = [[[vec[((u ^ flip) << wi) | v] for u in range(1 << wo)]
+                     for v in range(1 << wi)] for vec in vecs]
+            level = [_matmul(p, e) for p in level for e in mats]
+        per_loop.append([p[0][0] + p[1][1] for p in level])
+    den = len(loops) << log2den
+    return [Fraction(sum(t), den) for t in zip(*per_loop)]
+
+
 def outcome_distribution(
     w: ProcessMatrix,
     behaviors: Sequence[LocalBehavior],
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact joint outcome distribution P(x_0..x_{n-1}).
 
-    The behaviors' operators are contracted against the process matrix;
-    for valid inputs the returned weights are non-negative and sum to 1.
-    Zero-probability outcomes are included so the support is explicit.
+    ``w`` is the circular process :func:`~acausal.process.build_w` returns
+    for ``w.n`` parties; it is evaluated on its loop mixture, not
+    contracted against its terms. For valid inputs the returned weights
+    are non-negative and sum to 1. Zero-probability outcomes are included
+    so the support is explicit.
     """
     n = w.n
     if len(behaviors) != n:
@@ -277,40 +324,38 @@ def outcome_distribution(
     for i, beh in enumerate(behaviors):
         if beh.party != i:
             raise LayoutError(f"behavior {i} belongs to party {beh.party}")
-    keys = term_keys(w.operator, [(f"O{i}", f"I{i}") for i in range(n)])
-    dist = {}
-    for packed in range(1 << n):
-        xs = tuple((packed >> (n - 1 - i)) & 1 for i in range(n))
-        factors = [behaviors[i].ops[xs[i]] for i in range(n)]
-        dist[xs] = contract(w.operator, keys, factors)
-    return dist
+    values = _loop_traces(n, [[beh.ops[0], beh.ops[1]] for beh in behaviors])
+    return {
+        tuple((packed >> (n - 1 - i)) & 1 for i in range(n)): p
+        for packed, p in enumerate(values)
+    }
 
 
 def success_probability_exact(n: int, strategy: Strategy | None = None) -> "GameResult":
     """Exact per-m and overall success probabilities of a strategy family.
 
-    The default strategy wins with certainty for every n >= 3: each per-m
-    probability is exactly 1.
+    The win indicator ``[x_m = t]``, with ``t`` the parity of the other
+    inputs, is ``(1 + (-1)^x_m * prod_{i != m} (-1)^a_i) / 2``. Both halves
+    factorise party by party, so the average over all inputs is, per m,
+    two cycle traces of input-summed operators on the loop mixture; the
+    process's terms are never built. The default strategy wins with
+    certainty for every n >= 3: each per-m probability is exactly 1.
     """
-    if n == 2:
-        raise UnsupportedPartyCount("the parity game has no 2-party strategy")
-    if n < 2:
-        raise ValueError(f"party count must be >= 2, got {n}")
+    _check_game_size(n)
     strategy = strategy or winning_behavior
-    op = build_w(n).operator
-    keys = term_keys(op, [(f"O{i}", f"I{i}") for i in range(n)])
     per_m = []
     for m in range(n):
-        win = Fraction(0)
-        for a_idx in range(1 << n):
-            a_bits = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
-            target = (a_idx.bit_count() - a_bits[m]) & 1
-            factors = []
-            for i in range(n):
-                beh = strategy(n, m, i, a_bits[i])
-                factors.append(beh.ops[target] if i == m else beh.channel)
-            win += contract(op, keys, factors)
-        per_m.append(win / (1 << n))
+        agree, parity = [], []
+        for i in range(n):
+            b0, b1 = (strategy(n, m, i, a) for a in (0, 1))
+            if i == m:
+                agree.append([b0.ops[0] + b0.ops[1] + b1.ops[0] + b1.ops[1]])
+                parity.append([b0.ops[0] - b0.ops[1] + b1.ops[0] - b1.ops[1]])
+            else:
+                agree.append([b0.channel + b1.channel])
+                parity.append([b0.channel - b1.channel])
+        total = _loop_traces(n, agree)[0] + _loop_traces(n, parity)[0]
+        per_m.append(total / (2 << n))
     return GameResult(n=n, per_m=tuple(per_m), p_succ=sum(per_m) / n)
 
 
@@ -378,8 +423,7 @@ def sample_game(n: int, shots: int, seed: int,
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if n == 2:
-        raise UnsupportedPartyCount("the parity game has no 2-party strategy")
+    _check_game_size(n)
     strategy = strategy or winning_behavior
     loops = loop_decomposition(n)
     nloops = len(loops)

@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the library's fast paths: dense entries are
 summed term by term with the sign rule instead of the parity transform, and
-total probabilities are accumulated over explicit joint assignments.
+total probabilities are accumulated over explicit joint assignments. The
+pairing oracles contract every term of W with one term of each party's
+operator, independently of the loop mixture the game evaluators run on.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from acausal.diagop import DiagOperator, Wire, WireLayout
+from acausal.diagop import DiagOperator, Wire, WireLayout, contract, term_keys
+from acausal.process import build_w
 
 
 def dense_oracle(op: DiagOperator) -> list[Fraction]:
@@ -38,6 +41,44 @@ def total_probability_oracle(op: DiagOperator, tables) -> Fraction:
         ):
             total += value
     return total
+
+
+def _pairing_keys(op: DiagOperator, n: int):
+    return term_keys(op, [(f"O{i}", f"I{i}") for i in range(n)])
+
+
+def pairing_outcome_oracle(w, behaviors) -> dict[tuple[int, ...], Fraction]:
+    """Joint outcome distribution by pairing every term of W with one term
+    of each party's operator, outcome tuple by outcome tuple."""
+    n = w.n
+    keys = _pairing_keys(w.operator, n)
+    dist = {}
+    for packed in range(1 << n):
+        xs = tuple((packed >> (n - 1 - i)) & 1 for i in range(n))
+        factors = [behaviors[i].ops[xs[i]] for i in range(n)]
+        dist[xs] = contract(w.operator, keys, factors)
+    return dist
+
+
+def pairing_success_oracle(n: int, strategy) -> list[Fraction]:
+    """Per-m success probabilities by pairing W's terms against every
+    (m, inputs) contraction, with the guesser's operator for the target
+    outcome and everyone else's outcome-summed channel."""
+    op = build_w(n).operator
+    keys = _pairing_keys(op, n)
+    per_m = []
+    for m in range(n):
+        win = Fraction(0)
+        for a_idx in range(1 << n):
+            a_bits = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
+            target = (a_idx.bit_count() - a_bits[m]) & 1
+            factors = []
+            for i in range(n):
+                beh = strategy(n, m, i, a_bits[i])
+                factors.append(beh.ops[target] if i == m else beh.channel)
+            win += contract(op, keys, factors)
+        per_m.append(win / (1 << n))
+    return per_m
 
 
 def random_layout(rng: random.Random, max_width: int = 12) -> WireLayout:

@@ -102,7 +102,7 @@ def test_criterion_2_w4_literal():
 
 def test_criterion_3_certain_winning():
     with criterion(3, "certain winning and closed-form marginals", 30.0):
-        for n in range(3, 9):
+        for n in (*range(3, 9), 16, 64):
             result = success_probability_exact(n)
             assert result.per_m == tuple([F(1)] * n)
             assert result.p_succ == 1

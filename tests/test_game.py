@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from acausal.diagop import DiagOperator, Wire, WireLayout, tensor
+from acausal.diagop import DiagOperator, LayoutError, Wire, WireLayout, tensor
 from acausal.game import (
     GameRound,
     behavior_from_table,
@@ -15,6 +16,7 @@ from acausal.game import (
     winning_behavior,
 )
 from acausal.process import UnsupportedPartyCount, build_w, loop_decomposition
+from conftest import pairing_outcome_oracle, pairing_success_oracle
 
 F = Fraction
 
@@ -223,10 +225,20 @@ def test_success_probability_is_certain(n):
 
 
 def test_success_probability_rejects_two_parties():
-    with pytest.raises(UnsupportedPartyCount):
-        success_probability_exact(2)
-    with pytest.raises(UnsupportedPartyCount):
-        sample_game(2, 10, 0)
+    calls = (
+        lambda n: winning_behavior(n, 0, 0, 0),
+        lambda n: success_probability_exact(n),
+        lambda n: sample_game(n, 10, 0),
+    )
+    for call in calls:
+        with pytest.raises(UnsupportedPartyCount,
+                           match="^the parity game has no 2-party strategy$"):
+            call(2)
+        for n in (0, 1):
+            with pytest.raises(ValueError,
+                               match=f"^party count must be >= 2, got {n}$") as info:
+                call(n)
+            assert type(info.value) is ValueError
 
 
 # --- alternative strategies for the sampler/exact cross-check -------------
@@ -313,6 +325,50 @@ def test_sampler_reaches_64_parties_without_building_w():
     assert len(loop_decomposition(64)) == 4
     result = sample_game(64, 1000, seed=1)
     assert (result.wins, result.losses) == (1000, 0)
+    assert build_w.cache_info().misses == misses
+
+
+STRATEGIES = (winning_behavior, constant_strategy, read_strategy, late_starter_strategy)
+STRATEGY_IDS = ("winning", "constant", "read", "late_starter")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_success_probability_equals_pairing_oracle(n, strategy):
+    result = success_probability_exact(n, strategy=strategy)
+    per_m = pairing_success_oracle(n, strategy)
+    assert result.per_m == tuple(per_m)
+    assert result.p_succ == sum(per_m) / n
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
+@pytest.mark.parametrize("n", range(3, 7))
+def test_outcome_distribution_equals_pairing_oracle(n, strategy):
+    w = build_w(n)
+    rng = random.Random(n)
+    inputs = [0, (1 << n) - 1, rng.getrandbits(n)]
+    for m in range(n):
+        for a_idx in inputs:
+            a = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
+            behaviors = [strategy(n, m, i, a[i]) for i in range(n)]
+            dist = outcome_distribution(w, behaviors)
+            assert list(dist.items()) == list(pairing_outcome_oracle(w, behaviors).items())
+
+
+def test_outcome_distribution_rejects_behavior_on_wrong_wires():
+    # party 3 of four reads the two-bit wide register
+    behaviors = [winning_behavior(4, 0, i, 0) for i in range(3)]
+    behaviors.append(behavior_from_table(3, 1, 1, [(0, 0), (0, 0)]))
+    with pytest.raises(LayoutError, match="party 3 operators must sit on"):
+        outcome_distribution(build_w(4), behaviors)
+
+
+def test_exact_value_reaches_64_parties_without_building_w():
+    build_w.cache_clear()
+    misses = build_w.cache_info().misses
+    result = success_probability_exact(64)
+    assert result.per_m == (F(1),) * 64
+    assert result.p_succ == 1
     assert build_w.cache_info().misses == misses
 
 

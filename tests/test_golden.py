@@ -48,6 +48,12 @@ GOLDEN = {
         (0, "62a2d84e378e36a6288e80b5f75ab292bd8d7d619717b8e9a178d005f963d9ca"),
     ("play", "--n", "6", "--m", "4", "--inputs", "1,0,1,1,0,1", "--json"):
         (0, "d349e77e381ee3007e63d0984ed52a819b9e7fc170d9f76d9f262c35a1e83e5d"),
+    ("play", "--n", "9", "--json"):
+        (0, "45c7ea7692aaf28025a334eee588614adc4fa9c6cb03e1cb814e1a2ecf958953"),
+    ("play", "--n", "8", "--m", "3", "--inputs", "1,0,1,1,0,0,1,0", "--json"):
+        (0, "99f1e9f59bbdaa8d4b528c582d2f2cbcc7a0d7b94ec66d8e7e910bd229d622b3"),
+    ("play", "--n", "7", "--m", "0", "--inputs", "0,1,1,0,1,0,1", "--json"):
+        (0, "8b652638d7aeb22689a9dc66da87b18ed5f94dce77907558a84ef62f6051b718"),
     ("causal-bound", "--n", "4", "--json"):
         (0, "7615fc02a96f999d75378d0205acc9f60ee951beceb8ab72c8952c41d7614f57"),
     ("sample", "--n", "4", "--shots", "2000", "--seed", "5", "--json"):
