@@ -11,6 +11,14 @@ and, at small n, confirmed tight by exhaustive enumeration.
 The shared variable m is treated as pre-shared randomness available to
 everyone, and the identity of the first party is fixed independently of
 it; this modeling choice is recorded in every report.
+
+A protocol shell is valued by counting, not by enumerating input rows.
+Once m and the first party's input are fixed, so is the activation order,
+and the guesser knows her own input and those of the parties before her,
+the first party's included. If some other party acts after her, the
+target parity is uniform on each of her information sets and she wins
+half of the 2^(n-1) rows; if she acts last, it is determined and she wins
+them all.
 """
 
 from __future__ import annotations
@@ -92,21 +100,25 @@ def _evaluate(n: int, first: int, orders) -> tuple[Fraction, tuple[Fraction, ...
 
     For each information set of the guesser the conditional-majority
     output is optimal (everything else being deterministic and the unseen
-    inputs uniform), so each set contributes its majority count.
+    inputs uniform), so each set contributes its majority count. Fix m and
+    the first party's input bit: the order is then fixed, and the
+    guesser's set fixes her own input and those of ``order[:order.index(m)]``.
+    Sets never merge across the two bits, since either the first party's
+    input is in the transcript or the first party is m. Of the 2^(n-1)
+    rows of a bit, the guesser wins all when she is last (the target is
+    determined) and half otherwise (an unseen input makes it uniform).
     """
-    counts: dict[tuple, list[int]] = {}
-    for m in range(n):
-        for a_idx in range(1 << n):
-            a = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
-            order = orders[(m, a[first])]
-            pos = order.index(m)
-            transcript = tuple((p, a[p]) for p in order[:pos])
-            target = (sum(a) - a[m]) & 1
-            key = (m, a[m], transcript)
-            counts.setdefault(key, [0, 0])[target] += 1
+    parties = set(range(n))
     per_m_wins = [0] * n
-    for key, (c0, c1) in counts.items():
-        per_m_wins[key[0]] += max(c0, c1)
+    for m in range(n):
+        for a_first in (0, 1):
+            order = orders[(m, a_first)]
+            if order[0] != first or len(order) != n or set(order) != parties:
+                raise ValueError(
+                    f"order {order} for m={m}, a_first={a_first} is not a "
+                    f"permutation of the {n} parties starting with {first}"
+                )
+            per_m_wins[m] += 1 << (n - 1 if order[-1] == m else n - 2)
     per_m = tuple(Fraction(wins, 1 << n) for wins in per_m_wins)
     return sum(per_m) / n, per_m
 
@@ -117,9 +129,10 @@ def forwarding_strategy_success(n: int) -> CausalValue:
     Party 0 goes first and routes the order so that the guesser acts last
     whenever the guesser is somebody else; every per-m term is then 1
     except m = 0, where the first party can only guess. The returned value
-    is computed by honest evaluation and equals ``causal_bound(n)`` -- for
-    n = 2 as well, where there is no routing freedom and the 3/4 comes out
-    of the plain two-party order.
+    is computed by the exact closed form of ``_evaluate`` (the tests check
+    it against enumeration of every input row) and equals
+    ``causal_bound(n)`` -- for n = 2 as well, where there is no routing
+    freedom and the 3/4 comes out of the plain two-party order.
     """
     if n < 2:
         raise ValueError(f"the game needs n >= 2, got {n}")

@@ -67,22 +67,21 @@ def _emit(text: str, out: str | None) -> None:
         _write_atomic(out, text)
 
 
-def _term_pattern(layout, mask) -> str:
-    parts = []
-    for wire in layout.wires:
-        local = layout.extract(mask, wire.name)
-        bits = "".join(
-            "z" if (local >> (wire.width - 1 - b)) & 1 else "1"
-            for b in range(wire.width)
-        )
-        parts.append(f"{wire.name}:{bits}")
-    return " ".join(parts)
+_PATTERN_SYMBOLS = str.maketrans("01", "1z")
 
 
 def _operator_text(op: DiagOperator, as_float: bool) -> str:
-    lines = [f"width: {op.layout.width} bits, terms: {len(op.terms)}"]
+    layout = op.layout
+    fields = []
+    start = 0
+    for wire in layout.wires:
+        fields.append((f"{wire.name}:", start, start + wire.width))
+        start += wire.width
+    lines = [f"width: {layout.width} bits, terms: {len(op.terms)}"]
     for mask, coeff in sorted(op.terms.items()):
-        lines.append(f"{_fmt(coeff, as_float)}  {_term_pattern(op.layout, mask)}")
+        bits = format(mask, f"0{layout.width}b").translate(_PATTERN_SYMBOLS)
+        pattern = " ".join(name + bits[lo:hi] for name, lo, hi in fields)
+        lines.append(f"{_fmt(coeff, as_float)}  {pattern}")
     return "\n".join(lines) + "\n"
 
 

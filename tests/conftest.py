@@ -5,6 +5,9 @@ summed term by term with the sign rule instead of the parity transform, and
 total probabilities are accumulated over explicit joint assignments. The
 pairing oracles contract every term of W with one term of each party's
 operator, independently of the loop mixture the game evaluators run on.
+The causal enumeration oracle values a protocol shell by walking every
+(m, inputs) row, independently of the closed form ``causal._evaluate``
+uses.
 """
 
 from __future__ import annotations
@@ -79,6 +82,32 @@ def pairing_success_oracle(n: int, strategy) -> list[Fraction]:
             win += contract(op, keys, factors)
         per_m.append(win / (1 << n))
     return per_m
+
+
+def causal_enumeration_oracle(
+    n: int, first: int, orders
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact value of a protocol shell under optimal deterministic outputs.
+
+    For each information set of the guesser the conditional-majority
+    output is optimal (everything else being deterministic and the unseen
+    inputs uniform), so each set contributes its majority count.
+    """
+    counts: dict[tuple, list[int]] = {}
+    for m in range(n):
+        for a_idx in range(1 << n):
+            a = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
+            order = orders[(m, a[first])]
+            pos = order.index(m)
+            transcript = tuple((p, a[p]) for p in order[:pos])
+            target = (sum(a) - a[m]) & 1
+            key = (m, a[m], transcript)
+            counts.setdefault(key, [0, 0])[target] += 1
+    per_m_wins = [0] * n
+    for key, (c0, c1) in counts.items():
+        per_m_wins[key[0]] += max(c0, c1)
+    per_m = tuple(Fraction(wins, 1 << n) for wins in per_m_wins)
+    return sum(per_m) / n, per_m
 
 
 def random_layout(rng: random.Random, max_width: int = 12) -> WireLayout:

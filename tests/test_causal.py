@@ -1,15 +1,19 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from acausal.causal import (
     MODEL,
+    _evaluate,
     brute_force_causal,
     causal_bound,
     enumerate_protocol_values,
     forwarding_strategy_success,
     repeated_success,
 )
+from conftest import causal_enumeration_oracle
 
 F = Fraction
 
@@ -33,7 +37,7 @@ def test_repeated_success():
         repeated_success(3, 0)
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", (*range(3, 9), 16, 64, 256))
 def test_forwarding_achieves_bound(n):
     result = forwarding_strategy_success(n)
     assert result.value == causal_bound(n)
@@ -88,3 +92,66 @@ def test_protocol_json_shape():
     assert payload["first"] in (0, 1)
     assert all(set(entry) == {"m", "a_first", "order"}
                for entry in payload["orders"])
+
+
+@pytest.mark.parametrize("fixed_order", (False, True))
+@pytest.mark.parametrize("n", (2, 3))
+def test_evaluate_equals_enumeration_on_every_small_shell(n, fixed_order):
+    shells = 0
+    for value, first, order_items in enumerate_protocol_values(n, fixed_order):
+        orders = dict(order_items)
+        expected = causal_enumeration_oracle(n, first, orders)
+        assert _evaluate(n, first, orders) == expected
+        assert value == expected[0]
+        shells += 1
+    tails = math.factorial(n - 1)
+    assert shells == n * (tails if fixed_order else tails ** (2 * n))
+
+
+def random_order_rule(rng: random.Random, n: int):
+    """A first party and an adaptive order rule in which each guesser
+    other than the first party is placed last, in the middle or at a
+    random position behind the first party."""
+    first = rng.randrange(n)
+    orders = {}
+    for m in range(n):
+        for a_first in (0, 1):
+            tail = [p for p in range(n) if p != first]
+            rng.shuffle(tail)
+            if m != first:
+                tail.remove(m)
+                place = rng.choice(("last", "middle", "random"))
+                at = {"last": len(tail), "middle": len(tail) // 2,
+                      "random": rng.randint(0, len(tail))}[place]
+                tail.insert(at, m)
+            orders[(m, a_first)] = (first, *tail)
+    return first, orders
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_evaluate_equals_enumeration_on_random_adaptive_rules(n):
+    rng = random.Random(2026 + n)
+    positions = set()
+    for _ in range(40):
+        first, orders = random_order_rule(rng, n)
+        assert _evaluate(n, first, orders) == causal_enumeration_oracle(
+            n, first, orders
+        )
+        positions |= {
+            ("first" if order.index(m) == 0 else
+             "last" if order.index(m) == n - 1 else "middle")
+            for (m, _), order in orders.items()
+        }
+    assert positions == {"first", "middle", "last"}
+
+
+def test_evaluate_rejects_orders_outside_the_model():
+    _, orders = random_order_rule(random.Random(7), 4)
+    first = orders[(0, 0)][0]
+    bad = dict(orders)
+    bad[(1, 0)] = tuple(reversed(orders[(1, 0)]))
+    with pytest.raises(ValueError, match="starting with"):
+        _evaluate(4, first, bad)
+    bad[(1, 0)] = orders[(1, 0)][:-1]
+    with pytest.raises(ValueError, match="permutation"):
+        _evaluate(4, first, bad)

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acausal.cli import main
 from acausal.diagop import operator_from_json, operator_to_json, to_dense
@@ -117,6 +121,40 @@ def test_causal_bound_json(capsys):
     assert payload["value"] == {"num": 7, "den": 8}
     assert payload["match"] is True
     assert payload["witness"]["first"] == 0
+
+
+CAUSAL_FLAGS = ("--json", "--brute-force", "--float")
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(-5, 80),
+       flags=st.lists(st.sampled_from(CAUSAL_FLAGS), unique=True))
+def test_causal_bound_exit_codes(n, flags):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["causal-bound", "--n", str(n), *flags])
+    refused = n < 2 or ("--brute-force" in flags and n > 3)
+    if refused:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        return
+    assert code == 0
+    assert err.getvalue() == ""
+    bound = 1 - Fraction(1, 2 * n)
+    if "--json" in flags:
+        payload = json.loads(out.getvalue())
+        assert payload["value"] == payload["bound"] == {
+            "num": bound.numerator, "den": bound.denominator}
+        assert payload["match"] is True
+        return
+    *values, match = out.getvalue().splitlines()
+    labels = ["bound", "forwarding"] + ["brute-force"] * ("--brute-force" in flags)
+    assert [line.split()[0] for line in values] == labels
+    parse = float if "--float" in flags else Fraction
+    assert all(parse(line.split()[1]) == parse(bound) for line in values)
+    assert match == "match=true"
 
 
 def test_export_dense_csv(tmp_path, capsys):

@@ -32,6 +32,8 @@ GOLDEN = {
         (0, "684e88e288b0d36dfb2afc9c630b884dccd2c27df5f97b5919649da905463c04"),
     ("build-w", "--n", "4"):
         (0, "64bf8bb034c76a972179e4066adae2cb4275839d6a0281f151bfad095c45446d"),
+    ("build-w", "--n", "8"):
+        (0, "e588a642441862a99baf0c76921b1bd3cc2a95fa3d00d3262a522d1a6daba670"),
     ("export", "--file", "{dir}/w5.json", "--format", "dense"):
         (0, "b1464c8cfc9ff65fe22a69e029d8a8adf98ba7ecfccb82ae0b6cb9cce8c29e45"),
     ("validate", "--file", "{dir}/w6.json", "--json"):
@@ -56,6 +58,14 @@ GOLDEN = {
         (0, "8b652638d7aeb22689a9dc66da87b18ed5f94dce77907558a84ef62f6051b718"),
     ("causal-bound", "--n", "4", "--json"):
         (0, "7615fc02a96f999d75378d0205acc9f60ee951beceb8ab72c8952c41d7614f57"),
+    ("causal-bound", "--n", "12", "--json"):
+        (0, "acff85f2a0d0e2e30c55f54cc129956932e60a7f94ed53b51ad50345b91018ea"),
+    ("causal-bound", "--n", "2", "--brute-force"):
+        (0, "ce87dcca1ac8f5353d1db5c292a4e49ea049b23eb07e5cf0c87e00e4fe41b23b"),
+    ("causal-bound", "--n", "3", "--brute-force", "--json"):
+        (0, "17726bdd335fd1145d8fc1ef345f97fb1a36f6253d20f1cb1054e4aca73940c0"),
+    ("causal-bound", "--n", "3", "--float"):
+        (0, "58419ae63be1e2b951a2426bcf35e7c79a52d0dce49b67402ae9495452f5eaff"),
     ("sample", "--n", "4", "--shots", "2000", "--seed", "5", "--json"):
         (0, "b9e0df8cf21e88f06679afd0574a1680cfa25c67cf89885b52f6aa3d7448a72f"),
     ("sample", "--n", "7", "--shots", "2000", "--seed", "5", "--json"):
