@@ -15,8 +15,6 @@ from .diagop import (
     LayoutError,
     Wire,
     WireLayout,
-    ZMonomial,
-    abelian_psd_check,
     channel_apply,
     from_dense,
     identity,

@@ -19,6 +19,10 @@ representations, every equality test is exact, and no floating point
 enters the core. Only this module knows the format; ``Fraction`` values
 appear at its boundary (constructor, ``terms``, ``to_dense``, ``trace``).
 
+One GF(2) elimination, :func:`gf2_echelon`, serves the package: it gives
+:func:`is_nonnegative` the coordinates of its masks and ``process`` its
+kernels.
+
 Bit ordering convention: the first wire declared in a layout occupies the
 most significant bits of the global basis index, and within a multi-bit
 wire the first bit is the most significant. Conditional distributions
@@ -41,9 +45,7 @@ __all__ = [
     "FormatError",
     "Wire",
     "WireLayout",
-    "ZMonomial",
     "DiagOperator",
-    "GroupPsdReport",
     "identity",
     "monomial",
     "mask_from_fields",
@@ -61,7 +63,7 @@ __all__ = [
     "dense_numerators",
     "from_dense",
     "is_nonnegative",
-    "abelian_psd_check",
+    "gf2_echelon",
     "dyadic_json",
     "operator_to_json",
     "operator_from_json",
@@ -210,27 +212,6 @@ def mask_fields(layout: WireLayout, mask: int, wires: Sequence[str]) -> int:
         shift, w = layout.field(name)
         packed = (packed << w) | ((mask >> shift) & ((1 << w) - 1))
     return packed
-
-
-@dataclass(frozen=True)
-class ZMonomial:
-    """A +/-1 diagonal: sigma_z on the masked bits, identity elsewhere."""
-
-    layout: WireLayout
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.layout.width):
-            raise LayoutError(f"mask {self.mask:#x} outside layout width")
-
-    def entry(self, index: int) -> int:
-        return -1 if (index & self.mask).bit_count() & 1 else 1
-
-    def trace(self) -> int:
-        return (1 << self.layout.width) if self.mask == 0 else 0
-
-    def to_operator(self, coeff: Fraction | int = 1) -> "DiagOperator":
-        return DiagOperator(self.layout, {self.mask: coeff})
 
 
 def _log2den(c: Fraction) -> int:
@@ -527,39 +508,40 @@ def from_dense(layout: WireLayout, values: Sequence[Fraction | int]) -> DiagOper
     return _make(layout, {m: v for m, v in enumerate(vec) if v}, log2den + layout.width)
 
 
+def gf2_echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """Echelon basis of the GF(2) span of bit vectors: each row keyed by its
+    pivot, its highest set bit, which no other row shares. The number of
+    rows is the rank."""
+    rows: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            p = v.bit_length() - 1
+            if p not in rows:
+                rows[p] = v
+                break
+            v ^= rows[p]
+    return rows
+
+
 def is_nonnegative(a: DiagOperator) -> bool:
     """True iff every dense entry is >= 0 (positive semi-definiteness for
-    diagonal operators)."""
-    return all(v >= 0 for v in _dense_nums(a))
+    diagonal operators), decided on ``2**rank`` entries.
 
-
-@dataclass(frozen=True)
-class GroupPsdReport:
-    is_group: bool
-    sum_nonneg: bool
-
-
-def abelian_psd_check(monomials: Iterable[ZMonomial]) -> GroupPsdReport:
-    """Group and positivity check for a set of parity monomials.
-
-    ``is_group`` checks that the masks contain the identity and are closed
-    under multiplication (mask XOR); ``sum_nonneg`` checks positivity of
-    the unweighted sum. A group's sum is always positive semi-definite --
-    every negative eigenvalue pairs off against a positive one under
-    multiplication by a witness element -- so ``is_group`` implies
-    ``sum_nonneg``.
+    The entry at ``x`` is ``sum_s c_s (-1)**(s.x)``: it depends on ``x`` only
+    through the functional ``s -> s.x`` on the span of the masks, and every
+    such functional occurs. The bits at the pivots of :func:`gf2_echelon`
+    map that span linearly and bijectively onto GF(2)**rank, so the Walsh
+    transform of the coefficients in those coordinates lists every dense
+    entry, each repeated ``2**(width - rank)`` times in the dense vector.
+    A group sum has all-one coefficients, whose transform is ``2**rank`` at
+    zero and 0 elsewhere: the sum is positive semi-definite.
     """
-    mons = list(monomials)
-    if not mons:
-        raise ValueError("empty monomial set (a group must contain the identity)")
-    layout = mons[0].layout
-    for m in mons:
-        if m.layout != layout:
-            raise LayoutError("monomials must share a layout")
-    masks = {m.mask for m in mons}
-    is_group = 0 in masks and all(x ^ y in masks for x in masks for y in masks)
-    total = _make(layout, dict.fromkeys(masks, 1), 0)
-    return GroupPsdReport(is_group=is_group, sum_nonneg=is_nonnegative(total))
+    pivots = list(gf2_echelon(a.nums))
+    vec = [0] * (1 << len(pivots))
+    for mask, v in a.nums.items():
+        vec[sum(((mask >> p) & 1) << j for j, p in enumerate(pivots))] = v
+    _wht(vec)
+    return all(v >= 0 for v in vec)
 
 
 # ---------------------------------------------------------------------------

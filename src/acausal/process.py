@@ -29,6 +29,7 @@ from .diagop import (
     channel_apply,
     contract,
     from_dense,
+    gf2_echelon,
     identity,
     is_nonnegative,
     partial_trace,
@@ -258,6 +259,25 @@ def _det_channel(layout: WireLayout, table: Sequence[int]) -> DiagOperator:
 # up to this many parties, and draws this many seeded tuples beyond.
 EXHAUSTIVE_LIMIT = 5
 SAMPLE_COUNT = 1000
+# validate_process refuses files needing 2**(WORK_BUDGET_LOG2 + 1) or more
+# table tuples, sampled dense channel entries or nonnegativity entries.
+WORK_BUDGET_LOG2 = 18
+
+
+def _check_work(layout: WireLayout, parties: list[int], rank: int) -> None:
+    """Refuse, before any of it is done, validate work over the budget."""
+    widths = [(layout.field(f"O{p}")[1], layout.field(f"I{p}")[1]) for p in parties]
+    if len(parties) <= EXHAUSTIVE_LIMIT:
+        # Party p has 2**(wo * 2**wi) tables; capping wi keeps the exponent
+        # itself small for a wide input wire, and still over the budget.
+        need = ("tuples of local tables", sum(wo << min(wi, 64) for wo, wi in widths))
+    else:
+        entries = SAMPLE_COUNT * sum(1 << min(wo + wi, 64) for wo, wi in widths)
+        need = ("dense channel entries", entries.bit_length() - 1)
+    for what, log2 in (need, ("nonnegativity entries", rank)):
+        if log2 > WORK_BUDGET_LOG2:
+            raise ValueError(f"validate refused: it needs at least 2^{log2} {what}, "
+                             f"over the budget of 2^{WORK_BUDGET_LOG2}")
 
 
 def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> ValidationReport:
@@ -275,12 +295,16 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
       output), which rules out closed signaling cycles;
     * ``signaling``: matrix over ordered pairs (sender j, recipient i) of
       whether some term links ``O_j`` to ``I_i``.
+
+    Raises ``ValueError`` before any check when the bilinear check or the
+    nonnegativity transform would exceed the work budget.
     """
     op = process.operator if isinstance(process, ProcessMatrix) else process
     layout = op.layout
     parties = _party_partition(layout)
     i_names = [f"I{p}" for p in parties]
     o_names = [f"O{p}" for p in parties]
+    _check_work(layout, parties, len(gf2_echelon(op.nums)))
 
     nonneg = is_nonnegative(op)
 
@@ -401,14 +425,7 @@ class LoopChannel:
 
 def _gf2_kernel(vectors: Iterable[int], width: int) -> list[int]:
     """All d with even-parity overlap against every vector, as bit masks."""
-    rows: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            p = v.bit_length() - 1
-            if p not in rows:
-                rows[p] = v
-                break
-            v ^= rows[p]
+    rows = gf2_echelon(vectors)
     for p in sorted(rows, reverse=True):
         for q in rows:
             if q != p and (rows[q] >> p) & 1:

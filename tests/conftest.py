@@ -189,6 +189,11 @@ def even_term_fields(n: int, element: int) -> dict[str, int]:
     return fields
 
 
+def is_group(masks) -> bool:
+    """Whether a set of masks contains 0 and is closed under XOR."""
+    return 0 in masks and all(x ^ y in masks for x in masks for y in masks)
+
+
 def all_subgroups(masks) -> set[frozenset[int]]:
     """Every XOR-closed subset (containing 0) of the span of the masks."""
     seen = {frozenset({0})}

@@ -6,12 +6,12 @@ import time
 from fractions import Fraction
 
 from acausal.diagop import (
+    DiagOperator,
     Wire,
     WireLayout,
-    ZMonomial,
-    abelian_psd_check,
     from_dense,
     identity,
+    is_nonnegative,
     partial_trace,
     to_dense,
 )
@@ -35,7 +35,7 @@ from acausal.process import (
     naive_even_w,
     validate_process,
 )
-from conftest import all_subgroups, random_operator
+from conftest import all_subgroups, is_group, random_operator
 from test_process import W3_PATTERNS, W4_PATTERNS, pattern_mask
 
 F = Fraction
@@ -152,6 +152,14 @@ def test_criterion_6_oracle_equivalence():
             assert sampled.losses == 0
 
 
+def assert_group_sum_dichotomy(layout, group):
+    """A subgroup's sum is nonnegative, with dense values 0 and |G| only."""
+    assert is_group(group)
+    total = DiagOperator(layout, dict.fromkeys(group, 1))
+    assert is_nonnegative(total)
+    assert set(to_dense(total)) <= {F(0), F(len(group))}
+
+
 def test_criterion_7_property_suites():
     with criterion(7, "property suites", 60.0):
         # (a) dense/parity roundtrip on 500 random operators
@@ -169,32 +177,14 @@ def test_criterion_7_property_suites():
             if wires == 5:
                 assert len(subgroups) == 67
             for group in subgroups:
-                report = abelian_psd_check(
-                    [ZMonomial(layout, m) for m in group]
-                )
-                assert report.is_group and report.sum_nonneg
-                total = to_dense(
-                    sum(
-                        (ZMonomial(layout, m).to_operator() for m in group),
-                        start=identity(layout) * 0,
-                    )
-                )
-                assert set(total) <= {F(0), F(len(group))}
+                assert_group_sum_dichotomy(layout, group)
         layout6 = WireLayout([Wire("env", "R", 6)])
         even6 = [m for m in range(64) if m.bit_count() % 2 == 0]
         for _ in range(200):
             span = {0}
             for v in rng.sample(even6, rng.randint(1, 5)):
                 span |= {x ^ v for x in span}
-            report = abelian_psd_check([ZMonomial(layout6, m) for m in span])
-            assert report.is_group and report.sum_nonneg
-            total = to_dense(
-                sum(
-                    (ZMonomial(layout6, m).to_operator() for m in span),
-                    start=identity(layout6) * 0,
-                )
-            )
-            assert set(total) <= {F(0), F(len(span))}
+            assert_group_sum_dichotomy(layout6, span)
 
         # (c) channel normalization for every built process
         for n in range(3, 9):

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -229,6 +230,31 @@ def test_validate_malformed_file_is_usage_error(tmp_path, capsys, document):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def wire(party, kind, width):
+    return {"party": party, "kind": kind, "width": width}
+
+
+@pytest.mark.parametrize("document", [
+    # Two parties, a 5-bit I0: party 0 alone has 2^32 local tables.
+    {"layout": [wire(0, "I", 5), wire(1, "I", 1), wire(0, "O", 1), wire(1, "O", 1)],
+     "terms": [{"mask": "0x0", "num": 1, "log2den": 6}]},
+    # One party with 20-bit wires and four terms of rank 3.
+    {"layout": [wire(0, "I", 20), wire(0, "O", 20)],
+     "terms": [{"mask": hex(m), "num": 1, "log2den": 22}
+               for m in (0, 1 << 39, 1 << 25, 1 << 3)]},
+], ids=["two-party-5-bit-input", "one-party-20-bit-wires"])
+def test_validate_refuses_work_over_the_budget(tmp_path, capsys, document):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(document))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: validate refused")
 
 
 def test_validate_operator_without_terms_fails_validation(tmp_path, capsys):

@@ -1,19 +1,21 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from acausal import diagop
 from acausal.diagop import (
     DiagOperator,
     FormatError,
     LayoutError,
     Wire,
     WireLayout,
-    ZMonomial,
-    abelian_psd_check,
     channel_apply,
     dense_csv_lines,
     from_dense,
+    gf2_echelon,
     identity,
     is_nonnegative,
     mask_from_fields,
@@ -29,9 +31,12 @@ from acausal.diagop import (
     to_dense,
     trace,
 )
+from acausal.process import build_w, naive_even_w
 from conftest import (
     dense_oracle,
+    is_group,
     random_dyadic_distribution,
+    random_layout,
     random_operator,
 )
 
@@ -85,7 +90,7 @@ def test_multiply_involution():
     rng = random.Random(1)
     for _ in range(40):
         layout = random_operator(rng, max_width=8).layout
-        mono = ZMonomial(layout, rng.randrange(1 << layout.width)).to_operator()
+        mono = DiagOperator(layout, {rng.randrange(1 << layout.width): 1})
         assert multiply(mono, mono) == identity(layout)
 
 
@@ -242,15 +247,13 @@ def test_monomial_entry_semantics():
         width = rng.randint(1, 10)
         layout = WireLayout([Wire("env", "R", width)])
         mask = rng.randrange(1 << width)
-        mono = ZMonomial(layout, mask)
-        dense = to_dense(mono.to_operator())
+        dense = to_dense(DiagOperator(layout, {mask: 1}))
         for b in range(1 << width):
             expected = -1 if (b & mask).bit_count() & 1 else 1
-            assert mono.entry(b) == expected
             assert dense[b] == expected
-    assert ZMonomial(layout, 0).trace() == 1 << width
+    assert trace(DiagOperator(layout, {0: 1})) == 1 << width
     if mask:
-        assert ZMonomial(layout, mask).trace() == 0
+        assert trace(DiagOperator(layout, {mask: 1})) == 0
 
 
 def test_from_dense_fastest_bit_pattern():
@@ -281,6 +284,60 @@ def test_is_nonnegative():
     assert not is_nonnegative(monomial(layout, {"X": 1}))
 
 
+def oracle_nonnegative(op):
+    return all(v >= 0 for v in dense_oracle(op))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_is_nonnegative_equals_dense_oracle(rng):
+    op = random_operator(rng)
+    assert is_nonnegative(op) == oracle_nonnegative(op)
+    # Lifted by its most negative entry, the operator touches zero.
+    lifted = op + identity(op.layout) * -min(dense_oracle(op), default=0)
+    assert is_nonnegative(lifted) and oracle_nonnegative(lifted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_is_nonnegative_on_full_rank_vectors(rng):
+    layout = random_layout(rng, max_width=8)
+    values = [F(rng.randint(0, 8), 1 << rng.randint(0, 3)) for _ in range(1 << layout.width)]
+    op = from_dense(layout, values)
+    assume(len(gf2_echelon(op.nums)) == layout.width)
+    assert is_nonnegative(op) and oracle_nonnegative(op)
+    values[rng.randrange(len(values))] = F(-rng.randint(1, 8), 1 << rng.randint(0, 3))
+    op = from_dense(layout, values)
+    assert not is_nonnegative(op) and not oracle_nonnegative(op)
+
+
+def timed_nonnegative(op):
+    start = time.perf_counter()
+    result = is_nonnegative(op)
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+def test_is_nonnegative_on_the_group_sums():
+    for n in range(3, 17):
+        assert timed_nonnegative(build_w(n).operator)
+    for n in range(4, 11, 2):
+        assert timed_nonnegative(naive_even_w(n))
+
+
+def test_is_nonnegative_transforms_2_to_the_rank_entries(monkeypatch):
+    lengths = []
+    wht = diagop._wht
+    monkeypatch.setattr(diagop, "_wht", lambda vec: lengths.append(len(vec)) or wht(vec))
+    layout = WireLayout([Wire("env", "R", 40)])
+    a, b = (1 << 39) | 0b101, (1 << 20) | (1 << 7)
+    # Entries 1 +- 1 +- 1 +- 1, down to -2 where both parities are odd.
+    op = DiagOperator(layout, {0: 1, a: 1, b: 1, a ^ b: -1})
+    assert not timed_nonnegative(op)
+    assert timed_nonnegative(op + identity(layout) * 2)
+    assert lengths == [4, 4]
+
+
 def test_non_dyadic_rejected():
     with pytest.raises(ValueError):
         DiagOperator(bit_layout("X"), {0: F(1, 3)})
@@ -288,21 +345,17 @@ def test_non_dyadic_rejected():
 
 def test_abelian_psd_trivial_groups():
     layout = bit_layout("A", "B")
-    pair = [ZMonomial(layout, 0), ZMonomial(layout, 0b11)]
-    report = abelian_psd_check(pair)
-    assert report.is_group and report.sum_nonneg
+    assert is_group({0, 0b11})
     total = DiagOperator(layout, {0: 1, 0b11: 1})
+    assert is_nonnegative(total)
     assert to_dense(total) == [F(2), F(0), F(0), F(2)]
 
     one = bit_layout("X")
-    report = abelian_psd_check([ZMonomial(one, 0), ZMonomial(one, 1)])
-    assert report.is_group and report.sum_nonneg
+    assert is_group({0, 1})
+    assert is_nonnegative(DiagOperator(one, {0: 1, 1: 1}))
 
-    report = abelian_psd_check([ZMonomial(one, 1)])
-    assert not report.is_group
-
-    with pytest.raises(ValueError):
-        abelian_psd_check([])
+    assert not is_group({1})
+    assert not is_nonnegative(DiagOperator(one, {1: 1}))
 
 
 def test_group_implies_nonneg_on_random_sets():
@@ -310,9 +363,8 @@ def test_group_implies_nonneg_on_random_sets():
     layout = WireLayout([Wire("env", "R", 5)])
     for _ in range(60):
         masks = {0} | {rng.randrange(32) for _ in range(rng.randint(0, 4))}
-        report = abelian_psd_check([ZMonomial(layout, m) for m in masks])
-        if report.is_group:
-            assert report.sum_nonneg
+        if is_group(masks):
+            assert is_nonnegative(DiagOperator(layout, dict.fromkeys(masks, 1)))
 
 
 def test_reorder_permutes_wires():

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from acausal.cli import main
-from acausal.diagop import operator_to_json
+from acausal.diagop import DiagOperator, operator_to_json
 from acausal.process import build_w, naive_even_w
 
 GOLDEN = {
@@ -40,6 +40,12 @@ GOLDEN = {
         (0, "6cc10ee82b901fc299c3059040766f925f2762c6a70bf28753c6df9753ae89f4"),
     ("validate", "--file", "{dir}/naive4.json", "--json"):
         (1, "b54e2d75f4848bc159b85d0d5e6ea4362dde15012e9c573910fc7539346ae85c"),
+    ("validate", "--file", "{dir}/w8.json", "--json"):
+        (0, "1ab6dbcb8847550466c1051c43ef5c6291b84285d9b27be98a0f934085e2f26d"),
+    ("validate", "--file", "{dir}/naive8.json", "--json"):
+        (1, "4ffc61f1a5a39c4e5cf16ec88c5ab24e15a324679e284d6d384bb4d8b8d91c94"),
+    ("validate", "--file", "{dir}/w3neg.json", "--json"):
+        (1, "d828093bbac10b8a7af20dc0360229ca231c6303c7023c670f42620f85e35126"),
     ("play", "--n", "3", "--json"):
         (0, "f48fc9765adea4fb711bc7f60fc1cee4eb3e6ac2861784e4d91457d6b6157c5f"),
     ("play", "--n", "4", "--json"):
@@ -77,10 +83,15 @@ GOLDEN = {
 
 @pytest.fixture
 def inputs(tmp_path):
+    w3 = build_w(3).operator
     files = {
         "w5": build_w(5).operator,
         "w6": build_w(6).operator,
+        "w8": build_w(8).operator,
         "naive4": naive_even_w(4),
+        "naive8": naive_even_w(8),
+        # W3 with one coefficient negated: only nonneg fails.
+        "w3neg": DiagOperator(w3.layout, {**w3.terms, 0x1e: -w3.terms[0x1e]}),
     }
     for name, op in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(operator_to_json(op)))

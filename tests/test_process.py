@@ -1,15 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from acausal.diagop import (
+    DiagOperator,
     LayoutError,
     Wire,
     WireLayout,
-    ZMonomial,
-    abelian_psd_check,
+    gf2_echelon,
     identity,
+    is_nonnegative,
     mask_from_fields,
     partial_trace,
     to_dense,
@@ -17,6 +19,7 @@ from acausal.diagop import (
 )
 from acausal.process import (
     UnsupportedPartyCount,
+    _gf2_kernel,
     build_w,
     conditional_distribution,
     game_layout,
@@ -97,8 +100,7 @@ def test_generator_group_is_group(n):
             [Wire("env", f"P{k}") for k in range(n - 1)] + [Wire("env", "D", 2)]
         )
     assert layout.width == width
-    report = abelian_psd_check([ZMonomial(layout, m) for m in masks])
-    assert report.is_group and report.sum_nonneg
+    assert is_nonnegative(DiagOperator(layout, dict.fromkeys(masks, 1)))
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -295,6 +297,48 @@ def test_bilinear_counts_match_oracle_on_naive_w4():
                         failures += 1
     assert failures == report.bilinear.failed
     assert report.bilinear.checked == 256
+
+
+def test_validate_passes_build_w_past_the_dense_route():
+    # The dense nonnegativity route needed 2**22 to 2**26 entries here.
+    start = time.perf_counter()
+    for n in range(10, 13):
+        assert validate_process(build_w(n)).passed
+    assert time.perf_counter() - start < 20.0
+
+
+def test_validate_refuses_work_over_the_budget():
+    wide = WireLayout([Wire(0, "I", 5), Wire(1, "I"), Wire(0, "O"), Wire(1, "O")])
+    with pytest.raises(ValueError, match=r"2\^34 tuples"):
+        validate_process(identity(wide) * F(1, 64))
+    sampled = WireLayout([Wire(k, kind, 5 if k == 0 else 1)
+                          for kind in "IO" for k in range(6)])
+    with pytest.raises(ValueError, match=r"2\^19 dense channel entries"):
+        validate_process(identity(sampled) * F(1, 1 << 10))
+    two_bit = WireLayout([Wire(k, kind, 2) for kind in "IO" for k in range(6)])
+    independent = dict.fromkeys([0] + [1 << k for k in range(20)], 1)
+    with pytest.raises(ValueError, match=r"2\^20 nonnegativity entries"):
+        validate_process(DiagOperator(two_bit, independent))
+
+
+def test_gf2_elimination_equals_brute_force():
+    rng = random.Random(31)
+    for _ in range(300):
+        width = rng.randint(1, 8)
+        vectors = [rng.randrange(1 << width) for _ in range(rng.randint(0, 6))]
+        span = {0}
+        for v in vectors:
+            span |= {s ^ v for s in span}
+        rows = gf2_echelon(vectors)
+        assert 1 << len(rows) == len(span)
+        assert all(r.bit_length() - 1 == p for p, r in rows.items())
+        row_span = {0}
+        for r in rows.values():
+            row_span |= {s ^ r for s in row_span}
+        assert row_span == span
+        kernel = [d for d in range(1 << width)
+                  if all((d & v).bit_count() % 2 == 0 for v in vectors)]
+        assert _gf2_kernel(vectors, width) == kernel
 
 
 def test_validate_rejects_unpartitioned_layout():
