@@ -4,9 +4,15 @@ In any predefined causal order one party acts first and stays first; she
 may route the order of the later parties, every activated party appends
 its input to the running transcript, and outcomes may depend on anything
 already seen. Under that model the parity game's success probability is
-capped at ``1 - 1/(2n)``: whenever the guesser is not last she must guess
-a uniformly random parity. The cap is achieved by the forwarding strategy
-and, at small n, confirmed tight by exhaustive enumeration.
+capped at ``1 - 1/(2n)``: when the guesser m is not last, some party acting
+after her has an input that is uniform and independent of everything m
+saw, so the target parity is a fair coin to her. The first party is
+never last, so as the guesser she wins half the time; every other
+guesser can be routed last and then always wins. So the cap is attained
+and is the exact optimum at every n. The argument needs only that later
+inputs stay hidden, so it holds as well when each next party is chosen
+from everything seen so far, the recursive causal model of Oreshkov &
+Giarmatzi (NJP 18, 093020, 2016).
 
 The shared variable m is treated as pre-shared randomness available to
 everyone, and the identity of the first party is fixed independently of
@@ -23,10 +29,11 @@ them all.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
+
+from .process import WORK_BUDGET_LOG2
 
 __all__ = [
     "MODEL",
@@ -35,7 +42,6 @@ __all__ = [
     "causal_bound",
     "repeated_success",
     "forwarding_strategy_success",
-    "enumerate_protocol_values",
     "brute_force_causal",
 ]
 
@@ -123,6 +129,37 @@ def _evaluate(n: int, first: int, orders) -> tuple[Fraction, tuple[Fraction, ...
     return sum(per_m) / n, per_m
 
 
+def _check_size(n: int) -> None:
+    """Refuse, before building it, a witness over the work budget: 2n
+    orders of n parties, so 2n^2 entries."""
+    if n < 2:
+        raise ValueError(f"the game needs n >= 2, got {n}")
+    entries = 2 * n * n
+    if entries >> (WORK_BUDGET_LOG2 + 1):
+        raise ValueError(f"causal witness refused: n={n} needs {entries} order "
+                         f"entries, over the budget of 2^{WORK_BUDGET_LOG2}")
+
+
+def _route_guesser_last(n: int, first: int) -> CausalValue:
+    """The rule with this first party that puts the guesser last whenever
+    she is not ``first`` (the others in increasing order) and uses
+    ``(first, *rest)`` when she is, valued and wrapped with its witness.
+    No rule with this first party does better on any (m, a_first) key."""
+    rest = [p for p in range(n) if p != first]
+    orders = {}
+    for m in range(n):
+        if m == first:
+            order = (first, *rest)
+        else:
+            order = (first, *(p for p in rest if p != m), m)
+        orders[(m, 0)] = orders[(m, 1)] = order
+    value, per_m = _evaluate(n, first, orders)
+    protocol = CausalProtocol(n=n, first=first, orders=orders)
+    return CausalValue(
+        n=n, value=value, bound=causal_bound(n), protocol=protocol, per_m=per_m
+    )
+
+
 def forwarding_strategy_success(n: int) -> CausalValue:
     """Value and witness of the optimal forwarding protocol.
 
@@ -134,74 +171,25 @@ def forwarding_strategy_success(n: int) -> CausalValue:
     ``causal_bound(n)`` -- for n = 2 as well, where there is no routing
     freedom and the 3/4 comes out of the plain two-party order.
     """
-    if n < 2:
-        raise ValueError(f"the game needs n >= 2, got {n}")
-    first = 0
-    rest = list(range(1, n))
-    orders = {}
-    for m in range(n):
-        for a_first in (0, 1):
-            if m == first:
-                order = (first, *rest)
-            else:
-                order = (first, *(p for p in rest if p != m), m)
-            orders[(m, a_first)] = order
-    value, per_m = _evaluate(n, first, orders)
-    protocol = CausalProtocol(n=n, first=first, orders=orders)
-    return CausalValue(
-        n=n, value=value, bound=causal_bound(n), protocol=protocol, per_m=per_m
-    )
+    _check_size(n)
+    return _route_guesser_last(n, 0)
 
 
-def enumerate_protocol_values(
-    n: int, fixed_order: bool = False
-) -> Iterator[tuple[Fraction, int, tuple]]:
-    """Exact values of every deterministic protocol shell.
+def brute_force_causal(n: int) -> CausalValue:
+    """Exact maximum over deterministic causal protocols, at every n.
 
-    Yields ``(value, first, order_assignment)`` over all choices of first
-    party and order rule; with ``fixed_order`` the rule is restricted to a
-    single order used for every (m, a_first). Feasible for n <= 3 only.
+    A shell's value is a sum of one term per (m, a_first) key, and each
+    term depends only on that key's order, so the maximum for a first
+    party is the maximum per key, which ``_route_guesser_last`` attains.
+    Each first party's rule is valued with ``_evaluate`` and the first
+    strict maximum is kept: O(n^3) in all. Ties break as in an enumeration
+    of every first party and order rule in lexicographic order, so value,
+    witness and ``per_m`` equal that enumeration's first strict maximum.
     """
-    if n not in (2, 3):
-        raise ValueError(
-            f"exhaustive enumeration is refused for n={n}: the order-rule "
-            "space grows too fast; only n in (2, 3) is supported"
-        )
-    domain = [(m, a) for m in range(n) for a in (0, 1)]
-    for first in range(n):
-        rest = [p for p in range(n) if p != first]
-        tails = list(itertools.permutations(rest))
-        if fixed_order:
-            assignments = (itertools.repeat(tail, len(domain)) for tail in tails)
-        else:
-            assignments = itertools.product(tails, repeat=len(domain))
-        for assignment in assignments:
-            orders = {
-                key: (first, *tail) for key, tail in zip(domain, assignment)
-            }
-            value, _ = _evaluate(n, first, orders)
-            yield value, first, tuple(orders.items())
-
-
-def brute_force_causal(n: int, fixed_order: bool = False) -> CausalValue:
-    """Exhaustive maximum over deterministic causal protocols (n <= 3).
-
-    Enumerates the first party and every adaptive order rule, with outputs
-    optimized by conditional majority; returns the exact maximum and an
-    optimal witness. The result meets ``causal_bound(n)``, and restricting
-    to fixed (non-adaptive) orders drops the value to ``1/2 + 1/(2n)``.
-    """
+    _check_size(n)
     best = None
-    for value, first, order_items in enumerate_protocol_values(n, fixed_order):
-        if best is None or value > best[0]:
-            best = (value, first, dict(order_items))
-    value, first, orders = best
-    _, per_m = _evaluate(n, first, orders)
-    protocol = CausalProtocol(n=n, first=first, orders=orders)
-    return CausalValue(
-        n=n,
-        value=value,
-        bound=causal_bound(n),
-        protocol=protocol,
-        per_m=per_m,
-    )
+    for first in range(n):
+        candidate = _route_guesser_last(n, first)
+        if best is None or candidate.value > best.value:
+            best = candidate
+    return best

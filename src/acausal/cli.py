@@ -275,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("causal-bound", help="causal-order value and bound")
     _add_common(p, n=True)
     p.add_argument("--brute-force", action="store_true",
-                   help="exhaustive protocol search (n <= 3)")
+                   help="exact optimum over all protocols")
     p.set_defaults(func=_cmd_causal_bound)
 
     p = sub.add_parser("export", help="convert an operator file")

@@ -47,8 +47,6 @@ __all__ = [
     "WireLayout",
     "DiagOperator",
     "identity",
-    "monomial",
-    "mask_from_fields",
     "mask_fields",
     "point_mass",
     "tensor",
@@ -189,21 +187,6 @@ class WireLayout:
         return f"WireLayout({', '.join(f'{w.name}:{w.width}' for w in self.wires)})"
 
 
-def mask_from_fields(layout: WireLayout, fields: Mapping[str, int]) -> int:
-    """Assemble a global mask from per-wire local masks.
-
-    Local masks use the in-field bit order (the wire's first bit is the
-    most significant bit of its field).
-    """
-    mask = 0
-    for name, local in fields.items():
-        shift, w = layout.field(name)
-        if not 0 <= local < (1 << w):
-            raise ValueError(f"local mask {local} out of range for wire {name}")
-        mask |= local << shift
-    return mask
-
-
 def mask_fields(layout: WireLayout, mask: int, wires: Sequence[str]) -> int:
     """Extract and repack the mask bits of the listed wires, first wire
     most significant."""
@@ -323,12 +306,6 @@ class DiagOperator:
 
 def identity(layout: WireLayout) -> DiagOperator:
     return _make(layout, {0: 1}, 0)
-
-
-def monomial(layout: WireLayout, fields: Mapping[str, int],
-             coeff: Fraction | int = 1) -> DiagOperator:
-    """Single parity term given per-wire local masks."""
-    return DiagOperator(layout, {mask_from_fields(layout, fields): coeff})
 
 
 def point_mass(layout: WireLayout, index: int) -> DiagOperator:

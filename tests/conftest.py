@@ -7,14 +7,21 @@ pairing oracles contract every term of W with one term of each party's
 operator, independently of the loop mixture the game evaluators run on.
 The causal enumeration oracle values a protocol shell by walking every
 (m, inputs) row, independently of the closed form ``causal._evaluate``
-uses.
+uses. The protocol enumeration lists every first party and order rule at
+n = 2, 3, independently of the per-key optimum ``brute_force_causal``
+takes, and the recursive-model oracle searches a wider class of causal
+strategies than the package models.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterator, Mapping
 
+from acausal.causal import _evaluate
 from acausal.diagop import DiagOperator, Wire, WireLayout, contract, term_keys
 from acausal.process import build_w
 
@@ -110,6 +117,69 @@ def causal_enumeration_oracle(
     return sum(per_m) / n, per_m
 
 
+def enumerate_protocol_values(
+    n: int, fixed_order: bool = False
+) -> Iterator[tuple[Fraction, int, tuple]]:
+    """Exact values of every deterministic protocol shell.
+
+    Yields ``(value, first, order_assignment)`` over all choices of first
+    party and order rule, the rules in lexicographic order; with
+    ``fixed_order`` the rule is restricted to a single order used for
+    every (m, a_first). Feasible for n <= 3 only.
+    """
+    if n not in (2, 3):
+        raise ValueError(f"the enumeration is refused for n={n}")
+    domain = [(m, a) for m in range(n) for a in (0, 1)]
+    for first in range(n):
+        rest = [p for p in range(n) if p != first]
+        tails = list(itertools.permutations(rest))
+        if fixed_order:
+            assignments = (itertools.repeat(tail, len(domain)) for tail in tails)
+        else:
+            assignments = itertools.product(tails, repeat=len(domain))
+        for assignment in assignments:
+            orders = {
+                key: (first, *tail) for key, tail in zip(domain, assignment)
+            }
+            value, _ = _evaluate(n, first, orders)
+            yield value, first, tuple(orders.items())
+
+
+def recursive_causal_optimum(n: int) -> Fraction:
+    """Best success probability over recursive causal strategies.
+
+    Backward induction over the transcript tree: the first party is fixed
+    independently of m; each next party may be chosen from m and every
+    input seen so far; the guesser, once activated, answers with the
+    majority of the target parity over the inputs she has not seen.
+    Counts are input rows of one m, 2**n in all.
+    """
+
+    def guess(seen: frozenset) -> int:
+        unseen = n - 1 - len(seen)
+        parity = sum(a for _, a in seen) & 1
+        counts = [0, 0]
+        for bits in range(1 << unseen):
+            counts[(parity + bits.bit_count()) & 1] += 1
+        return 2 * max(counts)  # both values of the guesser's own input
+
+    def activate(m: int, seen: frozenset, p: int) -> int:
+        if p == m:
+            return guess(seen)
+        return sum(best(m, seen | {(p, a)}) for a in (0, 1))
+
+    @lru_cache(maxsize=None)
+    def best(m: int, seen: frozenset) -> int:
+        done = {p for p, _ in seen}
+        return max(activate(m, seen, p) for p in range(n) if p not in done)
+
+    wins = max(
+        sum(activate(m, frozenset(), first) for m in range(n))
+        for first in range(n)
+    )
+    return Fraction(wins, n << n)
+
+
 def random_layout(rng: random.Random, max_width: int = 12) -> WireLayout:
     budget = rng.randint(1, max_width)
     wires = []
@@ -157,6 +227,18 @@ def group_oracle(n: int) -> tuple[int, ...]:
     plain = [(b << 2) | prime(b) for b in base]
     barred = [((b ^ flip_all) << 2) | prime(b) for b in base]
     return tuple(plain + barred)
+
+
+def mask_from_fields(layout: WireLayout, fields: Mapping[str, int]) -> int:
+    """Assemble a global mask from per-wire local masks, each in the
+    in-field bit order (the wire's first bit most significant)."""
+    mask = 0
+    for name, local in fields.items():
+        shift, w = layout.field(name)
+        if not 0 <= local < (1 << w):
+            raise ValueError(f"local mask {local} out of range for wire {name}")
+        mask |= local << shift
+    return mask
 
 
 def _bit(value: int, width: int, pos: int) -> int:

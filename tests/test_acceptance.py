@@ -128,6 +128,8 @@ def test_criterion_4_causal_gap():
     with criterion(4, "causal bound met and tight", 60.0):
         assert brute_force_causal(2).value == causal_bound(2) == F(3, 4)
         assert brute_force_causal(3).value == causal_bound(3) == F(5, 6)
+        for n in (16, 64):
+            assert brute_force_causal(n).value == causal_bound(n)
         for n in (*range(3, 9), 16, 64):
             assert forwarding_strategy_success(n).value == causal_bound(n)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,14 @@ from acausal.causal import (
     _evaluate,
     brute_force_causal,
     causal_bound,
-    enumerate_protocol_values,
     forwarding_strategy_success,
     repeated_success,
 )
-from conftest import causal_enumeration_oracle
+from conftest import (
+    causal_enumeration_oracle,
+    enumerate_protocol_values,
+    recursive_causal_optimum,
+)
 
 F = Fraction
 
@@ -37,7 +41,7 @@ def test_repeated_success():
         repeated_success(3, 0)
 
 
-@pytest.mark.parametrize("n", (*range(3, 9), 16, 64, 256))
+@pytest.mark.parametrize("n", (*range(3, 9), 16, 64, 256, 511))
 def test_forwarding_achieves_bound(n):
     result = forwarding_strategy_success(n)
     assert result.value == causal_bound(n)
@@ -54,6 +58,8 @@ def test_forwarding_two_parties():
     assert result.value == F(3, 4)
     with pytest.raises(ValueError):
         forwarding_strategy_success(1)
+    with pytest.raises(ValueError):
+        brute_force_causal(1)
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -73,17 +79,68 @@ def test_no_protocol_beats_the_bound(n):
     assert all(value <= bound for value in values)
 
 
+def first_strict_maximum(n: int, fixed_order: bool = False):
+    """The enumeration's optimum, ties broken by the first one listed."""
+    best = None
+    for value, first, order_items in enumerate_protocol_values(n, fixed_order):
+        if best is None or value > best[0]:
+            best = (value, first, order_items)
+    return best
+
+
 @pytest.mark.parametrize("n", (2, 3))
 def test_fixed_order_is_strictly_weaker_at_three(n):
-    result = brute_force_causal(n, fixed_order=True)
-    assert result.value == F(1, 2) + F(1, 2 * n)
+    value, _, _ = first_strict_maximum(n, fixed_order=True)
+    assert value == F(1, 2) + F(1, 2 * n)
     if n >= 3:
-        assert result.value < causal_bound(n)
+        assert value < causal_bound(n)
 
 
-def test_brute_force_refuses_large_n():
-    with pytest.raises(ValueError):
-        brute_force_causal(4)
+@pytest.mark.parametrize("n", range(4, 11))
+def test_fixed_order_value_on_random_orders(n):
+    rng = random.Random(4000 + n)
+    for _ in range(5):
+        order = list(range(n))
+        rng.shuffle(order)
+        orders = {(m, a): tuple(order) for m in range(n) for a in (0, 1)}
+        value, per_m = _evaluate(n, order[0], orders)
+        assert value == F(1, 2) + F(1, 2 * n)
+        assert per_m[order[-1]] == 1
+        assert sorted(per_m) == [F(1, 2)] * (n - 1) + [F(1)]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_brute_force_equals_first_strict_maximum_of_enumeration(n):
+    value, first, order_items = first_strict_maximum(n)
+    result = brute_force_causal(n)
+    assert result.value == value
+    assert result.protocol.first == first
+    assert tuple(result.protocol.orders.items()) == order_items
+    assert result.per_m == causal_enumeration_oracle(n, first, dict(order_items))[1]
+
+
+@pytest.mark.parametrize("n", (*range(4, 11), 16, 64))
+def test_brute_force_equals_forwarding(n):
+    result = brute_force_causal(n)
+    forwarding = forwarding_strategy_success(n)
+    assert result.value == forwarding.value == causal_bound(n)
+    assert result.protocol == forwarding.protocol
+    assert result.per_m == forwarding.per_m
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_recursive_causal_model_meets_the_same_bound(n):
+    assert recursive_causal_optimum(n) == causal_bound(n)
+    assert recursive_causal_optimum(n) == brute_force_causal(n).value
+
+
+@pytest.mark.parametrize("n", (512, 2048))
+def test_witness_over_the_budget_is_refused_up_front(n):
+    start = time.perf_counter()
+    for search in (forwarding_strategy_success, brute_force_causal):
+        with pytest.raises(ValueError, match="over the budget"):
+            search(n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_protocol_json_shape():

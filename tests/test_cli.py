@@ -134,7 +134,7 @@ def test_causal_bound_exit_codes(n, flags):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["causal-bound", "--n", str(n), *flags])
-    refused = n < 2 or ("--brute-force" in flags and n > 3)
+    refused = n < 2
     if refused:
         assert code == 2
         assert out.getvalue() == ""
@@ -156,6 +156,17 @@ def test_causal_bound_exit_codes(n, flags):
     parse = float if "--float" in flags else Fraction
     assert all(parse(line.split()[1]) == parse(bound) for line in values)
     assert match == "match=true"
+
+
+@pytest.mark.parametrize("n", (512, 2048))
+def test_causal_bound_refuses_witness_over_the_budget(capsys, n):
+    start = time.perf_counter()
+    for flags in ((), ("--json",), ("--brute-force",)):
+        code, out, err = run(capsys, "causal-bound", "--n", str(n), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_export_dense_csv(tmp_path, capsys):

@@ -18,8 +18,6 @@ from acausal.diagop import (
     gf2_echelon,
     identity,
     is_nonnegative,
-    mask_from_fields,
-    monomial,
     multiply,
     operator_from_json,
     operator_to_json,
@@ -35,6 +33,7 @@ from acausal.process import build_w, naive_even_w
 from conftest import (
     dense_oracle,
     is_group,
+    mask_from_fields,
     random_dyadic_distribution,
     random_layout,
     random_operator,
@@ -74,8 +73,8 @@ def test_tensor_identities():
 
 def test_tensor_sign_rule():
     zz = tensor(
-        monomial(bit_layout("X"), {"X": 1}),
-        monomial(bit_layout("Y"), {"Y": 1}),
+        DiagOperator(bit_layout("X"), {0b1: 1}),
+        DiagOperator(bit_layout("Y"), {0b1: 1}),
     )
     assert zz.terms == {0b11: F(1)}
     assert to_dense(zz) == [F(1), F(-1), F(-1), F(1)]
@@ -116,7 +115,7 @@ def test_multiply_layout_mismatch():
 def test_trace_values():
     six = WireLayout([Wire("env", f"B{k}") for k in range(6)])
     assert trace(identity(six)) == 64
-    z_first = monomial(bit_layout("X", "Y"), {"X": 1})
+    z_first = DiagOperator(bit_layout("X", "Y"), {0b10: 1})
     assert trace(z_first) == 0
 
 
@@ -281,7 +280,7 @@ def test_point_mass_entries():
 def test_is_nonnegative():
     layout = bit_layout("X")
     assert is_nonnegative(identity(layout))
-    assert not is_nonnegative(monomial(layout, {"X": 1}))
+    assert not is_nonnegative(DiagOperator(layout, {0b1: 1}))
 
 
 def oracle_nonnegative(op):

@@ -12,7 +12,6 @@ from acausal.diagop import (
     gf2_echelon,
     identity,
     is_nonnegative,
-    mask_from_fields,
     partial_trace,
     to_dense,
     trace,
@@ -33,6 +32,7 @@ from conftest import (
     dense_oracle,
     even_term_fields,
     group_oracle,
+    mask_from_fields,
     odd_term_fields,
     total_probability_oracle,
 )
