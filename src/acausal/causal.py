@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .process import WORK_BUDGET_LOG2
+from .process import refuse_over_budget
 
 __all__ = [
     "MODEL",
@@ -134,10 +134,7 @@ def _check_size(n: int) -> None:
     orders of n parties, so 2n^2 entries."""
     if n < 2:
         raise ValueError(f"the game needs n >= 2, got {n}")
-    entries = 2 * n * n
-    if entries >> (WORK_BUDGET_LOG2 + 1):
-        raise ValueError(f"causal witness refused: n={n} needs {entries} order "
-                         f"entries, over the budget of 2^{WORK_BUDGET_LOG2}")
+    refuse_over_budget("causal witness", n, 2 * n * n, "order entries")
 
 
 def _route_guesser_last(n: int, first: int) -> CausalValue:

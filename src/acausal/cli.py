@@ -27,6 +27,7 @@ from .diagop import (
 )
 from .game import (
     GameRound,
+    check_outcome_budget,
     outcome_distribution,
     sample_game,
     success_probability_exact,
@@ -149,6 +150,7 @@ def _cmd_play(args) -> int:
         return 0
     bits = tuple(int(b) for b in args.inputs.split(","))
     round_ = GameRound(n=args.n, m=args.m, inputs=bits)
+    check_outcome_budget(args.n)
     behaviors = [
         winning_behavior(args.n, round_.m, i, round_.inputs[i])
         for i in range(args.n)

@@ -28,7 +28,12 @@ from .diagop import (
     identity,
     partial_trace,
 )
-from .process import ProcessMatrix, UnsupportedPartyCount, loop_decomposition
+from .process import (
+    ProcessMatrix,
+    UnsupportedPartyCount,
+    loop_decomposition,
+    refuse_over_budget,
+)
 
 __all__ = [
     "GameRound",
@@ -144,6 +149,19 @@ def _check_game_size(n: int) -> None:
         raise UnsupportedPartyCount("the parity game has no 2-party strategy")
     if n < 2:
         raise ValueError(f"party count must be >= 2, got {n}")
+
+
+def _check_behaviors(n: int) -> None:
+    """Refuse, before building any, the 2n^2 local behaviors a game
+    evaluation may ask the strategy for (n referee values, n parties, two
+    input bits) when they reach the work budget."""
+    refuse_over_budget("game", n, 2 * n * n, "local behaviors")
+
+
+def check_outcome_budget(n: int) -> None:
+    """Refuse, before anything is built, a joint outcome table of 2^n
+    entries once it reaches the work budget: n >= 19."""
+    refuse_over_budget("outcome distribution", n, 1 << n, "outcome entries")
 
 
 def _party_layout(n: int, i: int) -> WireLayout:
@@ -316,9 +334,11 @@ def outcome_distribution(
     for ``w.n`` parties; it is evaluated on its loop mixture, not
     contracted against its terms. For valid inputs the returned weights
     are non-negative and sum to 1. Zero-probability outcomes are included
-    so the support is explicit.
+    so the support is explicit. Raises ``ValueError`` before any work when
+    the 2^n outcomes reach 2^(WORK_BUDGET_LOG2 + 1).
     """
     n = w.n
+    check_outcome_budget(n)
     if len(behaviors) != n:
         raise ValueError(f"need {n} behaviors, got {len(behaviors)}")
     for i, beh in enumerate(behaviors):
@@ -340,8 +360,11 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     two cycle traces of input-summed operators on the loop mixture; the
     process's terms are never built. The default strategy wins with
     certainty for every n >= 3: each per-m probability is exactly 1.
+    Raises ``ValueError`` up front when the 2n^2 behaviors it asks the
+    strategy for reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is refused.
     """
     _check_game_size(n)
+    _check_behaviors(n)
     strategy = strategy or winning_behavior
     per_m = []
     for m in range(n):
@@ -410,6 +433,68 @@ class SampleResult:
         }
 
 
+def _compile_referee_value(n: int, m: int, strategy: Strategy,
+                           flips: Sequence[tuple[int, ...]]) -> tuple:
+    """Referee value m compiled for the shot loop of :func:`sample_game`.
+
+    Position k is party ``(m + k) % n``: a consistent assignment is a
+    fixed point of the walk around the loop read at any party, so walks
+    start at the guesser's input. ``shifts[k]`` places the party's bit in
+    the packed inputs; ``steps[loop][k][a]`` maps its input value to the
+    next party's, ``o ^ flip``, for input bit a; ``guess[a]`` is the
+    guesser's outcome by input value. Both hold None where the party
+    draws; ``drawers`` lists those parties, in party order, as
+    ``(k, i, {a: (lookup, denominator)})``.
+    """
+    order = [(m + k) % n for k in range(n)]
+    tables = [None] * n
+    drawers = []
+    for i in range(n):
+        k = (i - m) % n
+        layout = _party_layout(n, i)
+        per_bit, drawn = [], {}
+        for a in (0, 1):
+            behavior = strategy(n, m, i, a)
+            if behavior.layout != layout:
+                raise LayoutError(f"party {i} behavior must sit on {layout}, "
+                                  f"got {behavior.layout}")
+            lookup, scale = behavior.outcome_lookup()
+            if all(len(choices) == 1 for choices in lookup):
+                per_bit.append([choices[0][:2] for choices in lookup])
+            else:
+                per_bit.append(None)
+                drawn[a] = (lookup, 1 << scale)
+        tables[k] = per_bit
+        if drawn:
+            drawers.append((k, i, drawn))
+    steps = [
+        [[None if t is None else tuple(o ^ edge[i] for _, o in t) for t in per_bit]
+         for per_bit, i in zip(tables, order)]
+        for edge in flips
+    ]
+    guess = [None if t is None else tuple(x for x, _ in t) for t in tables[0]]
+    return [n - 1 - i for i in order], steps, guess, drawers
+
+
+def _draw_table(lookup: list[list[tuple[int, int, int]]], den: int,
+                randrange: Callable[[int], int]) -> list[tuple[int, int]]:
+    """One deterministic ``(x, o)`` table from an outcome lookup, drawing,
+    input value by input value, wherever there are several choices."""
+    table = []
+    for choices in lookup:
+        if len(choices) == 1:
+            table.append(choices[0][:2])
+            continue
+        r = randrange(den)
+        acc = 0
+        for x, o, num in choices:
+            acc += num
+            if r < acc:
+                table.append((x, o))
+                break
+    return table
+
+
 def sample_game(n: int, shots: int, seed: int,
                 strategy: Strategy | None = None) -> SampleResult:
     """Estimate the game value by simulating the circular-channel mixture.
@@ -420,50 +505,55 @@ def sample_game(n: int, shots: int, seed: int,
     it estimates the exact success probability, and for the default winning
     strategy every shot contributes exactly one consistent, winning
     assignment.
+
+    The first shot that draws a given m compiles it, for both input bits
+    of every party, so a behavior on the wrong wires (``LayoutError``) or
+    a malformed one (``outcome_lookup``'s ``ValueError``) raises on that
+    shot, whichever bits it draws. Each shot draws ``randrange(n)`` for m,
+    ``getrandbits(n)`` for the inputs, ``randrange`` over the loops, then,
+    party by party and input value by input value, one ``randrange`` per
+    input value with several choices. Raises ``ValueError`` up front when
+    the 2n^2 behaviors it may ask for reach 2^(WORK_BUDGET_LOG2 + 1).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     _check_game_size(n)
+    _check_behaviors(n)
     strategy = strategy or winning_behavior
-    loops = loop_decomposition(n)
-    nloops = len(loops)
+    flips = [loop.edge_flips for loop in loop_decomposition(n)]
+    nloops = len(flips)
     rng = random.Random(seed)
+    randrange = rng.randrange
+    compiled: dict[int, tuple] = {}
     wins = losses = 0
     per_m_wins = [0] * n
     per_m_shots = [0] * n
     for _ in range(shots):
-        m = rng.randrange(n)
+        m = randrange(n)
         a_idx = rng.getrandbits(n)
-        a_bits = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
-        loop = loops[rng.randrange(nloops)]
-        tables = []
-        for i in range(n):
-            lookup, scale = strategy(n, m, i, a_bits[i]).outcome_lookup()
-            table = []
-            for choices in lookup:
-                if len(choices) == 1:
-                    table.append(choices[0][:2])
-                else:
-                    r = rng.randrange(1 << scale)
-                    acc = 0
-                    for x, o, num in choices:
-                        acc += num
-                        if r < acc:
-                            table.append((x, o))
-                            break
-            tables.append(table)
-        target = (a_idx.bit_count() - a_bits[m]) & 1
+        loop = randrange(nloops)
+        plan = compiled.get(m)
+        if plan is None:
+            plan = compiled[m] = _compile_referee_value(n, m, strategy, flips)
+        shifts, steps, guess, drawers = plan
+        walk = [step[(a_idx >> s) & 1] for step, s in zip(steps[loop], shifts)]
+        bit = (a_idx >> shifts[0]) & 1
+        xs = guess[bit]
+        for k, i, drawn in drawers:
+            lookup = drawn.get((a_idx >> (n - 1 - i)) & 1)
+            if lookup is not None:
+                table = _draw_table(*lookup, randrange)
+                walk[k] = [o ^ flips[loop][i] for _, o in table]
+                if k == 0:
+                    xs = [x for x, _ in table]
+        target = (a_idx.bit_count() - bit) & 1
         per_m_shots[m] += 1
-        for cand in range(len(tables[0])):
+        for cand in range(len(xs)):
             v = cand
-            xm = -1
-            for j in range(n):
-                x, o = tables[j][v]
-                if j == m:
-                    xm = x
-                v = o ^ loop.flip_into((j + 1) % n)
+            for step in walk:
+                v = step[v]
             if v == cand:
-                if xm == target:
+                if xs[cand] == target:
                     wins += 1
                     per_m_wins[m] += 1
                 else:

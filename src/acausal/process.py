@@ -264,6 +264,14 @@ SAMPLE_COUNT = 1000
 WORK_BUDGET_LOG2 = 18
 
 
+def refuse_over_budget(what: str, n: int, entries: int, unit: str) -> None:
+    """Refuse work sized ``entries`` for n parties, before any of it is
+    built, once it reaches 2**(WORK_BUDGET_LOG2 + 1)."""
+    if entries >> (WORK_BUDGET_LOG2 + 1):
+        raise ValueError(f"{what} refused: n={n} needs {entries} {unit}, "
+                         f"over the budget of 2^{WORK_BUDGET_LOG2}")
+
+
 def _check_work(layout: WireLayout, parties: list[int], rank: int) -> None:
     """Refuse, before any of it is done, validate work over the budget."""
     widths = [(layout.field(f"O{p}")[1], layout.field(f"I{p}")[1]) for p in parties]

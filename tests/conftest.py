@@ -10,7 +10,9 @@ The causal enumeration oracle values a protocol shell by walking every
 uses. The protocol enumeration lists every first party and order rule at
 n = 2, 3, independently of the per-key optimum ``brute_force_causal``
 takes, and the recursive-model oracle searches a wider class of causal
-strategies than the package models.
+strategies than the package models. The sampler oracle asks the strategy
+for every party's behavior on every shot and walks each loop from party 0,
+independently of the per-m compilation ``sample_game`` does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Iterator, Mapping
 
 from acausal.causal import _evaluate
 from acausal.diagop import DiagOperator, Wire, WireLayout, contract, term_keys
-from acausal.process import build_w
+from acausal.game import RNG_NAME, SampleResult, _check_game_size, winning_behavior
+from acausal.process import build_w, loop_decomposition
 
 
 def dense_oracle(op: DiagOperator) -> list[Fraction]:
@@ -89,6 +92,71 @@ def pairing_success_oracle(n: int, strategy) -> list[Fraction]:
             win += contract(op, keys, factors)
         per_m.append(win / (1 << n))
     return per_m
+
+
+def sampler_oracle(n: int, shots: int, seed: int, strategy=None) -> SampleResult:
+    """Seeded sampler rebuilding every party's table on every shot.
+
+    Draws in the order ``sample_game`` documents, so both must return the
+    same record for the same seed.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    _check_game_size(n)
+    strategy = strategy or winning_behavior
+    loops = loop_decomposition(n)
+    nloops = len(loops)
+    rng = random.Random(seed)
+    wins = losses = 0
+    per_m_wins = [0] * n
+    per_m_shots = [0] * n
+    for _ in range(shots):
+        m = rng.randrange(n)
+        a_idx = rng.getrandbits(n)
+        a_bits = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
+        loop = loops[rng.randrange(nloops)]
+        tables = []
+        for i in range(n):
+            lookup, scale = strategy(n, m, i, a_bits[i]).outcome_lookup()
+            table = []
+            for choices in lookup:
+                if len(choices) == 1:
+                    table.append(choices[0][:2])
+                else:
+                    r = rng.randrange(1 << scale)
+                    acc = 0
+                    for x, o, num in choices:
+                        acc += num
+                        if r < acc:
+                            table.append((x, o))
+                            break
+            tables.append(table)
+        target = (a_idx.bit_count() - a_bits[m]) & 1
+        per_m_shots[m] += 1
+        for cand in range(len(tables[0])):
+            v = cand
+            xm = -1
+            for j in range(n):
+                x, o = tables[j][v]
+                if j == m:
+                    xm = x
+                v = o ^ loop.flip_into((j + 1) % n)
+            if v == cand:
+                if xm == target:
+                    wins += 1
+                    per_m_wins[m] += 1
+                else:
+                    losses += 1
+    return SampleResult(
+        n=n,
+        shots=shots,
+        seed=seed,
+        rng=RNG_NAME,
+        wins=wins,
+        losses=losses,
+        per_m_wins=tuple(per_m_wins),
+        per_m_shots=tuple(per_m_shots),
+    )
 
 
 def causal_enumeration_oracle(

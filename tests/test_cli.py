@@ -169,6 +169,88 @@ def test_causal_bound_refuses_witness_over_the_budget(capsys, n):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("n", (19, 40))
+def test_play_refuses_outcome_table_over_the_budget(capsys, n):
+    start = time.perf_counter()
+    inputs = ",".join("01"[i & 1] for i in range(n))
+    code, out, err = run(capsys, "play", "--n", str(n), "--m", "0", "--inputs", inputs)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: outcome distribution refused") and err.count("\n") == 1
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", (("play", "--n", "512"),
+                                  ("sample", "--n", "512", "--shots", "1")))
+def test_game_refuses_behaviors_over_the_budget(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: game refused") and err.count("\n") == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sample_runs_below_the_budget(capsys):
+    code, out, _ = run(capsys, "sample", "--n", "511", "--shots", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["wins"] == 1
+
+
+def exit_code_and_streams(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code == 0 and err.getvalue() == ""
+    return code
+
+
+GAME_SIZES = st.integers(-3, 10) | st.sampled_from((19, 40, 512, 2048))
+INPUT_TOKENS = st.sampled_from(("0", "1", "2", "-1", "x", ""))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=GAME_SIZES, m=st.none() | st.integers(-2, 12),
+       tokens=st.none() | st.lists(INPUT_TOKENS | st.sampled_from(("0", "1")), max_size=12),
+       as_json=st.booleans(), data=st.data())
+def test_play_exit_codes(n, m, tokens, as_json, data):
+    if tokens is not None and n > 0 and data.draw(st.booleans()):
+        tokens = [data.draw(st.sampled_from(("0", "1"))) for _ in range(n)]
+    argv = ["play", "--n", str(n)]
+    if m is not None:
+        argv.append(f"--m={m}")
+    if tokens is not None:
+        argv.append(f"--inputs={','.join(tokens)}")
+    if as_json:
+        argv.append("--json")
+    round_given = m is not None and tokens is not None
+    well_formed = (
+        (m is None) == (tokens is None)
+        and 3 <= n < 512
+        and (not round_given
+             or (0 <= m < n and len(tokens) == n
+                 and all(t in ("0", "1") for t in tokens) and n < 19))
+    )
+    assert exit_code_and_streams(argv) == (0 if well_formed else 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=GAME_SIZES, shots=st.integers(-2, 50), seed=st.integers(-5, 5),
+       as_json=st.booleans())
+def test_sample_exit_codes(n, shots, seed, as_json):
+    argv = ["sample", "--n", str(n), "--shots", str(shots), "--seed", str(seed)]
+    if as_json:
+        argv.append("--json")
+    well_formed = shots >= 1 and 3 <= n < 512
+    assert exit_code_and_streams(argv) == (0 if well_formed else 2)
+
+
 def test_export_dense_csv(tmp_path, capsys):
     src = tmp_path / "w3.json"
     dst = tmp_path / "w3.csv"

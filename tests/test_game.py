@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,7 +9,9 @@ import pytest
 from acausal.diagop import DiagOperator, LayoutError, Wire, WireLayout, tensor
 from acausal.game import (
     GameRound,
+    LocalBehavior,
     behavior_from_table,
+    check_outcome_budget,
     outcome_distribution,
     sample_game,
     success_probability_exact,
@@ -16,7 +19,7 @@ from acausal.game import (
     winning_behavior,
 )
 from acausal.process import UnsupportedPartyCount, build_w, loop_decomposition
-from conftest import pairing_outcome_oracle, pairing_success_oracle
+from conftest import pairing_outcome_oracle, pairing_success_oracle, sampler_oracle
 
 F = Fraction
 
@@ -274,6 +277,19 @@ def late_starter_strategy(n, m, i, a_i):
     return behavior_from_table(i, wo, wi, table)
 
 
+@lru_cache(maxsize=None)
+def mixed_strategy(n, m, i, a_i):
+    # a quarter of one random table plus three quarters of another that
+    # differs in every outcome: the sampler draws at every input value
+    wo, wi = _widths(n, i)
+    rng = random.Random(f"mixed {n} {m} {i} {a_i}")
+    light = [(rng.getrandbits(1), rng.getrandbits(wo)) for _ in range(1 << wi)]
+    heavy = [(x ^ 1, rng.getrandbits(wo)) for x, _ in light]
+    b_light, b_heavy = (behavior_from_table(i, wo, wi, t) for t in (light, heavy))
+    ops = {x: b_light.ops[x] * F(1, 4) + b_heavy.ops[x] * F(3, 4) for x in (0, 1)}
+    return LocalBehavior(party=i, layout=b_light.layout, ops=ops)
+
+
 def test_constant_strategy_value_is_half():
     for n in (3, 4):
         result = success_probability_exact(n, strategy=constant_strategy)
@@ -294,7 +310,7 @@ def test_distribution_normalized_for_any_strategy(strategy):
 
 
 @pytest.mark.parametrize(
-    "strategy", (constant_strategy, read_strategy, late_starter_strategy)
+    "strategy", (constant_strategy, read_strategy, late_starter_strategy, mixed_strategy)
 )
 @pytest.mark.parametrize("n", (3, 4))
 def test_sampler_agrees_with_exact(strategy, n):
@@ -330,6 +346,73 @@ def test_sampler_reaches_64_parties_without_building_w():
 
 STRATEGIES = (winning_behavior, constant_strategy, read_strategy, late_starter_strategy)
 STRATEGY_IDS = ("winning", "constant", "read", "late_starter")
+ORACLE_SIZES = (*range(3, 13), 16, 33, 64)
+
+
+@pytest.mark.parametrize(
+    ("strategy", "n"),
+    [(strategy, n) for strategy in STRATEGIES for n in ORACLE_SIZES]
+    + [(mixed_strategy, n) for n in range(3, 9)],
+    ids=[f"{name}-{n}" for name in STRATEGY_IDS for n in ORACLE_SIZES]
+    + [f"mixed-{n}" for n in range(3, 9)],
+)
+def test_sampler_equals_oracle(strategy, n):
+    for seed in range(3):
+        assert sample_game(n, 1500, seed, strategy) == sampler_oracle(n, 1500, seed, strategy)
+
+
+def test_mixed_strategy_is_not_certain():
+    # so the oracle comparison above covers losing shots as well
+    result = sample_game(5, 2000, 0, mixed_strategy)
+    assert result.losses > 0
+    exact = success_probability_exact(5, strategy=mixed_strategy)
+    assert 0 < exact.p_succ < 1
+
+
+def test_sampler_raises_on_first_shot_of_a_malformed_m():
+    # party 0's behavior for one input bit has a negative weight; the only
+    # shot deals party 0 the other bit, so only the per-m compilation sees it
+    n, seed = 3, 0
+    rng = random.Random(seed)
+    rng.randrange(n)
+    bad_bit = 1 - ((rng.getrandbits(n) >> (n - 1)) & 1)
+
+    def strategy(n, m, i, a_i):
+        good = read_strategy(n, m, i, a_i)
+        if (i, a_i) != (0, bad_bit):
+            return good
+        ops = {0: good.ops[0] + good.ops[1] * 2, 1: good.ops[1] * -1}
+        return LocalBehavior(party=i, layout=good.layout, ops=ops)
+
+    assert sampler_oracle(n, 1, seed, strategy).shots == 1
+    with pytest.raises(ValueError, match="^behavior of party 0 has a negative weight"):
+        sample_game(n, 1, seed, strategy)
+
+
+def test_sampler_rejects_behavior_on_wrong_wires():
+    def strategy(n, m, i, a_i):
+        if i == n - 1:  # the wide receiver answers on a one-bit input
+            return behavior_from_table(i, 1, 1, [(0, 0), (0, 0)])
+        return winning_behavior(n, m, i, a_i)
+
+    with pytest.raises(LayoutError, match="party 3 behavior must sit on"):
+        sample_game(4, 1, 0, strategy)
+
+
+@pytest.mark.parametrize("n", (512, 2048))
+def test_game_refuses_behaviors_over_the_budget(n):
+    start = time.perf_counter()
+    for call in (lambda: success_probability_exact(n), lambda: sample_game(n, 1, 0)):
+        with pytest.raises(ValueError, match=f"^game refused: n={n} needs"):
+            call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_outcome_budget_boundary():
+    check_outcome_budget(18)
+    for n in (19, 40):
+        with pytest.raises(ValueError, match=f"^outcome distribution refused: n={n} needs"):
+            check_outcome_budget(n)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)

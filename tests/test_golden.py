@@ -78,6 +78,10 @@ GOLDEN = {
         (0, "860f27d5cfdd28182da8346a3b0c65b3dcc6fb178b7217138c193368f12d69ca"),
     ("sample", "--n", "16", "--shots", "2000", "--seed", "5", "--json"):
         (0, "cbded908ea1990037a71fe559640c4b8cedff44390b3bf33e7f5b5235b93efe9"),
+    ("sample", "--n", "10", "--shots", "3000", "--seed", "11", "--json"):
+        (0, "b79b5271712744beb376f9d7e13965931cb26e108367313e3a3f2544d190bda1"),
+    ("sample", "--n", "64", "--shots", "500", "--seed", "2", "--json"):
+        (0, "18a3ace0495964a5d1006e25f94238ab5d62bd8416e5ef9ebb5d0c5944f6c6cd"),
 }
 
 
