@@ -20,8 +20,9 @@ enters the core. Only this module knows the format; ``Fraction`` values
 appear at its boundary (constructor, ``terms``, ``to_dense``, ``trace``).
 
 One GF(2) elimination, :func:`gf2_echelon`, serves the package: it gives
-:func:`is_nonnegative` the coordinates of its masks and ``process`` its
-kernels.
+``process`` its kernels, and the dense side (:func:`is_nonnegative`,
+:func:`to_dense`, the dense CSV) the coordinates in which an operator
+whose masks span rank r has only ``2**r`` distinct dense entries.
 
 Bit ordering convention: the first wire declared in a layout occupies the
 most significant bits of the global basis index, and within a multi-bit
@@ -452,7 +453,8 @@ def _wht(vec: list[int]) -> None:
 
 
 def _dense_nums(a: DiagOperator) -> list[int]:
-    """Dense diagonal of ``a`` as numerators over ``2**a.log2den``."""
+    """Dense diagonal of ``a`` as numerators over ``2**a.log2den``, by the
+    parity transform on all ``2**width`` entries."""
     vec = [0] * (1 << a.layout.width)
     for mask, v in a.nums.items():
         vec[mask] = v
@@ -460,15 +462,47 @@ def _dense_nums(a: DiagOperator) -> list[int]:
     return vec
 
 
+def _index_table(cols: Sequence[int]) -> list[int]:
+    """XOR of the ``cols`` picked by the set bits of each index below
+    ``2**len(cols)``, ``cols[0]`` on the least significant bit."""
+    table = [0]
+    for c in cols:
+        table += [t ^ c for t in table]
+    return table
+
+
+def _dense_tables(a: DiagOperator) -> tuple[list[int], list[int], list[int]]:
+    """``(vals, high, low)`` with the dense entry at ``x`` equal to
+    ``vals[high[x >> h] ^ low[x & (2**h - 1)]]`` over ``2**a.log2den``,
+    ``h = width // 2``: two index tables of ``2**(width / 2)`` entries each
+    place the ``2**rank`` values of :func:`_rank_transform`."""
+    vals, cols = _rank_transform(a)
+    h = a.layout.width // 2
+    return vals, _index_table(cols[h:]), _index_table(cols[:h])
+
+
 def to_dense(a: DiagOperator) -> list[Fraction]:
-    """Full diagonal vector, indexed by the global basis string."""
+    """Full diagonal vector, indexed by the global basis string.
+
+    The ``2**rank`` distinct entries come from :func:`_rank_transform` and
+    are placed by table lookup, so no transform runs on ``2**width``
+    entries and equal entries share one ``Fraction``.
+    """
     den = 1 << a.log2den
-    return [Fraction(v, den) for v in _dense_nums(a)]
+    vals, high, low = _dense_tables(a)
+    fracs = [Fraction(v, den) for v in vals]
+    return [fracs[y ^ z] for y in high for z in low]
 
 
 def dense_numerators(ops: Sequence[DiagOperator]) -> tuple[list[list[int]], int]:
     """Dense diagonals of several operators as integer numerators over
-    their smallest common power of two, returned as its exponent."""
+    their smallest common power of two, returned as its exponent.
+
+    This runs the direct ``2**width`` parity transform rather than the
+    rank route of :func:`to_dense`: its callers pass one party's local
+    operators of two or three bits, where the elimination and the index
+    tables cost more than the whole transform.
+    """
     log2den = max((a.log2den for a in ops), default=0)
     vecs = [[v << (log2den - a.log2den) for v in _dense_nums(a)] for a in ops]
     shift = _spare_twos((v for vec in vecs for v in vec), log2den)
@@ -500,25 +534,47 @@ def gf2_echelon(vectors: Iterable[int]) -> dict[int, int]:
     return rows
 
 
-def is_nonnegative(a: DiagOperator) -> bool:
-    """True iff every dense entry is >= 0 (positive semi-definiteness for
-    diagonal operators), decided on ``2**rank`` entries.
+def _rank_transform(a: DiagOperator) -> tuple[list[int], list[int]]:
+    """The ``2**rank`` distinct dense entries of ``a`` and where they sit.
 
     The entry at ``x`` is ``sum_s c_s (-1)**(s.x)``: it depends on ``x`` only
     through the functional ``s -> s.x`` on the span of the masks, and every
     such functional occurs. The bits at the pivots of :func:`gf2_echelon`
-    map that span linearly and bijectively onto GF(2)**rank, so the Walsh
-    transform of the coefficients in those coordinates lists every dense
-    entry, each repeated ``2**(width - rank)`` times in the dense vector.
+    map that span linearly and bijectively onto GF(2)**rank, so ``vals``,
+    the Walsh transform of the coefficients in those coordinates, lists
+    every dense entry, as numerators over ``2**a.log2den``. With the rows
+    reduced, row j is the span element at the j-th unit vector, and the
+    entry at ``x`` is ``vals[y]`` with ``y_j = parity(row_j & x)``: the XOR
+    of ``cols[b]``, the coordinates whose rows hold layout bit b, over the
+    set bits b of ``x``.
+    """
+    rows = gf2_echelon(a.nums)
+    pivots = sorted(rows)
+    for j, p in enumerate(pivots):
+        row = rows[p]
+        for q in pivots[:j]:
+            if row >> q & 1:
+                row ^= rows[q]
+        rows[p] = row
+    vals = [0] * (1 << len(pivots))
+    for mask, v in a.nums.items():
+        vals[sum(((mask >> p) & 1) << j for j, p in enumerate(pivots))] = v
+    _wht(vals)
+    cols = [sum(((rows[p] >> b) & 1) << j for j, p in enumerate(pivots))
+            for b in range(a.layout.width)]
+    return vals, cols
+
+
+def is_nonnegative(a: DiagOperator) -> bool:
+    """True iff every dense entry is >= 0 (positive semi-definiteness for
+    diagonal operators), decided on the ``2**rank`` distinct entries of
+    :func:`_rank_transform`, each repeated ``2**(width - rank)`` times in
+    the dense vector.
+
     A group sum has all-one coefficients, whose transform is ``2**rank`` at
     zero and 0 elsewhere: the sum is positive semi-definite.
     """
-    pivots = list(gf2_echelon(a.nums))
-    vec = [0] * (1 << len(pivots))
-    for mask, v in a.nums.items():
-        vec[sum(((mask >> p) & 1) << j for j, p in enumerate(pivots))] = v
-    _wht(vec)
-    return all(v >= 0 for v in vec)
+    return all(v >= 0 for v in _rank_transform(a)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +644,20 @@ def operator_from_json(obj) -> DiagOperator:
 
 def dense_csv_lines(a: DiagOperator) -> Iterable[str]:
     """Dense CSV rows ``index,numerator,log2_denominator`` with a header;
-    each entry is in lowest terms."""
+    each entry is in lowest terms.
+
+    Like :func:`to_dense`, it takes the rank route: each of the ``2**rank``
+    distinct entries is reduced and formatted once, and every row looks
+    its text up.
+    """
     yield "index,numerator,log2_denominator"
-    for i, v in enumerate(_dense_nums(a)):
+    vals, high, low = _dense_tables(a)
+    texts = []
+    for v in vals:
         shift = _spare_twos((v,), a.log2den)
-        yield f"{i},{v >> shift},{a.log2den - shift}"
+        texts.append(f"{v >> shift},{a.log2den - shift}")
+    for i, y in enumerate(high):
+        yield from [f"{x},{texts[y ^ z]}" for x, z in enumerate(low, i * len(low))]
 
 
 def parse_dense_csv(lines: Iterable[str]) -> list[Fraction]:

@@ -153,9 +153,13 @@ def build_w(n: int) -> ProcessMatrix:
     output side. For even n the doubled block sits on the wide wires
     ``O_{n-2}`` and ``I_{n-1}`` and is not split. Placement only copies
     bits, so it is linear over GF(2): the terms are the span of the placed
-    generators.
+    generators. The 2^(n-1) terms are refused from n >= 20, before any is
+    built, by the work budget.
     """
     _check_party_count(n)
+    # Decided from n: for a huge n, 1 << (n - 1) is itself a huge integer.
+    if n - 1 > WORK_BUDGET_LOG2:
+        raise _refusal("build_w", n, f"2^{n - 1} terms")
     k = n if n % 2 else n + 1
     c = Fraction(1, 1 << k)
     terms = dict.fromkeys(_span(_place(g, k) for g in _generators(n)), c)
@@ -260,16 +264,21 @@ def _det_channel(layout: WireLayout, table: Sequence[int]) -> DiagOperator:
 EXHAUSTIVE_LIMIT = 5
 SAMPLE_COUNT = 1000
 # validate_process refuses files needing 2**(WORK_BUDGET_LOG2 + 1) or more
-# table tuples, sampled dense channel entries or nonnegativity entries.
+# table tuples, sampled dense channel entries or nonnegativity entries, and
+# build_w, the game and the causal witness refuse as many terms or entries.
 WORK_BUDGET_LOG2 = 18
+
+
+def _refusal(what: str, n: int, need: str) -> ValueError:
+    return ValueError(f"{what} refused: n={n} needs {need}, "
+                      f"over the budget of 2^{WORK_BUDGET_LOG2}")
 
 
 def refuse_over_budget(what: str, n: int, entries: int, unit: str) -> None:
     """Refuse work sized ``entries`` for n parties, before any of it is
     built, once it reaches 2**(WORK_BUDGET_LOG2 + 1)."""
     if entries >> (WORK_BUDGET_LOG2 + 1):
-        raise ValueError(f"{what} refused: n={n} needs {entries} {unit}, "
-                         f"over the budget of 2^{WORK_BUDGET_LOG2}")
+        raise _refusal(what, n, f"{entries} {unit}")
 
 
 def _check_work(layout: WireLayout, parties: list[int], rank: int) -> None:

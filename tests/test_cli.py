@@ -1,11 +1,12 @@
 import io
+import itertools
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from acausal.cli import main
 from acausal.diagop import operator_from_json, operator_to_json, to_dense
@@ -207,7 +208,9 @@ def exit_code_and_streams(argv):
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
     else:
-        assert code == 0 and err.getvalue() == ""
+        # Only validate reports a failed check, exit 1.
+        assert code == 0 or code == 1 and argv[0] == "validate"
+        assert err.getvalue() == ""
     return code
 
 
@@ -249,6 +252,112 @@ def test_sample_exit_codes(n, shots, seed, as_json):
         argv.append("--json")
     well_formed = shots >= 1 and 3 <= n < 512
     assert exit_code_and_streams(argv) == (0 if well_formed else 2)
+
+
+@pytest.mark.parametrize("n", (20, 40, 10**9))
+def test_build_w_refuses_terms_over_the_budget(capsys, n):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build-w", "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: build_w refused: n={n} needs 2^{n - 1} terms")
+    assert err.count("\n") == 1
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(-5, 14) | st.sampled_from((20, 40, 10**9)),
+       fmt=st.sampled_from((None, "monomials", "dense")),
+       as_json=st.booleans(), as_float=st.booleans())
+def test_build_w_exit_codes(n, fmt, as_json, as_float):
+    assume(fmt != "dense" or n <= 9 or n >= 20)
+    argv = ["build-w", "--n", str(n)]
+    if fmt:
+        argv.append(f"--format={fmt}")
+    if as_json:
+        argv.append("--json")
+    if as_float:
+        argv.append("--float")
+    assert exit_code_and_streams(argv) == (0 if 3 <= n < 20 else 2)
+
+
+# Field values of a type no field of the operator schema accepts.
+WRONG_TYPES = st.sampled_from((None, True, 1.5))
+BAD_JSON = st.sampled_from(("", "{", '{"layout": [', "not json", "[1, 2"))
+
+
+@st.composite
+def operator_files(draw):
+    """An operator file's text, whether it is well formed, and whether its
+    layout is wider than the dense cap: a circular process or a small
+    random operator, broken by at most one defect or widened."""
+    if draw(st.booleans()):
+        doc = operator_to_json(build_w(draw(st.integers(3, 5))).operator)
+        wires, terms = doc["layout"], doc["terms"]
+        width = sum(w["width"] for w in wires)
+    else:
+        parties = draw(st.integers(1, 3))
+        wires = [wire(p, k, draw(st.integers(1, 2))) for p in range(parties) for k in "IO"]
+        width = sum(w["width"] for w in wires)
+        terms = [{"mask": hex(draw(st.integers(0, (1 << width) - 1))),
+                  "num": draw(st.integers(-4, 4)), "log2den": draw(st.integers(0, 6))}
+                 for _ in range(draw(st.integers(1, 5)))]
+        doc = {"layout": wires, "terms": terms}
+    defect = draw(st.none() | st.sampled_from(("json", "type", "mask", "log2den", "wide")))
+    term = draw(st.sampled_from(terms))
+    if defect == "json":
+        return draw(BAD_JSON), False, False
+    if defect == "type":
+        obj = draw(st.sampled_from((doc, draw(st.sampled_from(wires)), term)))
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(WRONG_TYPES)
+    elif defect == "mask":
+        term.update(mask=hex((1 << width) << draw(st.integers(0, 3))), num=1)
+    elif defect == "log2den":
+        term["log2den"] = draw(st.integers(-5, -1))
+    elif defect == "wide":
+        draw(st.sampled_from(wires))["width"] += draw(st.integers(25 - width, 40 - width))
+    return json.dumps(doc), defect in (None, "wide"), defect == "wide"
+
+
+@pytest.fixture(scope="module")
+def write_operator(tmp_path_factory):
+    """Writes each text to a new file and returns its path (rewriting one
+    file in place can take ~0.1 s on some filesystems)."""
+    directory = tmp_path_factory.mktemp("operators")
+    count = itertools.count()
+
+    def write(text):
+        path = directory / f"operator{next(count)}.json"
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+@settings(max_examples=150, deadline=None)
+@given(file=operator_files(), dense=st.booleans(), as_json=st.booleans())
+def test_export_exit_codes(write_operator, file, dense, as_json):
+    text, well_formed, wide = file
+    argv = ["export", "--file", write_operator(text),
+            f"--format={'dense' if dense else 'monomials'}"]
+    if as_json:
+        argv.append("--json")
+    assert exit_code_and_streams(argv) == (0 if well_formed and not (dense and wide) else 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(file=operator_files(), seed=st.integers(-3, 3), as_json=st.booleans())
+def test_validate_exit_codes(write_operator, file, seed, as_json):
+    text, well_formed, _ = file
+    argv = ["validate", "--file", write_operator(text), "--seed", str(seed)]
+    if as_json:
+        argv.append("--json")
+    code = exit_code_and_streams(argv)
+    assert code in (0, 1, 2) if well_formed else code == 2
+
+
+def test_missing_operator_file_is_usage_error(tmp_path):
+    for command in ("export", "validate"):
+        assert exit_code_and_streams([command, "--file", str(tmp_path / "none.json")]) == 2
 
 
 def test_export_dense_csv(tmp_path, capsys):

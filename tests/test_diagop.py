@@ -399,6 +399,51 @@ def test_dense_csv_roundtrip():
     assert parse_dense_csv(lines) == to_dense(a)
 
 
+def nonzero_dyadic(rng):
+    return F(rng.choice((-1, 1)) * rng.randint(1, 8), 1 << rng.randint(0, 5))
+
+
+def dense_route_operators(rng, width):
+    """Operators on ``width`` bits: empty, identity-only, rank-deficient
+    masks and full-rank masks, with negative numerators and mixed
+    denominators."""
+    layout = WireLayout([Wire("env", "R", width)] if width else [])
+    span = [0]
+    for _ in range(min(width, 3)):
+        v = rng.randrange(1 << width)
+        span += [s ^ v for s in span]
+    full = [1 << b for b in range(width)] + [rng.randrange(1 << width) for _ in range(4)]
+    return [DiagOperator(layout, {}), identity(layout) * nonzero_dyadic(rng),
+            DiagOperator(layout, {m: nonzero_dyadic(rng) for m in span}),
+            DiagOperator(layout, {m: nonzero_dyadic(rng) for m in full})]
+
+
+@pytest.mark.parametrize("width", range(11))
+def test_dense_route_matches_the_sign_rule_oracle(width):
+    rng = random.Random(100 + width)
+    ranks = set()
+    for _ in range(3):
+        for a in dense_route_operators(rng, width):
+            ranks.add(len(gf2_echelon(a.nums)))
+            dense = to_dense(a)
+            assert dense == dense_oracle(a)
+            assert parse_dense_csv(dense_csv_lines(a)) == dense
+    assert {0, width} <= ranks and (width < 4 or len(ranks) > 2)
+
+
+def test_dense_export_transforms_2_to_the_rank_entries(monkeypatch):
+    lengths = []
+    wht = diagop._wht
+    monkeypatch.setattr(diagop, "_wht", lambda vec: lengths.append(len(vec)) or wht(vec))
+    w = build_w(8).operator
+    assert w.layout.width == 18 and len(gf2_echelon(w.nums)) == 7
+    lines = list(dense_csv_lines(w))
+    dense = to_dense(w)
+    assert lengths == [1 << 7, 1 << 7]
+    assert len(lines) == (1 << 18) + 1 and len(dense) == 1 << 18
+    assert set(dense) == {0, F(1, 4)}
+
+
 @pytest.mark.parametrize("row", ["0,1", "0,1,0,5", "0,x,0", "0,1,-1", "1,1,0"])
 def test_dense_csv_malformed_row_raises_format_error(row):
     lines = ["index,numerator,log2_denominator", row]

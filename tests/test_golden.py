@@ -34,8 +34,18 @@ GOLDEN = {
         (0, "64bf8bb034c76a972179e4066adae2cb4275839d6a0281f151bfad095c45446d"),
     ("build-w", "--n", "8"):
         (0, "e588a642441862a99baf0c76921b1bd3cc2a95fa3d00d3262a522d1a6daba670"),
+    ("build-w", "--n", "8", "--format", "dense"):
+        (0, "2b8290fc5dc53251fe00e3656de5a6083a7079cb48a78eee5be1b3fd35b74974"),
     ("export", "--file", "{dir}/w5.json", "--format", "dense"):
         (0, "b1464c8cfc9ff65fe22a69e029d8a8adf98ba7ecfccb82ae0b6cb9cce8c29e45"),
+    ("export", "--file", "{dir}/w7.json", "--format", "dense"):
+        (0, "1054c7115144fd9f0cd184859282d686abee5bee00faa68b5efd163f275407ca"),
+    ("export", "--file", "{dir}/w8.json", "--format", "dense"):
+        (0, "2b8290fc5dc53251fe00e3656de5a6083a7079cb48a78eee5be1b3fd35b74974"),
+    ("export", "--file", "{dir}/naive6.json", "--format", "dense"):
+        (0, "07a3e5c9345c90fa0b76631fb719ecacc722550b83a6e599cd485b4b13c41815"),
+    ("export", "--file", "{dir}/w3neg.json", "--format", "dense"):
+        (0, "12d8bde52ae217718b3153ee0887f5da66156ec68112973fef666bf8aaa8ab70"),
     ("validate", "--file", "{dir}/w6.json", "--json"):
         (0, "6cc10ee82b901fc299c3059040766f925f2762c6a70bf28753c6df9753ae89f4"),
     ("validate", "--file", "{dir}/naive4.json", "--json"):
@@ -91,8 +101,10 @@ def inputs(tmp_path):
     files = {
         "w5": build_w(5).operator,
         "w6": build_w(6).operator,
+        "w7": build_w(7).operator,
         "w8": build_w(8).operator,
         "naive4": naive_even_w(4),
+        "naive6": naive_even_w(6),
         "naive8": naive_even_w(8),
         # W3 with one coefficient negated: only nonneg fails.
         "w3neg": DiagOperator(w3.layout, {**w3.terms, 0x1e: -w3.terms[0x1e]}),

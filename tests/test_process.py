@@ -157,6 +157,16 @@ def test_build_w_rejects_two_parties():
         build_w(1)
 
 
+def test_build_w_budget_boundary():
+    # Uncached, so the 2^18 terms are not kept for the rest of the run.
+    assert len(build_w.__wrapped__(19).operator.nums) == 1 << 18
+    for n in (20, 40, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=fr"^build_w refused: n={n} needs 2\^{n - 1} terms"):
+            build_w(n)
+        assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_w_trace_is_output_register_size(n):
     w = build_w(n)
