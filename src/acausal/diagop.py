@@ -22,7 +22,9 @@ appear at its boundary (constructor, ``terms``, ``to_dense``, ``trace``).
 One GF(2) elimination, :func:`gf2_echelon`, serves the package: it gives
 ``process`` its kernels, and the dense side (:func:`is_nonnegative`,
 :func:`to_dense`, the dense CSV) the coordinates in which an operator
-whose masks span rank r has only ``2**r`` distinct dense entries.
+whose masks span rank r has only ``2**r`` distinct dense entries. That is
+the one route from parity form to dense entries; only the inverse,
+:func:`from_dense`, transforms the ``2**width`` entries it is given.
 
 Bit ordering convention: the first wire declared in a layout occupies the
 most significant bits of the global basis index, and within a multi-bit
@@ -44,6 +46,7 @@ from typing import Iterable, Mapping, Sequence
 __all__ = [
     "LayoutError",
     "FormatError",
+    "MAX_LOG2DEN",
     "Wire",
     "WireLayout",
     "DiagOperator",
@@ -59,7 +62,6 @@ __all__ = [
     "term_keys",
     "contract",
     "to_dense",
-    "dense_numerators",
     "from_dense",
     "is_nonnegative",
     "gf2_echelon",
@@ -452,16 +454,6 @@ def _wht(vec: list[int]) -> None:
         h = step
 
 
-def _dense_nums(a: DiagOperator) -> list[int]:
-    """Dense diagonal of ``a`` as numerators over ``2**a.log2den``, by the
-    parity transform on all ``2**width`` entries."""
-    vec = [0] * (1 << a.layout.width)
-    for mask, v in a.nums.items():
-        vec[mask] = v
-    _wht(vec)
-    return vec
-
-
 def _index_table(cols: Sequence[int]) -> list[int]:
     """XOR of the ``cols`` picked by the set bits of each index below
     ``2**len(cols)``, ``cols[0]`` on the least significant bit."""
@@ -492,21 +484,6 @@ def to_dense(a: DiagOperator) -> list[Fraction]:
     vals, high, low = _dense_tables(a)
     fracs = [Fraction(v, den) for v in vals]
     return [fracs[y ^ z] for y in high for z in low]
-
-
-def dense_numerators(ops: Sequence[DiagOperator]) -> tuple[list[list[int]], int]:
-    """Dense diagonals of several operators as integer numerators over
-    their smallest common power of two, returned as its exponent.
-
-    This runs the direct ``2**width`` parity transform rather than the
-    rank route of :func:`to_dense`: its callers pass one party's local
-    operators of two or three bits, where the elimination and the index
-    tables cost more than the whole transform.
-    """
-    log2den = max((a.log2den for a in ops), default=0)
-    vecs = [[v << (log2den - a.log2den) for v in _dense_nums(a)] for a in ops]
-    shift = _spare_twos((v for vec in vecs for v in vec), log2den)
-    return [[v >> shift for v in vec] for vec in vecs], log2den - shift
 
 
 def from_dense(layout: WireLayout, values: Sequence[Fraction | int]) -> DiagOperator:
@@ -587,6 +564,20 @@ def dyadic_json(value: Fraction | int) -> dict:
     return {"num": value.numerator, "log2den": _log2den(value)}
 
 
+MAX_LOG2DEN = 1024
+"""Largest denominator exponent the JSON and CSV parsers accept; every
+operator and dense entry the package writes stays far below it. A larger
+exponent is refused with :class:`FormatError` before any numerator is
+shifted by it."""
+
+
+def _parsed_log2den(log2den: int, where: str) -> int:
+    """``log2den`` once it is known to lie in ``0..MAX_LOG2DEN``."""
+    if not 0 <= log2den <= MAX_LOG2DEN:
+        raise FormatError(f"{where}: log2den must lie in 0..{MAX_LOG2DEN}, got {log2den}")
+    return log2den
+
+
 def _field(obj, key: str, where: str, *kinds: type):
     """``obj[key]``, checked to exist and to have one of the JSON types."""
     if not isinstance(obj, Mapping) or key not in obj:
@@ -632,9 +623,7 @@ def operator_from_json(obj) -> DiagOperator:
         except ValueError:
             raise FormatError(f"{where}: mask {text!r} is not a hex string") from None
         num = _field(t, "num", where, int)
-        log2den = _field(t, "log2den", where, int)
-        if log2den < 0:
-            raise FormatError(f"{where}: log2den must be >= 0, got {log2den}")
+        log2den = _parsed_log2den(_field(t, "log2den", where, int), where)
         if num and (mask < 0 or mask.bit_length() > layout.width):
             raise LayoutError(f"mask {mask:#x} outside layout width {layout.width}")
         parsed[mask] = (num, log2den)
@@ -661,8 +650,9 @@ def dense_csv_lines(a: DiagOperator) -> Iterable[str]:
 
 
 def parse_dense_csv(lines: Iterable[str]) -> list[Fraction]:
-    """Dense diagonal from CSV rows; a malformed row raises
-    :class:`FormatError` naming its line number."""
+    """Dense diagonal from CSV rows; a malformed row, or one whose
+    ``log2den`` exceeds :data:`MAX_LOG2DEN`, raises :class:`FormatError`
+    naming its line number."""
     values = []
     for row, line in enumerate(lines, 1):
         line = line.strip()
@@ -672,8 +662,7 @@ def parse_dense_csv(lines: Iterable[str]) -> list[Fraction]:
             idx, num, log2den = map(int, line.split(","))
         except ValueError:
             raise FormatError(f"line {row}: expected three integers, got {line!r}") from None
-        if idx != len(values) or log2den < 0:
-            raise FormatError(f"line {row}: need index {len(values)} and log2den >= 0, "
-                              f"got {line!r}")
-        values.append(Fraction(num, 1 << log2den))
+        if idx != len(values):
+            raise FormatError(f"line {row}: need index {len(values)}, got {line!r}")
+        values.append(Fraction(num, 1 << _parsed_log2den(log2den, f"line {row}")))
     return values

@@ -2,11 +2,13 @@
 
 Each of the n parties holds a uniform input bit ``a_i`` and must produce an
 outcome bit ``x_i``; a shared uniform variable ``m`` names the party whose
-outcome must equal the parity of everyone else's input. Both evaluators run
-on the process's uniform mixture of circular channels: the exact one
-multiplies one small matrix per party around each loop and sums the
-traces, the Monte-Carlo sampler walks the loops shot by shot. Both yield
-certain winning for the strategies built here, for every n >= 3.
+outcome must equal the parity of everyone else's input. Every party is
+locally classical, so its behavior is an integer conditional table, and
+no evaluator builds an operator. Both evaluators run on the process's
+uniform mixture of circular channels: the exact one multiplies one small
+matrix per party around each loop and sums the traces, the Monte-Carlo
+sampler walks the loops shot by shot. Both yield certain winning for the
+strategies built here, for every n >= 3.
 """
 
 from __future__ import annotations
@@ -15,18 +17,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .diagop import (
     DiagOperator,
     LayoutError,
     Wire,
     WireLayout,
-    dense_numerators,
+    _spare_twos,
     dyadic_json,
     from_dense,
-    identity,
-    partial_trace,
 )
 from .process import (
     ProcessMatrix,
@@ -77,70 +77,77 @@ class GameRound:
 
 
 class LocalBehavior:
-    """One party's conditional outcome-and-output distribution.
+    """One party's locally classical behavior: the conditional table
+    ``P(X_i = x, O_i = o | I_i = v)`` on its wires ``(O_i, I_i)``.
 
-    ``ops[x]`` is the diagonal operator over the wires ``(O_i, I_i)`` whose
-    entry at ``(o, v)`` is ``P(X_i = x, O_i = o | I_i = v)``. Summed over
-    outcomes, the operators form a normalized channel.
+    ``tables[x][(o << wi) | v]``, for x = 0, 1 and ``wi`` the width of
+    ``I_i``, is that probability as an integer numerator over
+    ``2**log2den``. The constructor reduces ``log2den`` to the smallest
+    exponent, so equal behaviors have equal tables. For every input value
+    a normalized behavior sums to one over x and o.
     """
 
-    __slots__ = ("party", "layout", "ops", "_cache")
+    __slots__ = ("party", "layout", "tables", "log2den")
 
     def __init__(self, party: int, layout: WireLayout,
-                 ops: Mapping[int, DiagOperator]):
+                 tables: Sequence[Sequence[int]], log2den: int = 0):
+        tables = tuple(tuple(t) for t in tables)
+        if len(tables) != 2:
+            raise ValueError(f"need one table per outcome x = 0, 1, got {len(tables)}")
+        size = 1 << layout.width
+        if any(len(t) != size for t in tables):
+            raise LayoutError(f"behavior tables on {layout} need {size} entries")
+        if log2den < 0:
+            raise ValueError(f"log2den must be >= 0, got {log2den}")
+        shift = _spare_twos((v for t in tables for v in t), log2den)
+        if shift:
+            tables = tuple(tuple(v >> shift for v in t) for t in tables)
         self.party = party
         self.layout = layout
-        self.ops = dict(ops)
-        for op in self.ops.values():
-            if op.layout != layout:
-                raise LayoutError("behavior operators must share the layout")
-        self._cache: dict = {}
+        self.tables = tables
+        self.log2den = log2den - shift
 
     @property
-    def channel(self) -> DiagOperator:
-        """The outcome-summed channel."""
-        if "channel" not in self._cache:
-            self._cache["channel"] = sum(self.ops.values(), DiagOperator(self.layout, {}))
-        return self._cache["channel"]
+    def ops(self) -> tuple[DiagOperator, DiagOperator]:
+        """The two tables as diagonal operators over ``(O_i, I_i)``, built
+        on each access."""
+        den = 1 << self.log2den
+        return tuple(from_dense(self.layout, [Fraction(v, den) for v in t]) for t in self.tables)
 
     def check(self) -> bool:
-        """Normalization: the outcome-summed channel traces to the identity."""
-        o_name = self.layout.wires[0].name
-        traced = partial_trace(self.channel, [o_name])
-        return traced == identity(self.layout.restrict([self.layout.wires[1].name]))
+        """Normalization: for every input value the table sums to one over
+        the outcomes and the outputs."""
+        wo, wi = (w.width for w in self.layout.wires)
+        one = 1 << self.log2den
+        return all(
+            sum(t[(o << wi) | v] for t in self.tables for o in range(1 << wo)) == one
+            for v in range(1 << wi)
+        )
 
     def outcome_lookup(self) -> tuple[list[list[tuple[int, int, int]]], int]:
         """Sampling table: per input value, the (x, o, weight) choices.
 
-        Weights are numerators over the smallest common power-of-two
-        denominator, returned as its exponent, and sum to that denominator
-        for every input value.
+        Weights are the table's numerators, over ``2**log2den`` with
+        ``log2den`` returned, and sum to that denominator for every input
+        value.
         """
-        if "lookup" not in self._cache:
-            wo, wi = (w.width for w in self.layout.wires)
-            xs = sorted(self.ops)
-            dense, scale = dense_numerators([self.ops[x] for x in xs])
-            lookup: list[list[tuple[int, int, int]]] = []
-            for v in range(1 << wi):
-                choices = []
-                for x, vec in zip(xs, dense):
-                    for o in range(1 << wo):
-                        p = vec[(o << wi) | v]
-                        if p < 0:
-                            raise ValueError(
-                                f"behavior of party {self.party} has a "
-                                f"negative weight at input {v}"
-                            )
-                        if p:
-                            choices.append((x, o, p))
-                if sum(c[2] for c in choices) != 1 << scale:
-                    raise ValueError(
-                        f"behavior of party {self.party} is not normalized "
-                        f"at input {v}"
-                    )
-                lookup.append(choices)
-            self._cache["lookup"] = (lookup, scale)
-        return self._cache["lookup"]
+        wo, wi = (w.width for w in self.layout.wires)
+        lookup: list[list[tuple[int, int, int]]] = []
+        for v in range(1 << wi):
+            choices = []
+            for x, table in enumerate(self.tables):
+                for o in range(1 << wo):
+                    p = table[(o << wi) | v]
+                    if p < 0:
+                        raise ValueError(f"behavior of party {self.party} has a "
+                                         f"negative weight at input {v}")
+                    if p:
+                        choices.append((x, o, p))
+            if sum(c[2] for c in choices) != 1 << self.log2den:
+                raise ValueError(f"behavior of party {self.party} is not normalized "
+                                 f"at input {v}")
+            lookup.append(choices)
+        return lookup, self.log2den
 
 
 def _check_game_size(n: int) -> None:
@@ -164,24 +171,34 @@ def check_outcome_budget(n: int) -> None:
     refuse_over_budget("outcome distribution", n, 1 << n, "outcome entries")
 
 
-def _party_layout(n: int, i: int) -> WireLayout:
-    """Party i's wires ``(O_i, I_i)``: for even n the second-to-last party
-    sends and the last party receives on two bits."""
+def _widths(n: int, i: int) -> tuple[int, int]:
+    """Widths of party i's wires ``(O_i, I_i)``: for even n the
+    second-to-last party sends and the last party receives on two bits."""
     even = n % 2 == 0
-    return WireLayout([
-        Wire(i, "O", 2 if even and i == n - 2 else 1),
-        Wire(i, "I", 2 if even and i == n - 1 else 1),
-    ])
+    return (2 if even and i == n - 2 else 1), (2 if even and i == n - 1 else 1)
 
 
-def _projector_terms(norm_log2: int, local_mask: int | None,
-                     sign: int) -> dict[int, Fraction]:
-    """Terms of ``(1 + (-1)^sign Z_mask) / 2**norm_log2`` on one wire,
-    or of the bare scaled identity when ``local_mask`` is None."""
-    c = Fraction(1, 1 << norm_log2)
-    if local_mask is None:
-        return {0: c}
-    return {0: c, local_mask: -c if sign & 1 else c}
+def _party_layout(n: int, i: int) -> WireLayout:
+    """Party i's wires ``(O_i, I_i)``, of the widths :func:`_widths` gives."""
+    wo, wi = _widths(n, i)
+    return WireLayout([Wire(i, "O", wo), Wire(i, "I", wi)])
+
+
+def _check_layout(behavior: LocalBehavior, i: int, layout: WireLayout) -> LocalBehavior:
+    """The behavior, once it is known to sit on party i's wires."""
+    if behavior.layout != layout:
+        raise LayoutError(f"party {i} behavior must sit on {layout}, "
+                          f"got {behavior.layout}")
+    return behavior
+
+
+def _parity_factor(width: int, mask: int | None, bit: int) -> list[int]:
+    """Numerators of ``1 + (-1)**bit Z_mask`` on a ``width``-bit wire,
+    value by value: 2 where the parity of the masked bits is ``bit`` and 0
+    elsewhere; the bare identity, 1 everywhere, when ``mask`` is None."""
+    if mask is None:
+        return [1] * (1 << width)
+    return [2 * ((v & mask).bit_count() & 1 == bit) for v in range(1 << width)]
 
 
 _CODE_MASKS = {"first": 0b10, "second": 0b01, "both": 0b11}
@@ -230,7 +247,10 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
     ``a_i XOR x_i``, except the party right after the designated guesser,
     which injects its bare input bit into the loop. For even n the two
     wide-register parties encode/decode through the bits selected by
-    :func:`wide_code`.
+    :func:`wide_code`. Each table is the product of an output factor
+    ``(1 + (-1)**send Z) / 2**|O_i|`` and an input factor
+    ``(1 + (-1)**x Z) / 2``, each a :func:`_parity_factor` on a 1- or 2-bit
+    wire.
     """
     _check_game_size(n)
     if not 0 <= m < n:
@@ -241,32 +261,15 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
         raise ValueError("a_i must be a bit")
 
     starter = i == (m + 1) % n
-    layout = _party_layout(n, i)
-    wo, wi = (w.width for w in layout.wires)
-
-    ops = {}
+    wo, wi = _widths(n, i)
+    o_mask = _CODE_MASKS.get(wide_code(n, m)) if wo == 2 else 0b1
+    i_mask = 0b1 if wi == 1 else None if starter else _CODE_MASKS[wide_code(n, m)]
+    tables = []
     for x in (0, 1):
-        send = a_i if starter else a_i ^ x
-        if wo == 2:
-            code = wide_code(n, m)
-            mask = _CODE_MASKS.get(code)
-            o_terms = _projector_terms(2, mask, send)
-        else:
-            o_terms = _projector_terms(1, 0b1, send)
-        if wi == 2:
-            if starter:
-                i_terms = _projector_terms(1, None, 0)
-            else:
-                code = wide_code(n, m)
-                i_terms = _projector_terms(1, _CODE_MASKS[code], x)
-        else:
-            i_terms = _projector_terms(1, 0b1, x)
-        terms = {}
-        for mo, co in o_terms.items():
-            for mi, ci in i_terms.items():
-                terms[(mo << wi) | mi] = co * ci
-        ops[x] = DiagOperator(layout, terms)
-    return LocalBehavior(party=i, layout=layout, ops=ops)
+        out = _parity_factor(wo, o_mask, a_i if starter else a_i ^ x)
+        inp = _parity_factor(wi, i_mask, x)
+        tables.append([f * g for f in out for g in inp])
+    return LocalBehavior(i, _party_layout(n, i), tables, wo + 1)
 
 
 def behavior_from_table(party: int, o_width: int, i_width: int,
@@ -275,11 +278,12 @@ def behavior_from_table(party: int, o_width: int, i_width: int,
     if len(table) != 1 << i_width:
         raise ValueError(f"table must cover all {1 << i_width} input values")
     layout = WireLayout([Wire(party, "O", o_width), Wire(party, "I", i_width)])
-    dense = {x: [0] * (1 << layout.width) for x in (0, 1)}
+    tables = [[0] * (1 << layout.width) for _ in (0, 1)]
     for v, (x, o) in enumerate(table):
-        dense[x][(o << i_width) | v] = 1
-    ops = {x: from_dense(layout, vec) for x, vec in dense.items()}
-    return LocalBehavior(party=party, layout=layout, ops=ops)
+        if x not in (0, 1) or not 0 <= o < 1 << o_width:
+            raise ValueError(f"table entry {v} needs a bit x and a {o_width}-bit o")
+        tables[x][(o << i_width) | v] = 1
+    return LocalBehavior(party, layout, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +295,28 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def _loop_traces(n: int, choices: Sequence[Sequence[DiagOperator]]) -> list[Fraction]:
+def _loop_traces(n: int, choices: Sequence[tuple[Sequence[Sequence[int]], int]]
+                 ) -> list[Fraction]:
     """Contractions against the process's loop mixture, one per choice of
-    an operator on ``(O_i, I_i)`` from ``choices[i]`` for every party i,
-    listed with party 0's choice most significant.
+    a table on ``(O_i, I_i)`` for every party i, listed with party 0's
+    choice most significant. ``choices[i]`` is ``(tables, log2den)``:
+    party i's integer tables, indexed like :class:`LocalBehavior`'s, over
+    ``2**log2den``.
 
-    On one loop, party i's operator is an integer matrix from its input
-    ``v`` to the next party's input ``o ^ flip``, and a choice contracts to
-    the trace of the product around the cycle. Choices share the products
-    of their common prefixes; the loops are averaged uniformly.
+    On one loop, party i's table is an integer matrix from its input ``v``
+    to the next party's input ``o ^ flip``, and a choice contracts to the
+    trace of the product around the cycle. Choices share the products of
+    their common prefixes; the loops are averaged uniformly.
     """
     loops = loop_decomposition(n)
-    parties = []
-    log2den = 0
-    for i, ops in enumerate(choices):
-        layout = _party_layout(n, i)
-        for op in ops:
-            if op.layout != layout:
-                raise LayoutError(f"party {i} operators must sit on {layout}, got {op.layout}")
-        vecs, scale = dense_numerators(ops)
-        parties.append((vecs, *(w.width for w in layout.wires)))
-        log2den += scale
+    widths = [_widths(n, i) for i in range(n)]
+    log2den = sum(k for _, k in choices)
     per_loop = []
     for loop in loops:
         level = [[[1, 0], [0, 1]]]  # party 0 reads one bit
-        for (vecs, wo, wi), flip in zip(parties, loop.edge_flips):
-            mats = [[[vec[((u ^ flip) << wi) | v] for u in range(1 << wo)]
-                     for v in range(1 << wi)] for vec in vecs]
+        for (tables, _), (wo, wi), flip in zip(choices, widths, loop.edge_flips):
+            mats = [[[t[((u ^ flip) << wi) | v] for u in range(1 << wo)]
+                     for v in range(1 << wi)] for t in tables]
             level = [_matmul(p, e) for p in level for e in mats]
         per_loop.append([p[0][0] + p[1][1] for p in level])
     den = len(loops) << log2den
@@ -344,7 +343,8 @@ def outcome_distribution(
     for i, beh in enumerate(behaviors):
         if beh.party != i:
             raise LayoutError(f"behavior {i} belongs to party {beh.party}")
-    values = _loop_traces(n, [[beh.ops[0], beh.ops[1]] for beh in behaviors])
+        _check_layout(beh, i, _party_layout(n, i))
+    values = _loop_traces(n, [(beh.tables, beh.log2den) for beh in behaviors])
     return {
         tuple((packed >> (n - 1 - i)) & 1 for i in range(n)): p
         for packed, p in enumerate(values)
@@ -357,26 +357,32 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     The win indicator ``[x_m = t]``, with ``t`` the parity of the other
     inputs, is ``(1 + (-1)^x_m * prod_{i != m} (-1)^a_i) / 2``. Both halves
     factorise party by party, so the average over all inputs is, per m,
-    two cycle traces of input-summed operators on the loop mixture; the
-    process's terms are never built. The default strategy wins with
-    certainty for every n >= 3: each per-m probability is exactly 1.
-    Raises ``ValueError`` up front when the 2n^2 behaviors it asks the
-    strategy for reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is refused.
+    two cycle traces on the loop mixture: of every party's tables summed
+    over its input bit and outcome, and of the same sums signed by the
+    guesser's outcome and by everyone else's input bit. The process's
+    terms are never built. The default strategy wins with certainty for
+    every n >= 3: each per-m probability is exactly 1. Raises
+    ``ValueError`` up front when the 2n^2 behaviors it asks the strategy
+    for reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is refused.
     """
     _check_game_size(n)
     _check_behaviors(n)
     strategy = strategy or winning_behavior
+    layouts = [_party_layout(n, i) for i in range(n)]
     per_m = []
     for m in range(n):
         agree, parity = [], []
-        for i in range(n):
-            b0, b1 = (strategy(n, m, i, a) for a in (0, 1))
-            if i == m:
-                agree.append([b0.ops[0] + b0.ops[1] + b1.ops[0] + b1.ops[1]])
-                parity.append([b0.ops[0] - b0.ops[1] + b1.ops[0] - b1.ops[1]])
-            else:
-                agree.append([b0.channel + b1.channel])
-                parity.append([b0.channel - b1.channel])
+        for i, layout in enumerate(layouts):
+            b0, b1 = (_check_layout(strategy(n, m, i, a), i, layout) for a in (0, 1))
+            k = max(b0.log2den, b1.log2den)
+            (u0, u1), (w0, w1) = ([[v << (k - b.log2den) for v in t] for t in b.tables]
+                                  for b in (b0, b1))
+            # agree sums all four tables; parity takes the first pair minus
+            # the second: signed by x for the guesser, by a_i for the others
+            signed = zip(u0, w0, u1, w1) if i == m else zip(u0, u1, w0, w1)
+            sums, diffs = zip(*((p + q + r + s, p + q - r - s) for p, q, r, s in signed))
+            agree.append(([sums], k))
+            parity.append(([diffs], k))
         total = _loop_traces(n, agree)[0] + _loop_traces(n, parity)[0]
         per_m.append(total / (2 << n))
     return GameResult(n=n, per_m=tuple(per_m), p_succ=sum(per_m) / n)
@@ -434,6 +440,7 @@ class SampleResult:
 
 
 def _compile_referee_value(n: int, m: int, strategy: Strategy,
+                           layouts: Sequence[WireLayout],
                            flips: Sequence[tuple[int, ...]]) -> tuple:
     """Referee value m compiled for the shot loop of :func:`sample_game`.
 
@@ -449,15 +456,11 @@ def _compile_referee_value(n: int, m: int, strategy: Strategy,
     order = [(m + k) % n for k in range(n)]
     tables = [None] * n
     drawers = []
-    for i in range(n):
+    for i, layout in enumerate(layouts):
         k = (i - m) % n
-        layout = _party_layout(n, i)
         per_bit, drawn = [], {}
         for a in (0, 1):
-            behavior = strategy(n, m, i, a)
-            if behavior.layout != layout:
-                raise LayoutError(f"party {i} behavior must sit on {layout}, "
-                                  f"got {behavior.layout}")
+            behavior = _check_layout(strategy(n, m, i, a), i, layout)
             lookup, scale = behavior.outcome_lookup()
             if all(len(choices) == 1 for choices in lookup):
                 per_bit.append([choices[0][:2] for choices in lookup])
@@ -521,6 +524,7 @@ def sample_game(n: int, shots: int, seed: int,
     _check_behaviors(n)
     strategy = strategy or winning_behavior
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
+    layouts = [_party_layout(n, i) for i in range(n)]
     nloops = len(flips)
     rng = random.Random(seed)
     randrange = rng.randrange
@@ -534,7 +538,7 @@ def sample_game(n: int, shots: int, seed: int,
         loop = randrange(nloops)
         plan = compiled.get(m)
         if plan is None:
-            plan = compiled[m] = _compile_referee_value(n, m, strategy, flips)
+            plan = compiled[m] = _compile_referee_value(n, m, strategy, layouts, flips)
         shifts, steps, guess, drawers = plan
         walk = [step[(a_idx >> s) & 1] for step, s in zip(steps[loop], shifts)]
         bit = (a_idx >> shifts[0]) & 1

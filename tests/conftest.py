@@ -81,14 +81,16 @@ def pairing_success_oracle(n: int, strategy) -> list[Fraction]:
     keys = _pairing_keys(op, n)
     per_m = []
     for m in range(n):
+        # ops[i][a]: party i's operators for input bit a, built once per m
+        ops = [[strategy(n, m, i, a).ops for a in (0, 1)] for i in range(n)]
         win = Fraction(0)
         for a_idx in range(1 << n):
             a_bits = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
             target = (a_idx.bit_count() - a_bits[m]) & 1
             factors = []
             for i in range(n):
-                beh = strategy(n, m, i, a_bits[i])
-                factors.append(beh.ops[target] if i == m else beh.channel)
+                x_ops = ops[i][a_bits[i]]
+                factors.append(x_ops[target] if i == m else x_ops[0] + x_ops[1])
             win += contract(op, keys, factors)
         per_m.append(win / (1 << n))
     return per_m
@@ -107,6 +109,7 @@ def sampler_oracle(n: int, shots: int, seed: int, strategy=None) -> SampleResult
     loops = loop_decomposition(n)
     nloops = len(loops)
     rng = random.Random(seed)
+    lookups = {}  # a behavior's lookup is a pure function of its tables
     wins = losses = 0
     per_m_wins = [0] * n
     per_m_shots = [0] * n
@@ -117,7 +120,10 @@ def sampler_oracle(n: int, shots: int, seed: int, strategy=None) -> SampleResult
         loop = loops[rng.randrange(nloops)]
         tables = []
         for i in range(n):
-            lookup, scale = strategy(n, m, i, a_bits[i]).outcome_lookup()
+            beh = strategy(n, m, i, a_bits[i])
+            if beh not in lookups:
+                lookups[beh] = beh.outcome_lookup()
+            lookup, scale = lookups[beh]
             table = []
             for choices in lookup:
                 if len(choices) == 1:

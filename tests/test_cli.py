@@ -467,3 +467,19 @@ def test_validate_operator_without_terms_fails_validation(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["channel_norm"] is False
     assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("command", ("validate", "export"))
+def test_log2den_over_the_bound_is_usage_error(tmp_path, capsys, command):
+    # a common denominator would shift the first numerator by 4 * 10**10 bits
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"layout": ONE_BIT, "terms": [
+        {"mask": "0x0", "num": 1, "log2den": 0},
+        {"mask": "0x1", "num": 1, "log2den": 40_000_000_000}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: terms[1]: log2den must lie in 0..")

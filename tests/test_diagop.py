@@ -449,3 +449,45 @@ def test_dense_csv_malformed_row_raises_format_error(row):
     lines = ["index,numerator,log2_denominator", row]
     with pytest.raises(FormatError, match="^line 2: "):
         parse_dense_csv(lines)
+
+
+def test_parsers_refuse_log2den_over_the_bound():
+    bound = diagop.MAX_LOG2DEN
+    assert parse_dense_csv([f"0,3,{bound}"]) == [F(3, 1 << bound)]
+
+    def document(log2den):
+        # a shared denominator would shift the first numerator by log2den bits
+        return {"layout": [{"party": 0, "kind": "I", "width": 1}],
+                "terms": [{"mask": "0x0", "num": 1, "log2den": 0},
+                          {"mask": "0x1", "num": 1, "log2den": log2den}]}
+
+    assert operator_from_json(document(bound)).log2den == bound
+    start = time.perf_counter()
+    for log2den in (bound + 1, 40_000_000_000):
+        with pytest.raises(FormatError, match=f"^line 1: log2den must lie in 0..{bound}, "):
+            parse_dense_csv([f"0,1,{log2den}"])
+        with pytest.raises(FormatError, match=f"^terms\\[1\\]: log2den must lie in 0..{bound}, "):
+            operator_from_json(document(log2den))
+    assert time.perf_counter() - start < 1.0
+
+
+CSV_LOG2DENS = (st.integers(-3, 40) | st.integers(diagop.MAX_LOG2DEN - 2, diagop.MAX_LOG2DEN + 2)
+                | st.integers(10**9, 10**12))
+CSV_ROW = st.builds("{},{},{}".format, st.integers(-1, 4), st.integers(-10**6, 10**6),
+                    CSV_LOG2DENS)
+INDEXED_ROWS = st.lists(st.tuples(st.integers(-10**6, 10**6), CSV_LOG2DENS), max_size=5).map(
+    lambda rows: [f"{i},{num},{k}" for i, (num, k) in enumerate(rows)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=INDEXED_ROWS | st.lists(CSV_ROW | st.text(max_size=12), max_size=6),
+       header=st.booleans())
+def test_parse_dense_csv_returns_a_list_or_raises_format_error(rows, header):
+    lines = ["index,numerator,log2_denominator"] * header + rows
+    try:
+        values = parse_dense_csv(lines)
+    except FormatError:
+        return
+    data = [line for line in lines if line.strip() and not line.strip().startswith("index")]
+    assert isinstance(values, list) and len(values) == len(data)
+    assert all(isinstance(v, Fraction) for v in values)

@@ -6,7 +6,8 @@ from functools import lru_cache
 
 import pytest
 
-from acausal.diagop import DiagOperator, LayoutError, Wire, WireLayout, tensor
+from acausal import diagop, game
+from acausal.diagop import DiagOperator, LayoutError, Wire, WireLayout, tensor, to_dense
 from acausal.game import (
     GameRound,
     LocalBehavior,
@@ -129,6 +130,64 @@ def test_winning_behaviors_are_normalized(n):
         for i in range(n):
             for a in (0, 1):
                 assert winning_behavior(n, m, i, a).check()
+
+
+def lookup_from_ops(beh):
+    """Outcome lookup derived from the ``ops`` view through the rank-route
+    ``to_dense``: exact entries over their largest denominator."""
+    wo, wi = (w.width for w in beh.layout.wires)
+    dense = [to_dense(op) for op in beh.ops]
+    den = max(p.denominator for vec in dense for p in vec)
+    lookup = [
+        [(x, o, int(vec[(o << wi) | v] * den))
+         for x, vec in enumerate(dense) for o in range(1 << wo) if vec[(o << wi) | v]]
+        for v in range(1 << wi)
+    ]
+    return lookup, den.bit_length() - 1
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_outcome_lookup_equals_the_ops_view(n):
+    for m in range(n):
+        for i in range(n):
+            for a in (0, 1):
+                beh = winning_behavior(n, m, i, a)
+                assert beh.outcome_lookup() == lookup_from_ops(beh), (m, i, a)
+
+
+def test_behavior_constructor_reduces_and_refuses():
+    layout = WireLayout([Wire(0, "O"), Wire(0, "I")])
+    beh = LocalBehavior(0, layout, [[2, 0, 0, 2], [0, 2, 2, 0]], log2den=2)
+    assert (beh.tables, beh.log2den) == (((1, 0, 0, 1), (0, 1, 1, 0)), 1)
+    assert beh.check()
+    assert not LocalBehavior(0, layout, [[1, 0, 0, 0], [0, 0, 0, 0]]).check()
+    assert not LocalBehavior(0, layout, [[1, 1, 0, 0], [0, 0, 1, 1]]).check()
+    with pytest.raises(ValueError, match="one table per outcome"):
+        LocalBehavior(0, layout, [[1, 0, 0, 1]])
+    with pytest.raises(LayoutError, match="need 4 entries"):
+        LocalBehavior(0, layout, [[1, 0, 0], [0, 1, 1, 0]])
+    with pytest.raises(ValueError, match="log2den must be >= 0"):
+        LocalBehavior(0, layout, [[1, 0, 0, 1], [0, 1, 1, 0]], log2den=-1)
+    for entry in ((2, 0), (-1, 0), (0, 2), (0, -1)):
+        with pytest.raises(ValueError, match="^table entry 1 needs a bit x and a 1-bit o$"):
+            behavior_from_table(0, 1, 1, [(0, 0), entry])
+
+
+def test_game_builds_no_diag_operator(monkeypatch):
+    # every evaluator reads the integer tables; the ops view is never built
+    w = build_w(6)
+    winning_behavior.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the game built a DiagOperator")
+
+    monkeypatch.setattr(DiagOperator, "__init__", refuse)
+    monkeypatch.setattr(diagop, "_make", refuse)
+    monkeypatch.setattr(game, "from_dense", refuse)
+    assert success_probability_exact(9).p_succ == 1
+    assert sample_game(8, 200, 0).wins == 200
+    behaviors = [winning_behavior(6, 2, i, i & 1) for i in range(6)]
+    assert sum(outcome_distribution(w, behaviors).values()) == 1
 
 
 def test_winning_behavior_argument_errors():
@@ -286,8 +345,9 @@ def mixed_strategy(n, m, i, a_i):
     light = [(rng.getrandbits(1), rng.getrandbits(wo)) for _ in range(1 << wi)]
     heavy = [(x ^ 1, rng.getrandbits(wo)) for x, _ in light]
     b_light, b_heavy = (behavior_from_table(i, wo, wi, t) for t in (light, heavy))
-    ops = {x: b_light.ops[x] * F(1, 4) + b_heavy.ops[x] * F(3, 4) for x in (0, 1)}
-    return LocalBehavior(party=i, layout=b_light.layout, ops=ops)
+    tables = [[p + 3 * q for p, q in zip(tl, th)]
+              for tl, th in zip(b_light.tables, b_heavy.tables)]
+    return LocalBehavior(i, b_light.layout, tables, log2den=2)
 
 
 def test_constant_strategy_value_is_half():
@@ -381,8 +441,9 @@ def test_sampler_raises_on_first_shot_of_a_malformed_m():
         good = read_strategy(n, m, i, a_i)
         if (i, a_i) != (0, bad_bit):
             return good
-        ops = {0: good.ops[0] + good.ops[1] * 2, 1: good.ops[1] * -1}
-        return LocalBehavior(party=i, layout=good.layout, ops=ops)
+        t0, t1 = good.tables
+        tables = [[p + 2 * q for p, q in zip(t0, t1)], [-q for q in t1]]
+        return LocalBehavior(i, good.layout, tables, good.log2den)
 
     assert sampler_oracle(n, 1, seed, strategy).shots == 1
     with pytest.raises(ValueError, match="^behavior of party 0 has a negative weight"):
@@ -442,7 +503,7 @@ def test_outcome_distribution_rejects_behavior_on_wrong_wires():
     # party 3 of four reads the two-bit wide register
     behaviors = [winning_behavior(4, 0, i, 0) for i in range(3)]
     behaviors.append(behavior_from_table(3, 1, 1, [(0, 0), (0, 0)]))
-    with pytest.raises(LayoutError, match="party 3 operators must sit on"):
+    with pytest.raises(LayoutError, match="party 3 behavior must sit on"):
         outcome_distribution(build_w(4), behaviors)
 
 
