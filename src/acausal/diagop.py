@@ -405,14 +405,14 @@ def channel_apply(channel: DiagOperator, state: DiagOperator) -> DiagOperator:
     return partial_trace(multiply(channel, extended), cond)
 
 
-def term_keys(a: DiagOperator,
-              groups: Sequence[Sequence[str]]) -> list[tuple[int, tuple[int, ...]]]:
-    """Each term of ``a`` as its numerator and its mask restricted to every
-    wire group, the table :func:`contract` reads; the groups must partition
-    the layout's wires."""
+def term_keys(a: DiagOperator, groups: Sequence[Sequence[str]],
+              masks: Iterable[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """The terms of ``a`` with the given ``masks``, each as its numerator
+    and its mask restricted to every wire group: the table :func:`contract`
+    reads. The groups must partition the layout's wires."""
     return [
-        (v, tuple(mask_fields(a.layout, mask, group) for group in groups))
-        for mask, v in a.nums.items()
+        (a.nums[mask], tuple(mask_fields(a.layout, mask, group) for group in groups))
+        for mask in masks
     ]
 
 
@@ -420,9 +420,11 @@ def contract(a: DiagOperator, keys: Sequence[tuple[int, tuple[int, ...]]],
              factors: Sequence[DiagOperator]) -> Fraction:
     """``trace(a * (factors[0] (x) factors[1] (x) ...))``.
 
-    ``keys`` is ``term_keys(a, groups)`` and factor i lives on the wires of
-    group i, in that order. Monomials are orthogonal under the trace, so
-    each term of ``a`` pairs with exactly one term of every factor.
+    ``keys`` is ``term_keys(a, groups, a.nums)`` and factor i lives on the
+    wires of group i, in that order. Monomials are orthogonal under the
+    trace, so each term of ``a`` pairs with exactly one term of every
+    factor; keys may leave out terms whose pair is missing from some
+    factor.
     """
     dicts = [f.nums for f in factors]
     log2den = a.log2den + sum([f.log2den for f in factors])

@@ -57,7 +57,7 @@ def total_probability_oracle(op: DiagOperator, tables) -> Fraction:
 
 
 def _pairing_keys(op: DiagOperator, n: int):
-    return term_keys(op, [(f"O{i}", f"I{i}") for i in range(n)])
+    return term_keys(op, [(f"O{i}", f"I{i}") for i in range(n)], op.nums)
 
 
 def pairing_outcome_oracle(w, behaviors) -> dict[tuple[int, ...], Fraction]:
@@ -273,6 +273,25 @@ def random_operator(rng: random.Random, max_width: int = 12,
     for _ in range(rng.randint(0, max_terms)):
         mask = rng.randrange(1 << layout.width)
         terms[mask] = Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 4))
+    return DiagOperator(layout, terms)
+
+
+def random_party_operator(rng: random.Random, max_table_bits: int = 10,
+                          max_terms: int = 12) -> DiagOperator:
+    """A random operator on 1 to 3 parties with 1- or 2-bit wires in
+    shuffled order, whose tuples of local deterministic tables number at
+    most ``2**max_table_bits``."""
+    while True:
+        parties = rng.randint(1, 3)
+        widths = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(parties)]
+        if sum(wo << wi for wo, wi in widths) <= max_table_bits:
+            break
+    wires = [w for p, (wo, wi) in enumerate(widths)
+             for w in (Wire(p, "O", wo), Wire(p, "I", wi))]
+    rng.shuffle(wires)
+    layout = WireLayout(wires)
+    terms = {rng.randrange(1 << layout.width): Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 4))
+             for _ in range(rng.randint(1, max_terms))}
     return DiagOperator(layout, terms)
 
 

@@ -446,7 +446,11 @@ def wire(party, kind, width):
     {"layout": [wire(0, "I", 20), wire(0, "O", 20)],
      "terms": [{"mask": hex(m), "num": 1, "log2den": 22}
                for m in (0, 1 << 39, 1 << 25, 1 << 3)]},
-], ids=["two-party-5-bit-input", "one-party-20-bit-wires"])
+    # Six parties with 2-bit wires, 2^10 terms on the outputs alone (rank
+    # 10), all surviving: 1000 drawn tuples times 2^10 contracted terms.
+    {"layout": [wire(k, kind, 2) for kind in "IO" for k in range(6)],
+     "terms": [{"mask": hex(m), "num": 1, "log2den": 24} for m in range(1 << 10)]},
+], ids=["two-party-5-bit-input", "one-party-20-bit-wires", "six-party-2-bit-survivors"])
 def test_validate_refuses_work_over_the_budget(tmp_path, capsys, document):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(document))

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -9,16 +10,20 @@ from acausal.diagop import (
     LayoutError,
     Wire,
     WireLayout,
+    contract,
     gf2_echelon,
     identity,
     is_nonnegative,
     partial_trace,
+    term_keys,
     to_dense,
     trace,
 )
 from acausal.process import (
     UnsupportedPartyCount,
+    _det_channel,
     _gf2_kernel,
+    _term_pass,
     build_w,
     conditional_distribution,
     game_layout,
@@ -34,6 +39,7 @@ from conftest import (
     group_oracle,
     mask_from_fields,
     odd_term_fields,
+    random_party_operator,
     total_probability_oracle,
 )
 
@@ -329,6 +335,108 @@ def test_validate_refuses_work_over_the_budget():
     independent = dict.fromkeys([0] + [1 << k for k in range(20)], 1)
     with pytest.raises(ValueError, match=r"2\^20 nonnegativity entries"):
         validate_process(DiagOperator(two_bit, independent))
+
+
+def test_validate_refuses_contracted_terms_over_the_budget():
+    # Six parties, 2-bit wires: 1000 drawn tuples times 2^10 surviving
+    # terms (masks on the outputs alone, rank 10).
+    two_bit = WireLayout([Wire(k, kind, 2) for kind in "IO" for k in range(6)])
+    outputs = dict.fromkeys(range(1 << 10), F(1, 1 << 24))
+    with pytest.raises(ValueError, match=r"2\^19 contracted terms"):
+        validate_process(DiagOperator(two_bit, outputs))
+    # The earlier refusals keep their order: rank 20 names nonnegativity.
+    inputs = dict.fromkeys([1 << (12 + k) for k in range(10)], F(1, 1 << 24))
+    with pytest.raises(ValueError, match=r"2\^20 nonnegativity entries"):
+        validate_process(DiagOperator(two_bit, outputs | inputs))
+
+
+def _signaling_scan(op, parties):
+    """The signaling matrix by one scan over the terms per ordered pair."""
+    i_fields = [op.layout.field_mask(f"I{p}") for p in parties]
+    o_fields = [op.layout.field_mask(f"O{p}") for p in parties]
+    return tuple(
+        tuple(any(m & o_fields[j] and m & i_fields[i] for m in op.nums) for i in parties)
+        for j in parties
+    )
+
+
+def _receives_without_sending(op, mask, parties):
+    return any(mask & op.layout.field_mask(f"I{p}")
+               and not mask & op.layout.field_mask(f"O{p}") for p in parties)
+
+
+def test_term_pass_matches_pairwise_scan():
+    rng = random.Random(41)
+    operators = [random_party_operator(rng) for _ in range(200)]
+    operators += [build_w(n).operator for n in range(3, 9)] + [naive_even_w(4)]
+    for op in operators:
+        parties = list(range(len(op.layout.wires) // 2))
+        survivors, signaling = _term_pass(op, parties)
+        assert signaling == _signaling_scan(op, parties)
+        assert survivors == [m for m in op.nums
+                             if not _receives_without_sending(op, m, parties)]
+
+
+def test_pruned_contraction_equals_full_on_every_table_tuple():
+    rng = random.Random(42)
+    pruned_away = tuples = 0
+    for _ in range(60):
+        op = random_party_operator(rng)
+        parties = list(range(len(op.layout.wires) // 2))
+        survivors, _ = _term_pass(op, parties)
+        pruned_away += len(op.nums) - len(survivors)
+        groups = [(f"O{p}", f"I{p}") for p in parties]
+        full, pruned = term_keys(op, groups, op.nums), term_keys(op, groups, survivors)
+        wires = {w.name: w for w in op.layout.wires}
+        channels = []
+        for o, i in groups:
+            lay = WireLayout([wires[o], wires[i]])
+            wo, wi = wires[o].width, wires[i].width
+            channels.append([_det_channel(lay, t)
+                             for t in itertools.product(range(1 << wo), repeat=1 << wi)])
+        for combo in itertools.product(*channels):
+            tuples += 1
+            assert contract(op, pruned, combo) == contract(op, full, combo)
+    assert pruned_away and tuples > 4000
+
+
+def test_exhaustive_bilinear_counts_match_oracle_on_random_operators():
+    rng = random.Random(43)
+    for _ in range(25):
+        op = random_party_operator(rng, max_table_bits=6, max_terms=6)
+        parties = range(len(op.layout.wires) // 2)
+        per_party = [
+            list(itertools.product(range(1 << op.layout.field(f"O{p}")[1]),
+                                   repeat=1 << op.layout.field(f"I{p}")[1]))
+            for p in parties
+        ]
+        totals = [total_probability_oracle(op, tables)
+                  for tables in itertools.product(*per_party)]
+        report = validate_process(op)
+        assert report.bilinear.checked == len(totals)
+        assert report.bilinear.failed == sum(t != 1 for t in totals)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_build_w_keeps_only_the_identity_term(n):
+    assert _term_pass(build_w(n).operator, list(range(n)))[0] == [0]
+
+
+@pytest.mark.parametrize("n", range(4, 13, 2))
+def test_naive_even_w_keeps_identity_and_all_sigma_z(n):
+    op = naive_even_w(n)
+    full = (1 << op.layout.width) - 1
+    assert sorted(_term_pass(op, list(range(n)))[0]) == [0, full]
+
+
+def test_validate_passes_build_w_where_sampling_took_seconds():
+    # Contracting every term took 0.7 s at n = 13 and doubled with n.
+    start = time.perf_counter()
+    for n in range(13, 17):
+        report = validate_process(build_w(n))
+        assert report.passed, report.failures()
+        assert (report.bilinear.checked, report.bilinear.failed) == (1000, 0)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_gf2_elimination_equals_brute_force():
