@@ -24,7 +24,6 @@ from .diagop import (
     operator_to_json,
     partial_trace,
     point_mass,
-    tensor,
     to_dense,
     trace,
 )

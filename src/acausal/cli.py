@@ -3,9 +3,10 @@
 Subcommands build, validate and export process matrices, play and sample
 the parity game, and report causal bounds. Numeric output is exact by
 default (dyadic or plain fractions); ``--float`` switches the text
-renderings to 17-significant-digit floats, and ``--json`` selects the
-machine-readable schemas. Exit codes: 0 success, 1 validation failure,
-2 usage error.
+renderings of ``build-w``, ``play`` and ``causal-bound``, the commands
+that print rationals as text, to 17-significant-digit floats, and
+``--json`` selects the machine-readable schemas. Exit codes: 0 success,
+1 validation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -224,21 +225,21 @@ def _cmd_causal_bound(args) -> int:
 def _cmd_export(args) -> int:
     with open(args.file) as handle:
         op = operator_from_json(json.load(handle))
-    text = _render_operator(op, args.format, as_json=True, as_float=args.float)
+    text = _render_operator(op, args.format, as_json=True, as_float=False)
     _emit(text, args.out)
     return 0
 
 
-def _add_common(parser, n=False, out=True):
+def _add_common(parser, n=False, rationals=False):
     if n:
         parser.add_argument("--n", type=int, required=True, help="party count")
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable JSON schema")
-    parser.add_argument("--float", action="store_true",
-                        help="render text numerics as floats (17 digits)")
-    if out:
-        parser.add_argument("--out", metavar="PATH",
-                            help="write output atomically to PATH")
+    if rationals:
+        parser.add_argument("--float", action="store_true",
+                            help="render text numerics as floats (17 digits)")
+    parser.add_argument("--out", metavar="PATH",
+                        help="write output atomically to PATH")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-w", help="construct the n-party process matrix")
-    _add_common(p, n=True)
+    _add_common(p, n=True, rationals=True)
     p.add_argument("--format", choices=("monomials", "dense"),
                    default="monomials")
     p.set_defaults(func=_cmd_build_w)
@@ -263,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("play", help="exact game evaluation")
-    _add_common(p, n=True)
+    _add_common(p, n=True, rationals=True)
     p.add_argument("--m", type=int, help="referee value")
     p.add_argument("--inputs", help="comma-separated input bits")
     p.set_defaults(func=_cmd_play)
@@ -275,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("causal-bound", help="causal-order value and bound")
-    _add_common(p, n=True)
+    _add_common(p, n=True, rationals=True)
     p.add_argument("--brute-force", action="store_true",
                    help="exact optimum over all protocols")
     p.set_defaults(func=_cmd_causal_bound)

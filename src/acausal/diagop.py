@@ -26,6 +26,14 @@ whose masks span rank r has only ``2**r`` distinct dense entries. That is
 the one route from parity form to dense entries; only the inverse,
 :func:`from_dense`, transforms the ``2**width`` entries it is given.
 
+The algebra is what the package uses: entrywise products, (partial)
+traces and :func:`channel_apply`, which feeds a state to a channel. A
+deterministic local channel ``o = t[v]`` on wires ``(O, I)`` is never
+built here: its coefficient at the mask ``(s_O, s_I)`` is the character
+sum ``sum_v (-1)^(s_O.t[v] + s_I.v)`` over ``2**(wo + wi)``, which
+``process`` values on the integer table in O(2^wi) per mask, instead of a
+Walsh transform of ``2**(wo + wi)`` entries.
+
 Bit ordering convention: the first wire declared in a layout occupies the
 most significant bits of the global basis index, and within a multi-bit
 wire the first bit is the most significant. Conditional distributions
@@ -53,14 +61,10 @@ __all__ = [
     "identity",
     "mask_fields",
     "point_mass",
-    "tensor",
     "multiply",
     "trace",
     "partial_trace",
-    "reorder",
     "channel_apply",
-    "term_keys",
-    "contract",
     "to_dense",
     "from_dense",
     "is_nonnegative",
@@ -164,12 +168,6 @@ class WireLayout:
     def unpack(self, index: int) -> tuple[int, ...]:
         """Per-wire values of a global basis index, in layout order."""
         return tuple(self.extract(index, w.name) for w in self.wires)
-
-    def concat(self, other: "WireLayout") -> "WireLayout":
-        clash = set(self.names) & set(other.names)
-        if clash:
-            raise LayoutError(f"wire-name collision: {sorted(clash)}")
-        return WireLayout(self.wires + other.wires)
 
     def restrict(self, names: Iterable[str]) -> "WireLayout":
         keep = set(names)
@@ -321,18 +319,6 @@ def point_mass(layout: WireLayout, index: int) -> DiagOperator:
     return from_dense(layout, vec)
 
 
-def tensor(a: DiagOperator, b: DiagOperator) -> DiagOperator:
-    """Tensor product; layouts concatenate, masks concatenate, coefficients
-    multiply."""
-    layout = a.layout.concat(b.layout)
-    shift = b.layout.width
-    nums = {}
-    for ma, va in a.nums.items():
-        for mb, vb in b.nums.items():
-            nums[(ma << shift) | mb] = va * vb
-    return _make(layout, nums, a.log2den + b.log2den)
-
-
 def multiply(a: DiagOperator, b: DiagOperator) -> DiagOperator:
     """Entrywise (matrix) product of two operators on the same layout.
 
@@ -376,69 +362,27 @@ def partial_trace(a: DiagOperator, wires: Iterable[str]) -> DiagOperator:
     return _make(out_layout, nums, a.log2den - traced_width)
 
 
-def reorder(a: DiagOperator, layout: WireLayout) -> DiagOperator:
-    """The same operator expressed on a permutation of its wires."""
-    if set(layout.names) != set(a.layout.names):
-        raise LayoutError("reorder target must carry exactly the same wires")
-    for w in layout.wires:
-        if a.layout.field(w.name)[1] != w.width:
-            raise LayoutError(f"wire {w.name} changes width in reorder")
-    names = layout.names
-    nums = {mask_fields(a.layout, mask, names): v for mask, v in a.nums.items()}
-    return _make(layout, nums, a.log2den)
-
-
 def channel_apply(channel: DiagOperator, state: DiagOperator) -> DiagOperator:
     """Feed a state into the conditioning wires of a channel.
 
     ``channel`` is a conditional distribution whose layout contains all of
-    the state's wires; the result is ``Tr_cond(channel * (1_out (x) state))``
-    over the remaining (output) wires.
+    the state's wires, at the same widths; the result is
+    ``Tr_cond(channel * (1_out (x) state))`` over the remaining (output)
+    wires. ``1_out (x) state`` has the state's coefficients, each mask
+    moved wire by wire onto the channel's layout.
     """
-    cond = set(state.layout.names)
-    missing = cond - set(channel.layout.names)
-    if missing:
-        raise LayoutError(f"channel lacks state wires {sorted(missing)}")
-    out_names = [w.name for w in channel.layout.wires if w.name not in cond]
-    extended = tensor(identity(channel.layout.restrict(out_names)), state)
-    extended = reorder(extended, channel.layout)
-    return partial_trace(multiply(channel, extended), cond)
-
-
-def term_keys(a: DiagOperator, groups: Sequence[Sequence[str]],
-              masks: Iterable[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """The terms of ``a`` with the given ``masks``, each as its numerator
-    and its mask restricted to every wire group: the table :func:`contract`
-    reads. The groups must partition the layout's wires."""
-    return [
-        (a.nums[mask], tuple(mask_fields(a.layout, mask, group) for group in groups))
-        for mask in masks
-    ]
-
-
-def contract(a: DiagOperator, keys: Sequence[tuple[int, tuple[int, ...]]],
-             factors: Sequence[DiagOperator]) -> Fraction:
-    """``trace(a * (factors[0] (x) factors[1] (x) ...))``.
-
-    ``keys`` is ``term_keys(a, groups, a.nums)`` and factor i lives on the
-    wires of group i, in that order. Monomials are orthogonal under the
-    trace, so each term of ``a`` pairs with exactly one term of every
-    factor; keys may leave out terms whose pair is missing from some
-    factor.
-    """
-    dicts = [f.nums for f in factors]
-    log2den = a.log2den + sum([f.log2den for f in factors])
-    acc = 0
-    for num, masks in keys:
-        prod = num
-        for d, key in zip(dicts, masks):
-            v = d.get(key)
-            if not v:
-                prod = 0
-                break
-            prod *= v
-        acc += prod
-    return Fraction(acc << a.layout.width, 1 << log2den)
+    layout = channel.layout
+    moves = []  # (shift in the state, field mask, shift in the channel)
+    for w in state.layout.wires:
+        shift, width = layout.field(w.name)  # LayoutError if the channel lacks it
+        if width != w.width:
+            raise LayoutError(f"wire {w.name} has width {w.width} in the state, "
+                              f"{width} in the channel")
+        moves.append((state.layout.field(w.name)[0], (1 << width) - 1, shift))
+    nums = {sum(((m >> src) & field) << dst for src, field, dst in moves): v
+            for m, v in state.nums.items()}
+    return partial_trace(multiply(channel, _make(layout, nums, state.log2den)),
+                         state.layout.names)
 
 
 def _wht(vec: list[int]) -> None:
@@ -499,17 +443,26 @@ def from_dense(layout: WireLayout, values: Sequence[Fraction | int]) -> DiagOper
 
 
 def gf2_echelon(vectors: Iterable[int]) -> dict[int, int]:
-    """Echelon basis of the GF(2) span of bit vectors: each row keyed by its
-    pivot, its highest set bit, which no other row shares. The number of
-    rows is the rank."""
+    """Reduced echelon basis of the GF(2) span of bit vectors: each row
+    keyed by its pivot, its highest set bit, and every pivot set in its own
+    row only. The number of rows is the rank."""
     rows: dict[int, int] = {}
     for v in vectors:
         while v:
             p = v.bit_length() - 1
             if p not in rows:
-                rows[p] = v
                 break
             v ^= rows[p]
+        if v:
+            # v is new: clear the lower pivots from it, then its pivot p
+            # from the rows above.
+            for q, r in rows.items():
+                if v >> q & 1:
+                    v ^= r
+            for q, r in list(rows.items()):
+                if r >> p & 1:
+                    rows[q] = r ^ v
+            rows[p] = v
     return rows
 
 
@@ -521,7 +474,7 @@ def _rank_transform(a: DiagOperator) -> tuple[list[int], list[int]]:
     such functional occurs. The bits at the pivots of :func:`gf2_echelon`
     map that span linearly and bijectively onto GF(2)**rank, so ``vals``,
     the Walsh transform of the coefficients in those coordinates, lists
-    every dense entry, as numerators over ``2**a.log2den``. With the rows
+    every dense entry, as numerators over ``2**a.log2den``. The rows being
     reduced, row j is the span element at the j-th unit vector, and the
     entry at ``x`` is ``vals[y]`` with ``y_j = parity(row_j & x)``: the XOR
     of ``cols[b]``, the coordinates whose rows hold layout bit b, over the
@@ -529,12 +482,6 @@ def _rank_transform(a: DiagOperator) -> tuple[list[int], list[int]]:
     """
     rows = gf2_echelon(a.nums)
     pivots = sorted(rows)
-    for j, p in enumerate(pivots):
-        row = rows[p]
-        for q in pivots[:j]:
-            if row >> q & 1:
-                row ^= rows[q]
-        rows[p] = row
     vals = [0] * (1 << len(pivots))
     for mask, v in a.nums.items():
         vals[sum(((mask >> p) & 1) << j for j, p in enumerate(pivots))] = v
@@ -611,12 +558,13 @@ def operator_to_json(a: DiagOperator) -> dict:
 
 
 def operator_from_json(obj) -> DiagOperator:
-    """Operator from its JSON form; a document that breaks the schema raises
-    :class:`FormatError`."""
+    """Operator from its JSON form; a document that breaks the schema, or
+    lists one mask twice, raises :class:`FormatError`."""
     wires = _field(obj, "layout", "operator", list)
     terms = _field(obj, "terms", "operator", list)
     layout = WireLayout(_wire_from_json(w, f"layout[{i}]") for i, w in enumerate(wires))
     parsed = {}
+    index = {}  # mask -> the term that gave it
     for i, t in enumerate(terms):
         where = f"terms[{i}]"
         text = _field(t, "mask", where, str)
@@ -624,6 +572,9 @@ def operator_from_json(obj) -> DiagOperator:
             mask = int(text, 16)
         except ValueError:
             raise FormatError(f"{where}: mask {text!r} is not a hex string") from None
+        if mask in index:
+            raise FormatError(f"{where}: mask {text!r} repeats the mask of terms[{index[mask]}]")
+        index[mask] = i
         num = _field(t, "num", where, int)
         log2den = _parsed_log2den(_field(t, "log2den", where, int), where)
         if num and (mask < 0 or mask.bit_length() > layout.width):

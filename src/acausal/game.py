@@ -19,15 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .diagop import (
-    DiagOperator,
-    LayoutError,
-    Wire,
-    WireLayout,
-    _spare_twos,
-    dyadic_json,
-    from_dense,
-)
+from .diagop import LayoutError, Wire, WireLayout, _spare_twos, dyadic_json
 from .process import (
     ProcessMatrix,
     UnsupportedPartyCount,
@@ -106,13 +98,6 @@ class LocalBehavior:
         self.layout = layout
         self.tables = tables
         self.log2den = log2den - shift
-
-    @property
-    def ops(self) -> tuple[DiagOperator, DiagOperator]:
-        """The two tables as diagonal operators over ``(O_i, I_i)``, built
-        on each access."""
-        den = 1 << self.log2den
-        return tuple(from_dense(self.layout, [Fraction(v, den) for v in t]) for t in self.tables)
 
     def check(self) -> bool:
         """Normalization: for every input value the table sums to one over

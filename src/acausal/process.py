@@ -15,6 +15,7 @@ a two-bit output and the last party a two-bit input.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,14 +28,13 @@ from .diagop import (
     Wire,
     WireLayout,
     channel_apply,
-    contract,
     from_dense,
     gf2_echelon,
     identity,
     is_nonnegative,
+    mask_fields,
     partial_trace,
     point_mass,
-    term_keys,
     to_dense,
 )
 
@@ -250,15 +250,6 @@ def _party_partition(layout: WireLayout) -> list[int]:
     return parties
 
 
-def _det_channel(layout: WireLayout, table: Sequence[int]) -> DiagOperator:
-    """The deterministic channel ``o = table[i]`` on a layout ``(O, I)``."""
-    wi = layout.wires[1].width
-    dense = [0] * (1 << layout.width)
-    for v, o in enumerate(table):
-        dense[(o << wi) | v] = 1
-    return from_dense(layout, dense)
-
-
 # The bilinear check enumerates every tuple of deterministic local channels
 # up to this many parties, and draws this many seeded tuples beyond.
 EXHAUSTIVE_LIMIT = 5
@@ -313,9 +304,9 @@ def _term_pass(op: DiagOperator, parties: list[int]) -> tuple[list[int], tuple]:
     A party sends in a term whose mask touches its output and receives in
     one whose mask touches its input. A term survives when no party
     receives without sending. Every other term has a party p that only
-    receives, and under any deterministic channel ``o = f(i)`` of p it
-    pairs with the coefficient ``sum_i (-1)^(m_I . i) = 0``, so it adds
-    nothing to any bilinear contraction. Row j, column i of the matrix
+    receives, and under any deterministic table ``o = t[v]`` of p it pairs
+    with the character ``sum_v (-1)^(s_I . v) = 0``, so it adds nothing to
+    any tuple's total probability. Row j, column i of the matrix
     says whether some term has party j sending and party i receiving.
     """
     layout = op.layout
@@ -361,14 +352,16 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
       whether some term links ``O_j`` to ``I_i``.
 
     ``bilinear_norm`` and ``term_structure`` rest on one lemma (Oreshkov,
-    Costa & Brukner 2012; Baumeler & Wolf 2016): a term in which some party
-    receives without sending pairs with nothing under any tuple of
-    deterministic channels. One pass over the terms keeps the others, the
-    survivors, and builds ``signaling`` (see :func:`_term_pass`).
-    ``term_structure`` says no non-identity term survives, and each
-    bilinear tuple is valued exactly from the survivors alone. For t
-    terms, n parties and s survivors these cost O(t·n + tuples·s·n); a
-    valid process has s = 1.
+    Costa & Brukner 2012; Baumeler & Wolf 2016): under deterministic
+    tables ``o = t_p[v]`` a term s of W counts with the product of the
+    characters ``chi_p(s) = sum_v (-1)^(s_O . t_p[v] + s_I . v)``, and
+    ``chi_p(s)`` is 0 when party p receives without sending. One pass over
+    the terms keeps the others, the survivors, and builds ``signaling``
+    (see :func:`_term_pass`). ``term_structure`` says no non-identity term
+    survives, and each tuple is valued exactly in integers from the
+    survivors alone. For t terms, n parties, s survivors and k distinct
+    tables these cost O(t·n + k·s·2^wi + tuples·s·n); a valid process has
+    s = 1.
 
     Raises ``ValueError`` before any check when the bilinear check, its
     contractions or the nonnegativity transform would exceed the work
@@ -400,40 +393,58 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
     )
 
 
-def _bilinear_check(op, parties, seed, survivors):
-    """Count the tuples of deterministic local channels, exhaustive or
-    drawn with ``seed``, whose total outcome probability is not 1.
+def _tuple_value(op: DiagOperator, parties: list[int], masks: Iterable[int]):
+    """``value(tables)``: the numerator, over ``2**op.log2den``, of
+    ``sum_s nums[s] * prod_p chi_p(s)`` on the terms ``masks`` of ``op``,
+    with each party's characters cached per table (see
+    :func:`_bilinear_check`)."""
+    masks = list(masks)
+    nums = [op.nums[m] for m in masks]
+    wires = [(f"O{p}", f"I{p}") for p in parties]
+    local = [[mask_fields(op.layout, m, group) for m in masks] for group in wires]
+    widths = [op.layout.field(i)[1] for _, i in wires]
 
-    Each tuple is valued exactly by contracting only the ``survivors``
-    (see :func:`_term_pass`), since every other term pairs with zero:
-    O(s·n) per tuple for s survivors instead of O(terms·n).
+    @lru_cache(maxsize=None)
+    def characters(p: int, table: tuple[int, ...]) -> list[int]:
+        entries = [(o << widths[p]) | v for v, o in enumerate(table)]
+        return [sum(-1 if (s & e).bit_count() & 1 else 1 for e in entries) for s in local[p]]
+
+    def value(tables: Sequence[tuple[int, ...]]) -> int:
+        chis = [characters(p, t) for p, t in enumerate(tables)]
+        return sum(map(math.prod, zip(nums, *chis)))
+    return value
+
+
+def _bilinear_check(op, parties, seed, survivors):
+    """Count the tuples of deterministic local tables, exhaustive or drawn
+    with ``seed``, whose total outcome probability is not 1.
+
+    Party p's table ``o = t[v]`` is the channel on ``(O_p, I_p)`` whose
+    coefficient at the local mask s is the character sum
+    ``chi_p(s) = sum_v (-1)^(s_O . t[v] + s_I . v)`` over ``2**(wo + wi)``.
+    Monomials are orthogonal under the trace and the parties' widths add
+    up to the layout's, so a tuple's total probability is
+    ``sum_s nums[s] * prod_p chi_p(s)`` over ``2**op.log2den``, in
+    integers (:func:`_tuple_value`). Only the ``survivors`` enter (see
+    :func:`_term_pass`): every other term has a party whose character is
+    0. Each party's characters cost O(s·2^wi) once per distinct table, and
+    a tuple then O(s·n), for s survivors.
     """
-    wires = {w.name: w for w in op.layout.wires}
-    groups = [(f"O{p}", f"I{p}") for p in parties]
-    layouts = [WireLayout([wires[o], wires[i]]) for o, i in groups]
-    widths = [(lay.wires[0].width, lay.wires[1].width) for lay in layouts]
-    keys = term_keys(op, groups, survivors)
-    channel = lru_cache(maxsize=None)(lambda p, table: _det_channel(layouts[p], table))
+    widths = [(op.layout.field(f"O{p}")[1], op.layout.field(f"I{p}")[1]) for p in parties]
+    value = _tuple_value(op, parties, survivors)
     if len(parties) <= EXHAUSTIVE_LIMIT:
         combos = itertools.product(*(
-            [channel(p, t) for t in itertools.product(range(1 << wo), repeat=1 << wi)]
-            for p, (wo, wi) in enumerate(widths)
+            itertools.product(range(1 << wo), repeat=1 << wi) for wo, wi in widths
         ))
     else:
         rng = random.Random(seed)
         combos = (
-            [
-                channel(p, tuple(rng.randrange(1 << wo) for _ in range(1 << wi)))
-                for p, (wo, wi) in enumerate(widths)
-            ]
+            [tuple(rng.randrange(1 << wo) for _ in range(1 << wi)) for wo, wi in widths]
             for _ in range(SAMPLE_COUNT)
         )
-    checked = failed = 0
-    for combo in combos:
-        checked += 1
-        if contract(op, keys, combo) != 1:
-            failed += 1
-    return BilinearCheck(checked=checked, failed=failed)
+    values = [value(tables) for tables in combos]
+    one = 1 << op.log2den
+    return BilinearCheck(checked=len(values), failed=sum(v != one for v in values))
 
 
 def conditional_distribution(
@@ -496,10 +507,6 @@ class LoopChannel:
 def _gf2_kernel(vectors: Iterable[int], width: int) -> list[int]:
     """All d with even-parity overlap against every vector, as bit masks."""
     rows = gf2_echelon(vectors)
-    for p in sorted(rows, reverse=True):
-        for q in rows:
-            if q != p and (rows[q] >> p) & 1:
-                rows[q] ^= rows[p]
     free = [b for b in range(width) if b not in rows]
     basis = []
     for f in free:

@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's fast paths: dense entries are
 summed term by term with the sign rule instead of the parity transform, and
 total probabilities are accumulated over explicit joint assignments. The
 pairing oracles contract every term of W with one term of each party's
-operator, independently of the loop mixture the game evaluators run on.
+operator (its table put through ``from_dense``), independently of the loop
+mixture the game evaluators run on and of the character sums the
+bilinear check values tables with.
 The causal enumeration oracle values a protocol shell by walking every
 (m, inputs) row, independently of the closed form ``causal._evaluate``
 uses. The protocol enumeration lists every first party and order rule at
@@ -24,7 +26,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from acausal.causal import _evaluate
-from acausal.diagop import DiagOperator, Wire, WireLayout, contract, term_keys
+from acausal.diagop import DiagOperator, Wire, WireLayout, from_dense, mask_fields
 from acausal.game import RNG_NAME, SampleResult, _check_game_size, winning_behavior
 from acausal.process import build_w, loop_decomposition
 
@@ -40,24 +42,49 @@ def dense_oracle(op: DiagOperator) -> list[Fraction]:
     return out
 
 
-def total_probability_oracle(op: DiagOperator, tables) -> Fraction:
+def total_probability_oracle(op: DiagOperator, tables, dense=None) -> Fraction:
     """Total outcome probability of deterministic channels fed through a
-    process operator, summed over all explicit joint assignments."""
+    process operator: its dense entries (``dense``, or the sign-rule
+    oracle's) summed over every joint assignment of the inputs, each
+    party's output set by its table."""
     layout = op.layout
+    dense = dense_oracle(op) if dense is None else dense
+    inputs = [f"I{p}" for p in range(len(tables))]
     total = Fraction(0)
-    for b, value in enumerate(dense_oracle(op)):
-        if not value:
-            continue
-        if all(
-            table[layout.extract(b, f"I{p}")] == layout.extract(b, f"O{p}")
-            for p, table in enumerate(tables)
-        ):
-            total += value
+    for values in itertools.product(*(range(1 << layout.field(i)[1]) for i in inputs)):
+        assignment = dict(zip(inputs, values))
+        assignment.update((f"O{p}", t[v]) for p, (t, v) in enumerate(zip(tables, values)))
+        total += dense[layout.pack(assignment)]
     return total
 
 
-def _pairing_keys(op: DiagOperator, n: int):
-    return term_keys(op, [(f"O{i}", f"I{i}") for i in range(n)], op.nums)
+def behavior_ops(beh) -> tuple[DiagOperator, DiagOperator]:
+    """A local behavior's two tables as diagonal operators over its wires
+    ``(O_i, I_i)``."""
+    den = 1 << beh.log2den
+    return tuple(from_dense(beh.layout, [Fraction(v, den) for v in t]) for t in beh.tables)
+
+
+def contract(op: DiagOperator, keys, factors) -> Fraction:
+    """``trace(op * (factors[0] (x) factors[1] (x) ...))``, factor i on the
+    wires of party i of ``keys`` (see :func:`_pairing_keys`). Monomials are orthogonal under the trace,
+    so each term of ``op`` pairs with one term of every factor; a term
+    missing from some factor pairs with zero."""
+    log2den = op.log2den + sum(f.log2den for f in factors)
+    total = 0
+    for num, local in keys:
+        for factor, key in zip(factors, local):
+            num *= factor.nums.get(key, 0)
+        total += num
+    return Fraction(total << op.layout.width, 1 << log2den)
+
+
+def _pairing_keys(op: DiagOperator, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Each term of ``op`` as its numerator and its mask restricted to
+    every party's wires ``(O_i, I_i)``: the keys :func:`contract` reads."""
+    groups = [(f"O{i}", f"I{i}") for i in range(n)]
+    return [(num, tuple(mask_fields(op.layout, mask, g) for g in groups))
+            for mask, num in op.nums.items()]
 
 
 def pairing_outcome_oracle(w, behaviors) -> dict[tuple[int, ...], Fraction]:
@@ -68,7 +95,7 @@ def pairing_outcome_oracle(w, behaviors) -> dict[tuple[int, ...], Fraction]:
     dist = {}
     for packed in range(1 << n):
         xs = tuple((packed >> (n - 1 - i)) & 1 for i in range(n))
-        factors = [behaviors[i].ops[xs[i]] for i in range(n)]
+        factors = [behavior_ops(behaviors[i])[xs[i]] for i in range(n)]
         dist[xs] = contract(w.operator, keys, factors)
     return dist
 
@@ -82,7 +109,7 @@ def pairing_success_oracle(n: int, strategy) -> list[Fraction]:
     per_m = []
     for m in range(n):
         # ops[i][a]: party i's operators for input bit a, built once per m
-        ops = [[strategy(n, m, i, a).ops for a in (0, 1)] for i in range(n)]
+        ops = [[behavior_ops(strategy(n, m, i, a)) for a in (0, 1)] for i in range(n)]
         win = Fraction(0)
         for a_idx in range(1 << n):
             a_bits = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]

@@ -290,7 +290,8 @@ BAD_JSON = st.sampled_from(("", "{", '{"layout": [', "not json", "[1, 2"))
 def operator_files(draw):
     """An operator file's text, whether it is well formed, and whether its
     layout is wider than the dense cap: a circular process or a small
-    random operator, broken by at most one defect or widened."""
+    random operator with distinct masks, broken by at most one defect or
+    widened."""
     if draw(st.booleans()):
         doc = operator_to_json(build_w(draw(st.integers(3, 5))).operator)
         wires, terms = doc["layout"], doc["terms"]
@@ -299,11 +300,13 @@ def operator_files(draw):
         parties = draw(st.integers(1, 3))
         wires = [wire(p, k, draw(st.integers(1, 2))) for p in range(parties) for k in "IO"]
         width = sum(w["width"] for w in wires)
-        terms = [{"mask": hex(draw(st.integers(0, (1 << width) - 1))),
-                  "num": draw(st.integers(-4, 4)), "log2den": draw(st.integers(0, 6))}
-                 for _ in range(draw(st.integers(1, 5)))]
+        masks = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1,
+                              max_size=min(5, 1 << width), unique=True))
+        terms = [{"mask": hex(mask), "num": draw(st.integers(-4, 4)),
+                  "log2den": draw(st.integers(0, 6))} for mask in masks]
         doc = {"layout": wires, "terms": terms}
-    defect = draw(st.none() | st.sampled_from(("json", "type", "mask", "log2den", "wide")))
+    defect = draw(st.none() | st.sampled_from(("json", "type", "mask", "log2den", "wide",
+                                               "duplicate")))
     term = draw(st.sampled_from(terms))
     if defect == "json":
         return draw(BAD_JSON), False, False
@@ -314,6 +317,11 @@ def operator_files(draw):
         term.update(mask=hex((1 << width) << draw(st.integers(0, 3))), num=1)
     elif defect == "log2den":
         term["log2den"] = draw(st.integers(-5, -1))
+    elif defect == "duplicate":
+        # the same mask again, written with leading zeros
+        digits = len(format(int(term["mask"], 16), "x")) + draw(st.integers(1, 3))
+        repeat = {**term, "mask": f"0x{int(term['mask'], 16):0{digits}x}"}
+        terms.insert(draw(st.integers(0, len(terms))), repeat)
     elif defect == "wide":
         draw(st.sampled_from(wires))["width"] += draw(st.integers(25 - width, 40 - width))
     return json.dumps(doc), defect in (None, "wide"), defect == "wide"
@@ -408,6 +416,16 @@ def test_float_rendering(capsys):
     code, out, _ = run(capsys, "causal-bound", "--n", "3", "--float")
     assert code == 0
     assert "0.83333333333333337" in out
+
+
+@pytest.mark.parametrize("argv", [("validate", "--file", "w.json"),
+                                  ("export", "--file", "w.json"),
+                                  ("sample", "--n", "3", "--shots", "1")])
+def test_float_is_refused_where_no_rational_is_printed(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--float"])
+    assert exc.value.code == 2
+    assert "--float" in capsys.readouterr().err
 
 
 ONE_BIT = [{"party": 0, "kind": "I", "width": 1},

@@ -24,8 +24,6 @@ from acausal.diagop import (
     parse_dense_csv,
     partial_trace,
     point_mass,
-    reorder,
-    tensor,
     to_dense,
     trace,
 )
@@ -63,28 +61,6 @@ def test_layout_positions_and_packing():
         layout.field("I9")
 
 
-def test_tensor_identities():
-    a = identity(bit_layout("X"))
-    b = identity(bit_layout("Y"))
-    both = tensor(a, b)
-    assert trace(both) == 4
-    assert to_dense(both) == [F(1)] * 4
-
-
-def test_tensor_sign_rule():
-    zz = tensor(
-        DiagOperator(bit_layout("X"), {0b1: 1}),
-        DiagOperator(bit_layout("Y"), {0b1: 1}),
-    )
-    assert zz.terms == {0b11: F(1)}
-    assert to_dense(zz) == [F(1), F(-1), F(-1), F(1)]
-
-
-def test_tensor_name_collision():
-    with pytest.raises(LayoutError):
-        tensor(identity(bit_layout("X")), identity(bit_layout("X")))
-
-
 def test_multiply_involution():
     rng = random.Random(1)
     for _ in range(40):
@@ -117,21 +93,6 @@ def test_trace_values():
     assert trace(identity(six)) == 64
     z_first = DiagOperator(bit_layout("X", "Y"), {0b10: 1})
     assert trace(z_first) == 0
-
-
-def test_trace_multiplicative_over_tensor():
-    rng = random.Random(3)
-    for _ in range(30):
-        a = random_operator(rng, max_width=5)
-        b = random_operator(rng, max_width=5)
-        names = {w.name for w in a.layout.wires}
-        if names & {w.name for w in b.layout.wires}:
-            b = DiagOperator(
-                WireLayout([Wire(100 + i, w.kind, w.width)
-                            for i, w in enumerate(b.layout.wires)]),
-                b.terms,
-            )
-        assert trace(tensor(a, b)) == trace(a) * trace(b)
 
 
 def test_partial_trace_of_conditional_is_identity():
@@ -219,11 +180,43 @@ def test_channel_apply_matches_composition_oracle():
         assert is_nonnegative(out)
 
 
+def test_channel_apply_places_interleaved_state_wires():
+    # channel (Y1, X, Y0), state (Y0, Y1): the state's wires come in the
+    # other order and sit on both sides of the output wire
+    rng = random.Random(71)
+    for _ in range(20):
+        wy1, wx, wy0 = (rng.randint(1, 2) for _ in range(3))
+        layout = WireLayout([Wire("env", "Y1", wy1), Wire("env", "X", wx),
+                             Wire("env", "Y0", wy0)])
+        state_layout = WireLayout([Wire("env", "Y0", wy0), Wire("env", "Y1", wy1)])
+        cols = {(y0, y1): random_dyadic_distribution(rng, 1 << wx)
+                for y0 in range(1 << wy0) for y1 in range(1 << wy1)}
+        dense = [F(0)] * (1 << layout.width)
+        for (y0, y1), col in cols.items():
+            for x, p in enumerate(col):
+                dense[layout.pack({"Y1": y1, "X": x, "Y0": y0})] = p
+        state_vec = random_dyadic_distribution(rng, 1 << state_layout.width)
+        out = channel_apply(from_dense(layout, dense), from_dense(state_layout, state_vec))
+        assert out.layout == layout.restrict(["X"])
+        expected = [
+            sum((col[x] * state_vec[state_layout.pack({"Y0": y0, "Y1": y1})]
+                 for (y0, y1), col in cols.items()), F(0))
+            for x in range(1 << wx)
+        ]
+        assert to_dense(out) == expected
+
+
 def test_channel_apply_missing_wires():
     with pytest.raises(LayoutError):
         channel_apply(
             identity(bit_layout("X")), point_mass(bit_layout("Y"), 0)
         )
+
+
+def test_channel_apply_width_mismatch():
+    channel = identity(WireLayout([Wire("env", "X"), Wire("env", "Y", 2)]))
+    with pytest.raises(LayoutError, match="Y"):
+        channel_apply(channel, point_mass(bit_layout("Y"), 0))
 
 
 def test_dense_roundtrip_500_random_operators():
@@ -366,24 +359,6 @@ def test_group_implies_nonneg_on_random_sets():
             assert is_nonnegative(DiagOperator(layout, dict.fromkeys(masks, 1)))
 
 
-def test_reorder_permutes_wires():
-    rng = random.Random(12)
-    for _ in range(15):
-        a = random_operator(rng, max_width=8)
-        wires = list(a.layout.wires)
-        rng.shuffle(wires)
-        target = WireLayout(wires)
-        b = reorder(a, target)
-        dense_a = to_dense(a)
-        dense_b = to_dense(b)
-        for idx in range(1 << target.width):
-            back = a.layout.pack(
-                {w.name: target.extract(idx, w.name) for w in wires}
-            )
-            assert dense_b[idx] == dense_a[back]
-        assert reorder(b, a.layout) == a
-
-
 def test_json_roundtrip():
     rng = random.Random(13)
     for _ in range(25):
@@ -469,6 +444,16 @@ def test_parsers_refuse_log2den_over_the_bound():
         with pytest.raises(FormatError, match=f"^terms\\[1\\]: log2den must lie in 0..{bound}, "):
             operator_from_json(document(log2den))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("second", ["0x03", "0x0003"])
+def test_operator_file_with_a_repeated_mask_is_refused(second):
+    doc = {"layout": [{"party": 0, "kind": "I", "width": 2}],
+           "terms": [{"mask": "0x0", "num": 1, "log2den": 2},
+                     {"mask": "0x3", "num": 1, "log2den": 2},
+                     {"mask": second, "num": -1, "log2den": 2}]}
+    with pytest.raises(FormatError, match=r"^terms\[2\]: .*terms\[1\]"):
+        operator_from_json(doc)
 
 
 CSV_LOG2DENS = (st.integers(-3, 40) | st.integers(diagop.MAX_LOG2DEN - 2, diagop.MAX_LOG2DEN + 2)

@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 
 from acausal import diagop, game
-from acausal.diagop import DiagOperator, LayoutError, Wire, WireLayout, tensor, to_dense
+from acausal.diagop import DiagOperator, LayoutError, Wire, WireLayout, to_dense
 from acausal.game import (
     GameRound,
     LocalBehavior,
@@ -20,7 +20,7 @@ from acausal.game import (
     winning_behavior,
 )
 from acausal.process import UnsupportedPartyCount, build_w, loop_decomposition
-from conftest import pairing_outcome_oracle, pairing_success_oracle, sampler_oracle
+from conftest import behavior_ops, pairing_outcome_oracle, pairing_success_oracle, sampler_oracle
 
 F = Fraction
 
@@ -56,13 +56,13 @@ def test_winning_behavior_single_bit_structure():
         starter = winning_behavior(3, 0, 1, a)
         other = winning_behavior(3, 0, 2, a)
         for x in (0, 1):
-            assert starter.ops[x].terms == {
+            assert behavior_ops(starter)[x].terms == {
                 0b00: F(1, 4),
                 0b01: F(sign(x), 4),
                 0b10: F(sign(a), 4),
                 0b11: F(sign(a) * sign(x), 4),
             }
-            assert other.ops[x].terms == {
+            assert behavior_ops(other)[x].terms == {
                 0b00: F(1, 4),
                 0b01: F(sign(x), 4),
                 0b10: F(sign(a ^ x), 4),
@@ -75,11 +75,12 @@ def test_winning_behavior_is_tensor_of_factors():
     for (m, i, a, x) in [(0, 1, 1, 0), (2, 0, 0, 1), (1, 2, 1, 1)]:
         beh = winning_behavior(3, m, i, a)
         a_eff = a if i == (m + 1) % 3 else a ^ x
-        o_layout = WireLayout([Wire(i, "O")])
-        i_layout = WireLayout([Wire(i, "I")])
-        q_o = DiagOperator(o_layout, {0: F(1, 2), 1: F(sign(a_eff), 2)})
-        q_i = DiagOperator(i_layout, {0: F(1, 2), 1: F(sign(x), 2)})
-        assert beh.ops[x] == tensor(q_o, q_i)
+        q_o = {0: F(1, 2), 1: F(sign(a_eff), 2)}
+        q_i = {0: F(1, 2), 1: F(sign(x), 2)}
+        op = behavior_ops(beh)[x]
+        assert op.layout == WireLayout([Wire(i, "O"), Wire(i, "I")])
+        assert op.terms == {(mo << 1) | mi: co * ci
+                            for mo, co in q_o.items() for mi, ci in q_i.items()}
 
 
 def test_wide_sender_operators_match_table():
@@ -98,7 +99,7 @@ def test_wide_sender_operators_match_table():
                     for mi, ci in {0: F(1, 2), 1: F(sign(x), 2)}.items():
                         terms[(mo << 1) | mi] = co * ci
                 beh = winning_behavior(4, m, 2, a)
-                assert beh.ops[x].terms == terms, (m, a, x)
+                assert behavior_ops(beh)[x].terms == terms, (m, a, x)
 
 
 def test_wide_receiver_operators_match_table():
@@ -121,7 +122,7 @@ def test_wide_receiver_operators_match_table():
                     for mi, ci in i_terms.items():
                         terms[(mo << 2) | mi] = co * ci
                 beh = winning_behavior(4, m, 3, a)
-                assert beh.ops[x].terms == terms, (m, a, x)
+                assert behavior_ops(beh)[x].terms == terms, (m, a, x)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -133,10 +134,11 @@ def test_winning_behaviors_are_normalized(n):
 
 
 def lookup_from_ops(beh):
-    """Outcome lookup derived from the ``ops`` view through the rank-route
-    ``to_dense``: exact entries over their largest denominator."""
+    """Outcome lookup derived from the operators of ``behavior_ops`` through
+    the rank-route ``to_dense``: exact entries over their largest
+    denominator."""
     wo, wi = (w.width for w in beh.layout.wires)
-    dense = [to_dense(op) for op in beh.ops]
+    dense = [to_dense(op) for op in behavior_ops(beh)]
     den = max(p.denominator for vec in dense for p in vec)
     lookup = [
         [(x, o, int(vec[(o << wi) | v] * den))
@@ -174,7 +176,8 @@ def test_behavior_constructor_reduces_and_refuses():
 
 
 def test_game_builds_no_diag_operator(monkeypatch):
-    # every evaluator reads the integer tables; the ops view is never built
+    # every evaluator reads the integer tables; patching diagop._make also
+    # refuses from_dense, which game no longer imports
     w = build_w(6)
     winning_behavior.cache_clear()
 
@@ -183,7 +186,6 @@ def test_game_builds_no_diag_operator(monkeypatch):
 
     monkeypatch.setattr(DiagOperator, "__init__", refuse)
     monkeypatch.setattr(diagop, "_make", refuse)
-    monkeypatch.setattr(game, "from_dense", refuse)
     assert success_probability_exact(9).p_succ == 1
     assert sample_game(8, 200, 0).wins == 200
     behaviors = [winning_behavior(6, 2, i, i & 1) for i in range(6)]

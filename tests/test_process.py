@@ -10,20 +10,18 @@ from acausal.diagop import (
     LayoutError,
     Wire,
     WireLayout,
-    contract,
     gf2_echelon,
     identity,
     is_nonnegative,
     partial_trace,
-    term_keys,
     to_dense,
     trace,
 )
 from acausal.process import (
     UnsupportedPartyCount,
-    _det_channel,
     _gf2_kernel,
     _term_pass,
+    _tuple_value,
     build_w,
     conditional_distribution,
     game_layout,
@@ -378,6 +376,8 @@ def test_term_pass_matches_pairwise_scan():
 
 
 def test_pruned_contraction_equals_full_on_every_table_tuple():
+    # the integer character sums on the survivors alone, on every term, and
+    # the explicit sum over joint assignments agree on every table tuple
     rng = random.Random(42)
     pruned_away = tuples = 0
     for _ in range(60):
@@ -385,18 +385,18 @@ def test_pruned_contraction_equals_full_on_every_table_tuple():
         parties = list(range(len(op.layout.wires) // 2))
         survivors, _ = _term_pass(op, parties)
         pruned_away += len(op.nums) - len(survivors)
-        groups = [(f"O{p}", f"I{p}") for p in parties]
-        full, pruned = term_keys(op, groups, op.nums), term_keys(op, groups, survivors)
-        wires = {w.name: w for w in op.layout.wires}
-        channels = []
-        for o, i in groups:
-            lay = WireLayout([wires[o], wires[i]])
-            wo, wi = wires[o].width, wires[i].width
-            channels.append([_det_channel(lay, t)
-                             for t in itertools.product(range(1 << wo), repeat=1 << wi)])
-        for combo in itertools.product(*channels):
+        pruned, full = _tuple_value(op, parties, survivors), _tuple_value(op, parties, op.nums)
+        dense = dense_oracle(op)
+        per_party = [
+            list(itertools.product(range(1 << op.layout.field(f"O{p}")[1]),
+                                   repeat=1 << op.layout.field(f"I{p}")[1]))
+            for p in parties
+        ]
+        for tables in itertools.product(*per_party):
             tuples += 1
-            assert contract(op, pruned, combo) == contract(op, full, combo)
+            value = pruned(tables)
+            assert value == full(tables)
+            assert F(value, 1 << op.log2den) == total_probability_oracle(op, tables, dense)
     assert pruned_away and tuples > 4000
 
 
@@ -450,6 +450,8 @@ def test_gf2_elimination_equals_brute_force():
         rows = gf2_echelon(vectors)
         assert 1 << len(rows) == len(span)
         assert all(r.bit_length() - 1 == p for p, r in rows.items())
+        # reduced: each pivot is set in its own row only
+        assert all([q for q in rows if r >> q & 1] == [p] for p, r in rows.items())
         row_span = {0}
         for r in rows.values():
             row_span |= {s ^ r for s in row_span}
