@@ -259,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate an operator JSON file")
     p.add_argument("--file", required=True, metavar="PATH")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled bilinear checks")
+                   help="seed for the drawn bilinear tuples beyond 5 parties; "
+                        "used only when a non-identity term survives")
     _add_common(p)
     p.set_defaults(func=_cmd_validate)
 

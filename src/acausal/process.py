@@ -255,7 +255,7 @@ def _party_partition(layout: WireLayout) -> list[int]:
 EXHAUSTIVE_LIMIT = 5
 SAMPLE_COUNT = 1000
 # validate_process refuses files needing 2**(WORK_BUDGET_LOG2 + 1) or more
-# table tuples, sampled dense channel entries or nonnegativity entries, and
+# table tuples, drawn table entries or nonnegativity entries, and
 # build_w, the game and the causal witness refuse as many terms or entries.
 WORK_BUDGET_LOG2 = 18
 
@@ -272,11 +272,16 @@ def refuse_over_budget(what: str, n: int, entries: int, unit: str) -> None:
         raise _refusal(what, n, f"{entries} {unit}")
 
 
-def _check_work(layout: WireLayout, parties: list[int], rank: int, survivors: int) -> None:
+def _check_work(layout: WireLayout, parties: list[int], rank: int, survivors: list[int]) -> None:
     """Refuse, before any of it is done, validate work over the budget: the
-    local tables or dense channels of the bilinear check, the
-    nonnegativity transform, and the checked tuples times the surviving
-    terms each of them contracts."""
+    tuples of local tables enumerated up to ``EXHAUSTIVE_LIMIT`` parties,
+    the table entries drawn beyond it, the nonnegativity transform, and the
+    checked tuples times the surviving terms each of them contracts.
+
+    A draw of party p fills a table of ``2**wi`` entries, so the draws cost
+    ``SAMPLE_COUNT * sum_p 2**wi`` entries. They are sized only when a
+    non-identity term survives: otherwise no table is drawn (see
+    :func:`_bilinear_check`)."""
     def refuse_over(log2: int, what: str) -> None:
         if log2 > WORK_BUDGET_LOG2:
             raise ValueError(f"validate refused: it needs at least 2^{log2} {what}, "
@@ -290,11 +295,12 @@ def _check_work(layout: WireLayout, parties: list[int], rank: int, survivors: in
         refuse_over(tables, "tuples of local tables")
         checked = 1 << tables
     else:
-        entries = SAMPLE_COUNT * sum(1 << min(wo + wi, 64) for wo, wi in widths)
-        refuse_over(entries.bit_length() - 1, "dense channel entries")
+        if any(survivors):
+            entries = SAMPLE_COUNT * sum(1 << min(wi, 64) for _, wi in widths)
+            refuse_over(entries.bit_length() - 1, "drawn table entries")
         checked = SAMPLE_COUNT
     refuse_over(rank, "nonnegativity entries")
-    refuse_over((checked * survivors).bit_length() - 1, "contracted terms")
+    refuse_over((checked * len(survivors)).bit_length() - 1, "contracted terms")
 
 
 def _term_pass(op: DiagOperator, parties: list[int]) -> tuple[list[int], tuple]:
@@ -344,7 +350,9 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
     * ``bilinear_norm``: for tuples of deterministic local channels
       ``f_i: I_i -> O_i``, the total outcome probability is 1; exhaustive
       up to ``EXHAUSTIVE_LIMIT`` parties, ``SAMPLE_COUNT`` tuples drawn
-      with ``seed`` beyond;
+      with ``seed`` beyond. When no non-identity term survives, every
+      tuple has the same total, so one evaluation decides all tuples at
+      any n and ``seed`` is not used;
     * ``term_structure``: every non-identity parity term leaves some party
       receiving without sending (sigma_z on its input, identity on its
       output), which rules out closed signaling cycles;
@@ -360,8 +368,9 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
     (see :func:`_term_pass`). ``term_structure`` says no non-identity term
     survives, and each tuple is valued exactly in integers from the
     survivors alone. For t terms, n parties, s survivors and k distinct
-    tables these cost O(t·n + k·s·2^wi + tuples·s·n); a valid process has
-    s = 1.
+    tables these cost O(t·n + k·s·2^wi + tuples·s·n). A valid process has
+    only the identity survivor, and then ``bilinear_norm`` costs O(n) on
+    top of the O(t·n) pass: no table is enumerated or drawn.
 
     Raises ``ValueError`` before any check when the bilinear check, its
     contractions or the nonnegativity transform would exceed the work
@@ -373,7 +382,7 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
     i_names = [f"I{p}" for p in parties]
     o_names = [f"O{p}" for p in parties]
     survivors, signaling = _term_pass(op, parties)
-    _check_work(layout, parties, len(gf2_echelon(op.nums)), len(survivors))
+    _check_work(layout, parties, len(gf2_echelon(op.nums)), survivors)
 
     nonneg = is_nonnegative(op)
 
@@ -429,10 +438,22 @@ def _bilinear_check(op, parties, seed, survivors):
     :func:`_term_pass`): every other term has a party whose character is
     0. Each party's characters cost O(s·2^wi) once per distinct table, and
     a tuple then O(s·n), for s survivors.
+
+    When no non-identity term survives, every table has ``chi_p(0) =
+    2**wi``, so every tuple has the same total ``nums[0] * 2**|I|``: one
+    evaluation, in O(n), decides all of them, and no table is enumerated
+    or drawn. ``checked`` stays the count the enumeration or the draws
+    would reach.
     """
     widths = [(op.layout.field(f"O{p}")[1], op.layout.field(f"I{p}")[1]) for p in parties]
+    one = 1 << op.log2den
+    exhaustive = len(parties) <= EXHAUSTIVE_LIMIT
+    if not any(survivors):
+        checked = 1 << sum(wo << wi for wo, wi in widths) if exhaustive else SAMPLE_COUNT
+        total = op.nums.get(0, 0) << sum(wi for _, wi in widths)
+        return BilinearCheck(checked=checked, failed=0 if total == one else checked)
     value = _tuple_value(op, parties, survivors)
-    if len(parties) <= EXHAUSTIVE_LIMIT:
+    if exhaustive:
         combos = itertools.product(*(
             itertools.product(range(1 << wo), repeat=1 << wi) for wo, wi in widths
         ))
@@ -443,7 +464,6 @@ def _bilinear_check(op, parties, seed, survivors):
             for _ in range(SAMPLE_COUNT)
         )
     values = [value(tables) for tables in combos]
-    one = 1 << op.log2den
     return BilinearCheck(checked=len(values), failed=sum(v != one for v in values))
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from acausal import process
 from acausal.diagop import (
     DiagOperator,
     LayoutError,
@@ -325,14 +326,31 @@ def test_validate_refuses_work_over_the_budget():
     wide = WireLayout([Wire(0, "I", 5), Wire(1, "I"), Wire(0, "O"), Wire(1, "O")])
     with pytest.raises(ValueError, match=r"2\^34 tuples"):
         validate_process(identity(wide) * F(1, 64))
-    sampled = WireLayout([Wire(k, kind, 5 if k == 0 else 1)
+    # Six parties, a 10-bit I0 and a surviving term on O1 alone: 1000 draws
+    # fill 2^10 + 5·2 table entries each.
+    sampled = WireLayout([Wire(k, kind, 10 if (k, kind) == (0, "I") else 1)
                           for kind in "IO" for k in range(6)])
-    with pytest.raises(ValueError, match=r"2\^19 dense channel entries"):
-        validate_process(identity(sampled) * F(1, 1 << 10))
+    drawn = {0: F(1, 1 << 15), sampled.field_mask("O1"): F(1, 1 << 15)}
+    with pytest.raises(ValueError, match=r"2\^19 drawn table entries"):
+        validate_process(DiagOperator(sampled, drawn))
     two_bit = WireLayout([Wire(k, kind, 2) for kind in "IO" for k in range(6)])
     independent = dict.fromkeys([0] + [1 << k for k in range(20)], 1)
     with pytest.raises(ValueError, match=r"2\^20 nonnegativity entries"):
         validate_process(DiagOperator(two_bit, independent))
+
+
+@pytest.mark.parametrize("wide, inputs", [("O", 6), ("I", 15)])
+def test_validate_accepts_a_wide_wire_when_only_the_identity_survives(wide, inputs):
+    # Six parties, a 10-bit wire on party 0: no table is drawn when only
+    # the identity survives, so neither file is sized by draws. The first
+    # was once refused for 1000 draws of 2^(10 + 1) dense channel entries.
+    layout = WireLayout([Wire(k, kind, 10 if (k, kind) == (0, wide) else 1)
+                         for kind in "IO" for k in range(6)])
+    start = time.perf_counter()
+    report = validate_process(identity(layout) * F(1, 1 << inputs))
+    assert time.perf_counter() - start < 1.0
+    assert report.passed, report.failures()
+    assert (report.bilinear.checked, report.bilinear.failed) == (1000, 0)
 
 
 def test_validate_refuses_contracted_terms_over_the_budget():
@@ -358,9 +376,9 @@ def _signaling_scan(op, parties):
     )
 
 
-def _receives_without_sending(op, mask, parties):
-    return any(mask & op.layout.field_mask(f"I{p}")
-               and not mask & op.layout.field_mask(f"O{p}") for p in parties)
+def _receives_without_sending(layout, mask, parties):
+    return any(mask & layout.field_mask(f"I{p}")
+               and not mask & layout.field_mask(f"O{p}") for p in parties)
 
 
 def test_term_pass_matches_pairwise_scan():
@@ -372,7 +390,15 @@ def test_term_pass_matches_pairwise_scan():
         survivors, signaling = _term_pass(op, parties)
         assert signaling == _signaling_scan(op, parties)
         assert survivors == [m for m in op.nums
-                             if not _receives_without_sending(op, m, parties)]
+                             if not _receives_without_sending(op.layout, m, parties)]
+
+
+def _all_tables(op, parties):
+    return itertools.product(*(
+        itertools.product(range(1 << op.layout.field(f"O{p}")[1]),
+                          repeat=1 << op.layout.field(f"I{p}")[1])
+        for p in parties
+    ))
 
 
 def test_pruned_contraction_equals_full_on_every_table_tuple():
@@ -387,12 +413,7 @@ def test_pruned_contraction_equals_full_on_every_table_tuple():
         pruned_away += len(op.nums) - len(survivors)
         pruned, full = _tuple_value(op, parties, survivors), _tuple_value(op, parties, op.nums)
         dense = dense_oracle(op)
-        per_party = [
-            list(itertools.product(range(1 << op.layout.field(f"O{p}")[1]),
-                                   repeat=1 << op.layout.field(f"I{p}")[1]))
-            for p in parties
-        ]
-        for tables in itertools.product(*per_party):
+        for tables in _all_tables(op, parties):
             tuples += 1
             value = pruned(tables)
             assert value == full(tables)
@@ -404,17 +425,105 @@ def test_exhaustive_bilinear_counts_match_oracle_on_random_operators():
     rng = random.Random(43)
     for _ in range(25):
         op = random_party_operator(rng, max_table_bits=6, max_terms=6)
-        parties = range(len(op.layout.wires) // 2)
-        per_party = [
-            list(itertools.product(range(1 << op.layout.field(f"O{p}")[1]),
-                                   repeat=1 << op.layout.field(f"I{p}")[1]))
-            for p in parties
-        ]
         totals = [total_probability_oracle(op, tables)
-                  for tables in itertools.product(*per_party)]
+                  for tables in _all_tables(op, range(len(op.layout.wires) // 2))]
         report = validate_process(op)
         assert report.bilinear.checked == len(totals)
         assert report.bilinear.failed == sum(t != 1 for t in totals)
+
+
+def _identity_survivor_operator(rng, widths, identity_num):
+    """An operator on parties of the given ``(wo, wi)`` widths, in shuffled
+    wire order, whose terms besides the identity all have a party that
+    receives without sending. The identity coefficient is
+    ``identity_num / 2**|I|``, and absent when ``identity_num`` is None."""
+    wires = [w for p, (wo, wi) in enumerate(widths)
+             for w in (Wire(p, "O", wo), Wire(p, "I", wi))]
+    rng.shuffle(wires)
+    layout = WireLayout(wires)
+    parties = range(len(widths))
+    masks = {rng.randrange(1, 1 << layout.width) for _ in range(8)}
+    terms = {m: F(rng.randint(-4, 4), 1 << rng.randint(0, 5)) for m in masks
+             if _receives_without_sending(layout, m, parties)}
+    if identity_num is not None:
+        terms[0] = F(identity_num, 1 << sum(wi for _, wi in widths))
+    return DiagOperator(layout, terms)
+
+
+def test_identity_only_bilinear_counts_match_oracle_up_to_five_parties():
+    # Only the identity can survive, so one evaluation stands for every
+    # tuple; the oracle values each tuple from the dense entries.
+    rng = random.Random(44)
+    cases = [build_w(3).operator, build_w(5).operator,
+             build_w(3).operator + identity(game_layout(3)) * F(1, 1 << 6)]
+    cases.append(DiagOperator(game_layout(3), {}))
+    for count in range(1, 6):
+        for identity_num in (1, 3, None):
+            while True:  # 2^8 table tuples, 2^10 for the five 1-bit parties
+                widths = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(count)]
+                if sum(wo << wi for wo, wi in widths) <= max(8, 2 * count):
+                    break
+            cases.append(_identity_survivor_operator(rng, widths, identity_num))
+    outcomes = set()
+    for op in cases:
+        parties = list(range(len(op.layout.wires) // 2))
+        assert not any(_term_pass(op, parties)[0])
+        dense = dense_oracle(op)
+        totals = [total_probability_oracle(op, tables, dense)
+                  for tables in _all_tables(op, parties)]
+        report = validate_process(op)
+        assert report.bilinear.checked == len(totals)
+        assert report.bilinear.failed == sum(t != 1 for t in totals)
+        outcomes.add(report.bilinear.failed == 0)
+    assert outcomes == {True, False}
+
+
+def _drawn_counts(op, seed):
+    """``(checked, failed)`` of the seeded draws beyond five parties, each
+    tuple valued on every term of ``op``."""
+    parties = list(range(len(op.layout.wires) // 2))
+    widths = [(op.layout.field(f"O{p}")[1], op.layout.field(f"I{p}")[1]) for p in parties]
+    value = _tuple_value(op, parties, op.nums)
+    rng = random.Random(seed)
+    values = [value([tuple(rng.randrange(1 << wo) for _ in range(1 << wi)) for wo, wi in widths])
+              for _ in range(1000)]
+    return len(values), sum(v != 1 << op.log2den for v in values)
+
+
+def test_identity_only_bilinear_counts_match_seeded_draws_at_six_and_seven_parties():
+    rng = random.Random(45)
+    cases = [build_w(6).operator, build_w(7).operator,
+             build_w(7).operator * F(3, 4), DiagOperator(game_layout(6), {})]
+    for identity_num in (1, 1, 5, None):
+        widths = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(rng.randint(6, 7))]
+        cases.append(_identity_survivor_operator(rng, widths, identity_num))
+    outcomes = set()
+    for op in cases:
+        assert not any(_term_pass(op, list(range(len(op.layout.wires) // 2)))[0])
+        for seed in (0, 3):
+            report = validate_process(op, seed=seed)
+            assert (report.bilinear.checked, report.bilinear.failed) == _drawn_counts(op, seed)
+            outcomes.add(report.bilinear.failed == 0)
+    assert outcomes == {True, False}
+
+
+def test_validate_draws_no_table_when_only_the_identity_survives(monkeypatch):
+    Random = random.Random
+
+    def refuse(seed):
+        raise AssertionError(f"drew tables with seed {seed}")
+
+    monkeypatch.setattr(process.random, "Random", refuse)
+    for n in range(6, 13):
+        report = validate_process(build_w(n), seed=n)
+        assert report.passed, report.failures()
+        assert (report.bilinear.checked, report.bilinear.failed) == (1000, 0)
+    seeds = []
+    monkeypatch.setattr(process.random, "Random",
+                        lambda seed: seeds.append(seed) or Random(seed))
+    report = validate_process(naive_even_w(6), seed=5)
+    assert seeds == [5]
+    assert report.bilinear.checked == 1000 and report.bilinear.failed
 
 
 @pytest.mark.parametrize("n", range(3, 17))
