@@ -178,15 +178,13 @@ def brute_force_causal(n: int) -> CausalValue:
     A shell's value is a sum of one term per (m, a_first) key, and each
     term depends only on that key's order, so the maximum for a first
     party is the maximum per key, which ``_route_guesser_last`` attains.
-    Each first party's rule is valued with ``_evaluate`` and the first
-    strict maximum is kept: O(n^3) in all. Ties break as in an enumeration
-    of every first party and order rule in lexicographic order, so value,
-    witness and ``per_m`` equal that enumeration's first strict maximum.
+    That maximum is the same for every first party: as the guesser she
+    wins half the rows, and every other guesser, routed last, wins them
+    all, so each first party's value is ``1 - 1/(2n)``. In an enumeration
+    of every first party and order rule in lexicographic order the first
+    strict maximum therefore has first party 0, and only that shell is
+    valued, with ``_evaluate``: O(n^2). Value, witness and ``per_m`` equal
+    that enumeration's first strict maximum.
     """
     _check_size(n)
-    best = None
-    for first in range(n):
-        candidate = _route_guesser_last(n, first)
-        if best is None or candidate.value > best.value:
-            best = candidate
-    return best
+    return _route_guesser_last(n, 0)

@@ -466,7 +466,8 @@ def gf2_echelon(vectors: Iterable[int]) -> dict[int, int]:
     return rows
 
 
-def _rank_transform(a: DiagOperator) -> tuple[list[int], list[int]]:
+def _rank_transform(a: DiagOperator, rows: dict[int, int] | None = None
+                    ) -> tuple[list[int], list[int]]:
     """The ``2**rank`` distinct dense entries of ``a`` and where they sit.
 
     The entry at ``x`` is ``sum_s c_s (-1)**(s.x)``: it depends on ``x`` only
@@ -478,9 +479,11 @@ def _rank_transform(a: DiagOperator) -> tuple[list[int], list[int]]:
     reduced, row j is the span element at the j-th unit vector, and the
     entry at ``x`` is ``vals[y]`` with ``y_j = parity(row_j & x)``: the XOR
     of ``cols[b]``, the coordinates whose rows hold layout bit b, over the
-    set bits b of ``x``.
+    set bits b of ``x``. ``rows``, when given, is ``gf2_echelon(a.nums)``
+    already computed by the caller.
     """
-    rows = gf2_echelon(a.nums)
+    if rows is None:
+        rows = gf2_echelon(a.nums)
     pivots = sorted(rows)
     vals = [0] * (1 << len(pivots))
     for mask, v in a.nums.items():
@@ -491,16 +494,17 @@ def _rank_transform(a: DiagOperator) -> tuple[list[int], list[int]]:
     return vals, cols
 
 
-def is_nonnegative(a: DiagOperator) -> bool:
+def is_nonnegative(a: DiagOperator, rows: dict[int, int] | None = None) -> bool:
     """True iff every dense entry is >= 0 (positive semi-definiteness for
     diagonal operators), decided on the ``2**rank`` distinct entries of
     :func:`_rank_transform`, each repeated ``2**(width - rank)`` times in
-    the dense vector.
+    the dense vector. A caller that already holds ``gf2_echelon(a.nums)``
+    passes it as ``rows`` and saves the elimination.
 
     A group sum has all-one coefficients, whose transform is ``2**rank`` at
     zero and 0 elsewhere: the sum is positive semi-definite.
     """
-    return all(v >= 0 for v in _rank_transform(a)[0])
+    return all(v >= 0 for v in _rank_transform(a, rows)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,20 @@ locally classical, so its behavior is an integer conditional table, and
 no evaluator builds an operator. Both evaluators run on the process's
 uniform mixture of circular channels: the exact one multiplies one small
 matrix per party around each loop and sums the traces, the Monte-Carlo
-sampler walks the loops shot by shot. Both yield certain winning for the
-strategies built here, for every n >= 3.
+sampler compiles each loop, once per call, into jump tables over runs of
+parties and over the tables each drawing party can deal, and reads them
+shot by shot. Both yield certain winning for the strategies built here,
+for every n >= 3.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
 from typing import Callable, Sequence
 
 from .diagop import LayoutError, Wire, WireLayout, _spare_twos, dyadic_json
@@ -424,63 +428,128 @@ class SampleResult:
         }
 
 
+_RUN_LENGTH = 4
+"""Most parties one jump table of :func:`sample_game` composes: a run of L
+parties has ``2**L`` entries per loop, one per value of their input bits."""
+
+
+def _compile_behavior(behavior: LocalBehavior) -> tuple:
+    """Sampling form of a behavior: ``(cums, den, xss, oss)``.
+
+    ``xss[j]`` and ``oss[j]`` give, by input value, the outcomes and the
+    outputs of the j-th deterministic table the behavior can deal: every
+    combination of the choices of :meth:`LocalBehavior.outcome_lookup`,
+    the first input value's choice most significant. ``cums`` lists, for
+    each input value with several choices, their cumulative weights over
+    ``den``. A draw ``r`` picks choice ``bisect(cum, r)``, and the picks,
+    read as mixed-radix digits, index the table dealt. A behavior with one
+    choice at every input value has no ``cums`` and one table.
+    """
+    lookup, log2den = behavior.outcome_lookup()
+    cums = [list(accumulate(num for _, _, num in choices))
+            for choices in lookup if len(choices) > 1]
+    dealt = list(product(*lookup))
+    xss = [tuple(x for x, _, _ in table) for table in dealt]
+    oss = [tuple(o for _, o, _ in table) for table in dealt]
+    return cums, 1 << log2den, xss, oss
+
+
+def _jump_table(steps: tuple[tuple[tuple[int, ...], ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Composed steps of a run of parties, keyed by their input bits.
+
+    ``steps[j][a]`` maps the run's j-th party's input value to the next
+    party's for input bit a. Entry ``key`` of the result maps the first
+    party's input value to the input value after the run, each party's
+    bit read from ``key``, the first party's most significant."""
+    size = len(steps)
+    table = []
+    for key in range(1 << size):
+        chosen = [pair[(key >> (size - 1 - j)) & 1] for j, pair in enumerate(steps)]
+        composed = []
+        for start in range(len(chosen[0])):
+            v = start
+            for step in chosen:
+                v = step[v]
+            composed.append(v)
+        table.append(tuple(composed))
+    return tuple(table)
+
+
 def _compile_referee_value(n: int, m: int, strategy: Strategy,
                            layouts: Sequence[WireLayout],
-                           flips: Sequence[tuple[int, ...]]) -> tuple:
+                           flips: Sequence[tuple[int, ...]],
+                           behaviors: dict, jumps: dict) -> tuple:
     """Referee value m compiled for the shot loop of :func:`sample_game`.
 
     Position k is party ``(m + k) % n``: a consistent assignment is a
     fixed point of the walk around the loop read at any party, so walks
-    start at the guesser's input. ``shifts[k]`` places the party's bit in
-    the packed inputs; ``steps[loop][k][a]`` maps its input value to the
-    next party's, ``o ^ flip``, for input bit a; ``guess[a]`` is the
-    guesser's outcome by input value. Both hold None where the party
-    draws; ``drawers`` lists those parties, in party order, as
-    ``(k, i, {a: (lookup, denominator)})``.
+    start at the guesser's input. With the packed inputs rotated left by
+    m, position k's bit sits at shift ``n - 1 - k``. Consecutive positions
+    at which neither input bit draws form runs of at most ``_RUN_LENGTH``;
+    every other position is a run of its own.
+
+    Returns ``(guess, per_loop)``. ``guess[a]`` is the guesser's outcome by
+    input value, for input bit a, or None where that bit draws.
+    ``per_loop[loop]`` is ``(runs, drawers)``. ``runs`` lists, in position
+    order, ``(shift, mask, table)``: the run's bits are ``(rotated >>
+    shift) & mask`` and ``table`` maps them to the run's composed step,
+    the loop's edge flips folded in (None for a bit that draws).
+    ``drawers`` lists, in party order, ``(r, shift, per_bit)`` for the
+    drawing party at run r. ``per_bit[a]`` is None where bit a does not
+    draw, and otherwise ``(cums, den, steps, xss)``: the draws of
+    :func:`_compile_behavior` and, per dealt table, its step and outcomes.
+
+    ``behaviors`` and ``jumps`` are the calling sample's memos, keyed by
+    content: a behavior's tables, denominator and layout, and a run's
+    steps. The layout of every behavior is checked, each outcome lookup on
+    the first sight of its content.
     """
     order = [(m + k) % n for k in range(n)]
-    tables = [None] * n
-    drawers = []
+    dealt = [None] * n
     for i, layout in enumerate(layouts):
-        k = (i - m) % n
-        per_bit, drawn = [], {}
+        per_bit = []
         for a in (0, 1):
             behavior = _check_layout(strategy(n, m, i, a), i, layout)
-            lookup, scale = behavior.outcome_lookup()
-            if all(len(choices) == 1 for choices in lookup):
-                per_bit.append([choices[0][:2] for choices in lookup])
+            key = (behavior.tables, behavior.log2den, layout)
+            if key not in behaviors:
+                behaviors[key] = _compile_behavior(behavior)
+            per_bit.append(behaviors[key])
+        dealt[(i - m) % n] = per_bit
+    spans = []  # [first position, length, draws]
+    for k, per_bit in enumerate(dealt):
+        draws = any(cums for cums, *_ in per_bit)
+        if draws or not spans or spans[-1][2] or spans[-1][1] == _RUN_LENGTH:
+            spans.append([k, 1, draws])
+        else:
+            spans[-1][1] += 1
+    drawing = sorted((order[k], r) for r, (k, _, draws) in enumerate(spans) if draws)
+    per_loop = []
+    for edge in flips:
+        runs = []
+        for k, size, draws in spans:
+            steps = tuple(
+                tuple(None if cums else tuple(o ^ edge[order[j]] for o in oss[0])
+                      for cums, _, _, oss in dealt[j])
+                for j in range(k, k + size)
+            )
+            if draws:
+                table = steps[0]
+            elif steps in jumps:
+                table = jumps[steps]
             else:
-                per_bit.append(None)
-                drawn[a] = (lookup, 1 << scale)
-        tables[k] = per_bit
-        if drawn:
-            drawers.append((k, i, drawn))
-    steps = [
-        [[None if t is None else tuple(o ^ edge[i] for _, o in t) for t in per_bit]
-         for per_bit, i in zip(tables, order)]
-        for edge in flips
-    ]
-    guess = [None if t is None else tuple(x for x, _ in t) for t in tables[0]]
-    return [n - 1 - i for i in order], steps, guess, drawers
-
-
-def _draw_table(lookup: list[list[tuple[int, int, int]]], den: int,
-                randrange: Callable[[int], int]) -> list[tuple[int, int]]:
-    """One deterministic ``(x, o)`` table from an outcome lookup, drawing,
-    input value by input value, wherever there are several choices."""
-    table = []
-    for choices in lookup:
-        if len(choices) == 1:
-            table.append(choices[0][:2])
-            continue
-        r = randrange(den)
-        acc = 0
-        for x, o, num in choices:
-            acc += num
-            if r < acc:
-                table.append((x, o))
-                break
-    return table
+                table = jumps[steps] = _jump_table(steps)
+            runs.append((n - k - size, (1 << size) - 1, table))
+        drawers = []
+        for i, r in drawing:
+            flip = edge[i]
+            per_bit = tuple(
+                (cums, den, [tuple(o ^ flip for o in os) for os in oss], xss) if cums else None
+                for cums, den, xss, oss in dealt[spans[r][0]]
+            )
+            drawers.append((r, runs[r][0], per_bit))
+        per_loop.append((runs, drawers))
+    guess = [None if cums else xss[0] for cums, _, xss, _ in dealt[0]]
+    return guess, per_loop
 
 
 def sample_game(n: int, shots: int, seed: int,
@@ -497,11 +566,19 @@ def sample_game(n: int, shots: int, seed: int,
     The first shot that draws a given m compiles it, for both input bits
     of every party, so a behavior on the wrong wires (``LayoutError``) or
     a malformed one (``outcome_lookup``'s ``ValueError``) raises on that
-    shot, whichever bits it draws. Each shot draws ``randrange(n)`` for m,
-    ``getrandbits(n)`` for the inputs, ``randrange`` over the loops, then,
-    party by party and input value by input value, one ``randrange`` per
-    input value with several choices. Raises ``ValueError`` up front when
-    the 2n^2 behaviors it may ask for reach 2^(WORK_BUDGET_LOG2 + 1).
+    shot, whichever bits it draws. Compiling cuts the walk around each loop
+    into jump tables: runs of up to four consecutive parties that never
+    draw become one table per loop, which maps the run's input bits to its
+    composed step, and every drawing party gets the precompiled step and
+    outcomes of each table it can deal. A shot then reads one entry per
+    run and maps each draw to its choice by bisection, so its cost does not
+    grow with the behaviors' denominators. Tables are shared by content
+    within the call and kept by none across calls. Each shot draws
+    ``randrange(n)`` for m, ``getrandbits(n)`` for the inputs,
+    ``randrange`` over the loops, then, party by party and input value by
+    input value, one ``randrange`` per input value with several choices.
+    Raises ``ValueError`` up front when the 2n^2 behaviors it may ask for
+    reach 2^(WORK_BUDGET_LOG2 + 1).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -511,9 +588,12 @@ def sample_game(n: int, shots: int, seed: int,
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     layouts = [_party_layout(n, i) for i in range(n)]
     nloops = len(flips)
+    full = (1 << n) - 1
     rng = random.Random(seed)
     randrange = rng.randrange
     compiled: dict[int, tuple] = {}
+    behaviors: dict = {}
+    jumps: dict = {}
     wins = losses = 0
     per_m_wins = [0] * n
     per_m_shots = [0] * n
@@ -523,18 +603,24 @@ def sample_game(n: int, shots: int, seed: int,
         loop = randrange(nloops)
         plan = compiled.get(m)
         if plan is None:
-            plan = compiled[m] = _compile_referee_value(n, m, strategy, layouts, flips)
-        shifts, steps, guess, drawers = plan
-        walk = [step[(a_idx >> s) & 1] for step, s in zip(steps[loop], shifts)]
-        bit = (a_idx >> shifts[0]) & 1
+            plan = compiled[m] = _compile_referee_value(n, m, strategy, layouts, flips,
+                                                        behaviors, jumps)
+        guess, per_loop = plan
+        runs, drawers = per_loop[loop]
+        rotated = ((a_idx << m) | (a_idx >> (n - m))) & full
+        walk = [table[(rotated >> shift) & mask] for shift, mask, table in runs]
+        bit = rotated >> (n - 1)
         xs = guess[bit]
-        for k, i, drawn in drawers:
-            lookup = drawn.get((a_idx >> (n - 1 - i)) & 1)
-            if lookup is not None:
-                table = _draw_table(*lookup, randrange)
-                walk[k] = [o ^ flips[loop][i] for _, o in table]
-                if k == 0:
-                    xs = [x for x, _ in table]
+        for r, shift, per_bit in drawers:
+            drawn = per_bit[(rotated >> shift) & 1]
+            if drawn is not None:
+                cums, den, steps, xss = drawn
+                j = 0
+                for cum in cums:
+                    j = j * len(cum) + bisect(cum, randrange(den))
+                walk[r] = steps[j]
+                if r == 0:
+                    xs = xss[j]
         target = (a_idx.bit_count() - bit) & 1
         per_m_shots[m] += 1
         for cand in range(len(xs)):

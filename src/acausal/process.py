@@ -382,9 +382,10 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
     i_names = [f"I{p}" for p in parties]
     o_names = [f"O{p}" for p in parties]
     survivors, signaling = _term_pass(op, parties)
-    _check_work(layout, parties, len(gf2_echelon(op.nums)), survivors)
+    rows = gf2_echelon(op.nums)
+    _check_work(layout, parties, len(rows), survivors)
 
-    nonneg = is_nonnegative(op)
+    nonneg = is_nonnegative(op, rows)
 
     traced = partial_trace(op, i_names)
     channel_norm = traced == identity(layout.restrict(o_names))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from acausal import causal
 from acausal.causal import (
     MODEL,
     _evaluate,
@@ -107,6 +108,20 @@ def test_fixed_order_value_on_random_orders(n):
         assert value == F(1, 2) + F(1, 2 * n)
         assert per_m[order[-1]] == 1
         assert sorted(per_m) == [F(1, 2)] * (n - 1) + [F(1)]
+
+
+@pytest.mark.parametrize("n", (2, 5, 64))
+def test_brute_force_values_one_shell(monkeypatch, n):
+    # every first party has the value 1 - 1/(2n), so first party 0 decides
+    firsts = []
+
+    def counting(n, first, orders):
+        firsts.append(first)
+        return _evaluate(n, first, orders)
+
+    monkeypatch.setattr(causal, "_evaluate", counting)
+    assert brute_force_causal(n).value == causal_bound(n)
+    assert firsts == [0]
 
 
 @pytest.mark.parametrize("n", (2, 3))

@@ -414,13 +414,21 @@ ORACLE_SIZES = (*range(3, 13), 16, 33, 64)
 @pytest.mark.parametrize(
     ("strategy", "n"),
     [(strategy, n) for strategy in STRATEGIES for n in ORACLE_SIZES]
-    + [(mixed_strategy, n) for n in range(3, 9)],
+    + [(mixed_strategy, n) for n in (*range(3, 9), 16)],
     ids=[f"{name}-{n}" for name in STRATEGY_IDS for n in ORACLE_SIZES]
-    + [f"mixed-{n}" for n in range(3, 9)],
+    + [f"mixed-{n}" for n in (*range(3, 9), 16)],
 )
 def test_sampler_equals_oracle(strategy, n):
     for seed in range(3):
         assert sample_game(n, 1500, seed, strategy) == sampler_oracle(n, 1500, seed, strategy)
+
+
+def test_sampler_shares_no_tables_across_calls():
+    # same (n, seed) and wires, different tables: a table kept from the
+    # previous call would change the transcript
+    n, seed = 6, 4
+    for strategy in (late_starter_strategy, winning_behavior, mixed_strategy, read_strategy):
+        assert sample_game(n, 800, seed, strategy) == sampler_oracle(n, 800, seed, strategy)
 
 
 def test_mixed_strategy_is_not_certain():

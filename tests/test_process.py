@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from acausal import process
+from acausal import diagop, process
 from acausal.diagop import (
     DiagOperator,
     LayoutError,
@@ -524,6 +524,23 @@ def test_validate_draws_no_table_when_only_the_identity_survives(monkeypatch):
     report = validate_process(naive_even_w(6), seed=5)
     assert seeds == [5]
     assert report.bilinear.checked == 1000 and report.bilinear.failed
+
+
+@pytest.mark.parametrize("n", (3, 4, 9, 12))
+def test_validate_eliminates_once(monkeypatch, n):
+    # the rank sizes the work check and the same rows feed is_nonnegative
+    w = build_w(n)
+    assert w.operator.nums  # built before counting starts
+    calls = []
+
+    def counting(vectors):
+        calls.append(vectors)
+        return gf2_echelon(vectors)
+
+    monkeypatch.setattr(process, "gf2_echelon", counting)
+    monkeypatch.setattr(diagop, "gf2_echelon", counting)
+    assert validate_process(w).passed
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", range(3, 17))
