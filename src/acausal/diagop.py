@@ -400,13 +400,14 @@ def _wht(vec: list[int]) -> None:
         h = step
 
 
-def _index_table(cols: Sequence[int]) -> list[int]:
-    """XOR of the ``cols`` picked by the set bits of each index below
-    ``2**len(cols)``, ``cols[0]`` on the least significant bit."""
-    table = [0]
-    for c in cols:
-        table += [t ^ c for t in table]
-    return table
+def _span(vectors: Iterable[int]) -> list[int]:
+    """XOR of the ``vectors`` picked by the set bits of each index below
+    ``2**len(vectors)``, the first vector on the least significant bit:
+    the GF(2) span, listed in that order when the vectors are independent."""
+    span = [0]
+    for v in vectors:
+        span += [s ^ v for s in span]
+    return span
 
 
 def _dense_tables(a: DiagOperator) -> tuple[list[int], list[int], list[int]]:
@@ -416,7 +417,7 @@ def _dense_tables(a: DiagOperator) -> tuple[list[int], list[int], list[int]]:
     place the ``2**rank`` values of :func:`_rank_transform`."""
     vals, cols = _rank_transform(a)
     h = a.layout.width // 2
-    return vals, _index_table(cols[h:]), _index_table(cols[:h])
+    return vals, _span(cols[h:]), _span(cols[:h])
 
 
 def to_dense(a: DiagOperator) -> list[Fraction]:

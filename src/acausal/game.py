@@ -27,6 +27,7 @@ from .diagop import LayoutError, Wire, WireLayout, _spare_twos, dyadic_json
 from .process import (
     ProcessMatrix,
     UnsupportedPartyCount,
+    _widths,
     loop_decomposition,
     refuse_over_budget,
 )
@@ -158,13 +159,6 @@ def check_outcome_budget(n: int) -> None:
     """Refuse, before anything is built, a joint outcome table of 2^n
     entries once it reaches the work budget: n >= 19."""
     refuse_over_budget("outcome distribution", n, 1 << n, "outcome entries")
-
-
-def _widths(n: int, i: int) -> tuple[int, int]:
-    """Widths of party i's wires ``(O_i, I_i)``: for even n the
-    second-to-last party sends and the last party receives on two bits."""
-    even = n % 2 == 0
-    return (2 if even and i == n - 2 else 1), (2 if even and i == n - 1 else 1)
 
 
 def _party_layout(n: int, i: int) -> WireLayout:

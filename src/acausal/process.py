@@ -27,13 +27,12 @@ from .diagop import (
     LayoutError,
     Wire,
     WireLayout,
+    _make,
+    _span,
     channel_apply,
     from_dense,
     gf2_echelon,
-    identity,
     is_nonnegative,
-    mask_fields,
-    partial_trace,
     point_mass,
     to_dense,
 )
@@ -59,21 +58,19 @@ class UnsupportedPartyCount(ValueError):
     """Raised for party counts the construction provably cannot serve."""
 
 
-def game_layout(n: int) -> WireLayout:
-    """Wires ``I_0..I_{n-1}, O_0..O_{n-1}`` with the even-n wide registers."""
+def _widths(n: int, i: int) -> tuple[int, int]:
+    """Widths of party i's wires ``(O_i, I_i)``: for even n the
+    second-to-last party sends and the last party receives on two bits."""
     even = n % 2 == 0
-    wires = [Wire(k, "I", 2 if even and k == n - 1 else 1) for k in range(n)]
-    wires += [Wire(k, "O", 2 if even and k == n - 2 else 1) for k in range(n)]
-    return WireLayout(wires)
+    return (2 if even and i == n - 2 else 1), (2 if even and i == n - 1 else 1)
 
 
-def _span(generators: Iterable[int]) -> list[int]:
-    """Every XOR of a subset of the (independent) generators; element i is
-    the XOR of the generators at the set bits of i."""
-    span = [0]
-    for g in generators:
-        span += [s ^ g for s in span]
-    return span
+def game_layout(n: int) -> WireLayout:
+    """Wires ``I_0..I_{n-1}, O_0..O_{n-1}`` of the widths :func:`_widths`
+    gives."""
+    widths = [_widths(n, k) for k in range(n)]
+    return WireLayout([Wire(k, "I", wi) for k, (_, wi) in enumerate(widths)]
+                      + [Wire(k, "O", wo) for k, (wo, _) in enumerate(widths)])
 
 
 def _generators(n: int) -> list[int]:
@@ -161,10 +158,8 @@ def build_w(n: int) -> ProcessMatrix:
     if n - 1 > WORK_BUDGET_LOG2:
         raise _refusal("build_w", n, f"2^{n - 1} terms")
     k = n if n % 2 else n + 1
-    c = Fraction(1, 1 << k)
-    terms = dict.fromkeys(_span(_place(g, k) for g in _generators(n)), c)
-    op = DiagOperator(game_layout(n), terms)
-    return ProcessMatrix(n=n, layout=op.layout, operator=op, normalization=c)
+    op = _make(game_layout(n), dict.fromkeys(_span(_place(g, k) for g in _generators(n)), 1), k)
+    return ProcessMatrix(n=n, layout=op.layout, operator=op, normalization=Fraction(1, 1 << k))
 
 
 def naive_even_w(n: int) -> DiagOperator:
@@ -181,7 +176,7 @@ def naive_even_w(n: int) -> DiagOperator:
     layout = WireLayout(wires)
     # The even-parity masks are spanned by (1 << j) | 1, as in generator_group.
     placed = [_place((1 << j) | 1, n) for j in range(1, n)]
-    return DiagOperator(layout, dict.fromkeys(_span(placed), Fraction(1, 1 << n)))
+    return _make(layout, dict.fromkeys(_span(placed), 1), n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +229,10 @@ class ValidationReport:
         }
 
 
-def _party_partition(layout: WireLayout) -> list[int]:
-    """Party indices of an I/O-partitioned layout, or raise."""
+def _party_plan(layout: WireLayout) -> list[tuple[int, int, int, int]]:
+    """``(o_field, i_field, wo, wi)`` of each party in party order: the
+    masks and widths of its wires ``O_p`` and ``I_p``. Raises
+    ``LayoutError`` unless the wires are exactly those of parties 0..n-1."""
     seen: dict[int, set[str]] = {}
     for w in layout.wires:
         if w.kind not in ("I", "O") or not isinstance(w.party, int):
@@ -247,7 +244,8 @@ def _party_partition(layout: WireLayout) -> list[int]:
     for p, kinds in seen.items():
         if kinds != {"I", "O"}:
             raise LayoutError(f"party {p} lacks an I or O wire")
-    return parties
+    return [(layout.field_mask(f"O{p}"), layout.field_mask(f"I{p}"),
+             layout.field(f"O{p}")[1], layout.field(f"I{p}")[1]) for p in parties]
 
 
 # The bilinear check enumerates every tuple of deterministic local channels
@@ -255,8 +253,9 @@ def _party_partition(layout: WireLayout) -> list[int]:
 EXHAUSTIVE_LIMIT = 5
 SAMPLE_COUNT = 1000
 # validate_process refuses files needing 2**(WORK_BUDGET_LOG2 + 1) or more
-# table tuples, drawn table entries or nonnegativity entries, and
-# build_w, the game and the causal witness refuse as many terms or entries.
+# table tuples, drawn table entries or nonnegativity entries, and build_w,
+# conditional_distribution, the game and the causal witness refuse as many
+# terms, products or entries.
 WORK_BUDGET_LOG2 = 18
 
 
@@ -272,52 +271,47 @@ def refuse_over_budget(what: str, n: int, entries: int, unit: str) -> None:
         raise _refusal(what, n, f"{entries} {unit}")
 
 
-def _check_work(layout: WireLayout, parties: list[int], rank: int, survivors: list[int]) -> None:
+def _check_work(plan: list[tuple[int, int, int, int]], rank: int, survivors: list[int]) -> int:
     """Refuse, before any of it is done, validate work over the budget: the
     tuples of local tables enumerated up to ``EXHAUSTIVE_LIMIT`` parties,
     the table entries drawn beyond it, the nonnegativity transform, and the
     checked tuples times the surviving terms each of them contracts.
+    Return the number of tuples the bilinear check reports.
 
     A draw of party p fills a table of ``2**wi`` entries, so the draws cost
     ``SAMPLE_COUNT * sum_p 2**wi`` entries. They are sized only when a
-    non-identity term survives: otherwise no table is drawn (see
-    :func:`_bilinear_check`)."""
+    non-identity term survives: otherwise no table is drawn."""
     def refuse_over(log2: int, what: str) -> None:
         if log2 > WORK_BUDGET_LOG2:
             raise ValueError(f"validate refused: it needs at least 2^{log2} {what}, "
                              f"over the budget of 2^{WORK_BUDGET_LOG2}")
 
-    widths = [(layout.field(f"O{p}")[1], layout.field(f"I{p}")[1]) for p in parties]
-    if len(parties) <= EXHAUSTIVE_LIMIT:
+    if len(plan) <= EXHAUSTIVE_LIMIT:
         # Party p has 2**(wo * 2**wi) tables; capping wi keeps the exponent
         # itself small for a wide input wire, and still over the budget.
-        tables = sum(wo << min(wi, 64) for wo, wi in widths)
+        tables = sum(wo << min(wi, 64) for _, _, wo, wi in plan)
         refuse_over(tables, "tuples of local tables")
         checked = 1 << tables
     else:
         if any(survivors):
-            entries = SAMPLE_COUNT * sum(1 << min(wi, 64) for _, wi in widths)
+            entries = SAMPLE_COUNT * sum(1 << min(wi, 64) for _, _, _, wi in plan)
             refuse_over(entries.bit_length() - 1, "drawn table entries")
         checked = SAMPLE_COUNT
     refuse_over(rank, "nonnegativity entries")
     refuse_over((checked * len(survivors)).bit_length() - 1, "contracted terms")
+    return checked
 
 
-def _term_pass(op: DiagOperator, parties: list[int]) -> tuple[list[int], tuple]:
+def _term_pass(op: DiagOperator, plan: list[tuple[int, int, int, int]]) -> tuple[list[int], tuple]:
     """The surviving masks and the signaling matrix, in one pass over the
-    terms.
-
-    A party sends in a term whose mask touches its output and receives in
-    one whose mask touches its input. A term survives when no party
-    receives without sending. Every other term has a party p that only
-    receives, and under any deterministic table ``o = t[v]`` of p it pairs
-    with the character ``sum_v (-1)^(s_I . v) = 0``, so it adds nothing to
-    any tuple's total probability. Row j, column i of the matrix
-    says whether some term has party j sending and party i receiving.
+    terms (see :func:`validate_process`). A party sends in a term whose
+    mask touches its output and receives in one whose mask touches its
+    input; a term survives when no party receives without sending. Row j,
+    column i of the matrix says whether some term has party j sending and
+    party i receiving.
     """
-    layout = op.layout
-    fields = [(1 << p, layout.field_mask(f"O{p}"), layout.field_mask(f"I{p}"))
-              for p in parties]
+    parties = range(len(plan))
+    fields = [(1 << p, o_field, i_field) for p, (o_field, i_field, _, _) in enumerate(plan)]
     survivors = []
     senders = {}  # receiving-party bits -> OR of the sending-party bits
     for mask in op.nums:
@@ -330,7 +324,7 @@ def _term_pass(op: DiagOperator, parties: list[int]) -> tuple[list[int], tuple]:
         if not receive & ~send:
             survivors.append(mask)
         senders[receive] = senders.get(receive, 0) | send
-    reached_by = [0] * len(parties)
+    reached_by = [0] * len(plan)
     for receive, send in senders.items():
         for i in parties:
             if receive >> i & 1:
@@ -350,74 +344,81 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
     * ``bilinear_norm``: for tuples of deterministic local channels
       ``f_i: I_i -> O_i``, the total outcome probability is 1; exhaustive
       up to ``EXHAUSTIVE_LIMIT`` parties, ``SAMPLE_COUNT`` tuples drawn
-      with ``seed`` beyond. When no non-identity term survives, every
-      tuple has the same total, so one evaluation decides all tuples at
-      any n and ``seed`` is not used;
+      with ``seed`` beyond;
     * ``term_structure``: every non-identity parity term leaves some party
       receiving without sending (sigma_z on its input, identity on its
       output), which rules out closed signaling cycles;
     * ``signaling``: matrix over ordered pairs (sender j, recipient i) of
       whether some term links ``O_j`` to ``I_i``.
 
-    ``bilinear_norm`` and ``term_structure`` rest on one lemma (Oreshkov,
-    Costa & Brukner 2012; Baumeler & Wolf 2016): under deterministic
-    tables ``o = t_p[v]`` a term s of W counts with the product of the
-    characters ``chi_p(s) = sum_v (-1)^(s_O . t_p[v] + s_I . v)``, and
-    ``chi_p(s)`` is 0 when party p receives without sending. One pass over
-    the terms keeps the others, the survivors, and builds ``signaling``
-    (see :func:`_term_pass`). ``term_structure`` says no non-identity term
-    survives, and each tuple is valued exactly in integers from the
-    survivors alone. For t terms, n parties, s survivors and k distinct
-    tables these cost O(t·n + k·s·2^wi + tuples·s·n). A valid process has
-    only the identity survivor, and then ``bilinear_norm`` costs O(n) on
-    top of the O(t·n) pass: no table is enumerated or drawn.
+    The checks after ``nonneg`` rest on one lemma (Oreshkov, Costa &
+    Brukner 2012; Baumeler & Wolf 2016). Party p's table ``o = t_p[v]`` is
+    the channel on ``(O_p, I_p)`` whose coefficient at the local mask s is
+    the character ``chi_p(s) = sum_v (-1)^(s_O . t_p[v] + s_I . v)`` over
+    ``2**(wo + wi)``. Monomials are orthogonal under the trace and the
+    parties' widths add up to the layout's, so a tuple's total probability
+    is ``sum_s nums[s] * prod_p chi_p(s)`` over ``2**op.log2den``, in
+    integers. When party p receives without sending, ``chi_p(s) = sum_v
+    (-1)^(s_I . v) = 0``. One pass over the terms (:func:`_term_pass`)
+    keeps the others, the survivors, and builds ``signaling``.
+    ``term_structure`` says no non-identity term survives, and each tuple is
+    valued from the survivors alone (:func:`_tuple_value`).
 
-    Raises ``ValueError`` before any check when the bilinear check, its
-    contractions or the nonnegativity transform would exceed the work
-    budget.
+    When only the identity survives, every table has ``chi_p(0) =
+    2**wi``, so every tuple has the total ``nums[0] * 2**|I|``: one integer test,
+    ``nums[0] << |I| == 2**log2den``, decides all tuples at any n, ``seed``
+    is not used and ``checked`` stays the count the enumeration or the
+    draws would reach. Tracing out the inputs keeps the terms that touch no
+    input, each of them a survivor, scaled by ``2**|I|``: ``channel_norm``
+    holds iff every non-identity survivor touches an input and the same
+    integer test holds. No operator is built.
+
+    For t terms, n parties, s survivors and k distinct tables the checks
+    after ``nonneg`` cost O(t·n + k·s·2^wi + tuples·s·n), and O(t·n) when
+    only the identity survives.
+
+    Raises ``LayoutError`` unless the wires are the ``I_p`` and ``O_p`` of
+    parties 0..n-1, and ``ValueError`` before any check when the bilinear
+    check, its contractions or the nonnegativity transform would exceed
+    the work budget.
     """
     op = process.operator if isinstance(process, ProcessMatrix) else process
-    layout = op.layout
-    parties = _party_partition(layout)
-    i_names = [f"I{p}" for p in parties]
-    o_names = [f"O{p}" for p in parties]
-    survivors, signaling = _term_pass(op, parties)
+    plan = _party_plan(op.layout)
+    survivors, signaling = _term_pass(op, plan)
     rows = gf2_echelon(op.nums)
-    _check_work(layout, parties, len(rows), survivors)
-
-    nonneg = is_nonnegative(op, rows)
-
-    traced = partial_trace(op, i_names)
-    channel_norm = traced == identity(layout.restrict(o_names))
-
+    checked = _check_work(plan, len(rows), survivors)
+    inputs = sum(i_field for _, i_field, _, _ in plan)  # disjoint fields: their union
+    unit_identity = op.nums.get(0, 0) << inputs.bit_count() == 1 << op.log2den
     term_structure = not any(survivors)
-
-    bilinear = _bilinear_check(op, parties, seed, survivors)
-
+    if term_structure:
+        failed = 0 if unit_identity else checked
+    else:
+        failed = _bilinear_check(op, plan, seed, survivors)
     return ValidationReport(
-        nonneg=nonneg,
-        channel_norm=channel_norm,
-        bilinear=bilinear,
+        nonneg=is_nonnegative(op, rows),
+        channel_norm=unit_identity and all(m & inputs for m in survivors if m),
+        bilinear=BilinearCheck(checked=checked, failed=failed),
         term_structure=term_structure,
         signaling=signaling,
     )
 
 
-def _tuple_value(op: DiagOperator, parties: list[int], masks: Iterable[int]):
+def _tuple_value(op: DiagOperator, plan: list[tuple[int, int, int, int]], masks: Iterable[int]):
     """``value(tables)``: the numerator, over ``2**op.log2den``, of
     ``sum_s nums[s] * prod_p chi_p(s)`` on the terms ``masks`` of ``op``,
-    with each party's characters cached per table (see
-    :func:`_bilinear_check`)."""
+    with each party's characters cached per table. Entry ``v -> t[v]`` of
+    party p is the layout index holding ``t[v]`` on ``O_p`` and ``v`` on
+    ``I_p``, so a mask meets it on p's wires alone."""
     masks = list(masks)
     nums = [op.nums[m] for m in masks]
-    wires = [(f"O{p}", f"I{p}") for p in parties]
-    local = [[mask_fields(op.layout, m, group) for m in masks] for group in wires]
-    widths = [op.layout.field(i)[1] for _, i in wires]
+    # o * low places the value o on the field whose lowest bit is low
+    lows = [(o_field & -o_field, i_field & -i_field) for o_field, i_field, _, _ in plan]
 
     @lru_cache(maxsize=None)
     def characters(p: int, table: tuple[int, ...]) -> list[int]:
-        entries = [(o << widths[p]) | v for v, o in enumerate(table)]
-        return [sum(-1 if (s & e).bit_count() & 1 else 1 for e in entries) for s in local[p]]
+        o_low, i_low = lows[p]
+        entries = [o * o_low | v * i_low for v, o in enumerate(table)]
+        return [sum(-1 if (s & e).bit_count() & 1 else 1 for e in entries) for s in masks]
 
     def value(tables: Sequence[tuple[int, ...]]) -> int:
         chis = [characters(p, t) for p, t in enumerate(tables)]
@@ -425,47 +426,25 @@ def _tuple_value(op: DiagOperator, parties: list[int], masks: Iterable[int]):
     return value
 
 
-def _bilinear_check(op, parties, seed, survivors):
-    """Count the tuples of deterministic local tables, exhaustive or drawn
-    with ``seed``, whose total outcome probability is not 1.
-
-    Party p's table ``o = t[v]`` is the channel on ``(O_p, I_p)`` whose
-    coefficient at the local mask s is the character sum
-    ``chi_p(s) = sum_v (-1)^(s_O . t[v] + s_I . v)`` over ``2**(wo + wi)``.
-    Monomials are orthogonal under the trace and the parties' widths add
-    up to the layout's, so a tuple's total probability is
-    ``sum_s nums[s] * prod_p chi_p(s)`` over ``2**op.log2den``, in
-    integers (:func:`_tuple_value`). Only the ``survivors`` enter (see
-    :func:`_term_pass`): every other term has a party whose character is
-    0. Each party's characters cost O(s·2^wi) once per distinct table, and
-    a tuple then O(s·n), for s survivors.
-
-    When no non-identity term survives, every table has ``chi_p(0) =
-    2**wi``, so every tuple has the same total ``nums[0] * 2**|I|``: one
-    evaluation, in O(n), decides all of them, and no table is enumerated
-    or drawn. ``checked`` stays the count the enumeration or the draws
-    would reach.
-    """
-    widths = [(op.layout.field(f"O{p}")[1], op.layout.field(f"I{p}")[1]) for p in parties]
-    one = 1 << op.log2den
-    exhaustive = len(parties) <= EXHAUSTIVE_LIMIT
-    if not any(survivors):
-        checked = 1 << sum(wo << wi for wo, wi in widths) if exhaustive else SAMPLE_COUNT
-        total = op.nums.get(0, 0) << sum(wi for _, wi in widths)
-        return BilinearCheck(checked=checked, failed=0 if total == one else checked)
-    value = _tuple_value(op, parties, survivors)
-    if exhaustive:
+def _bilinear_check(op, plan, seed, survivors) -> int:
+    """The number of tuples of deterministic local tables, exhaustive or
+    drawn with ``seed``, whose total outcome probability, valued on the
+    ``survivors`` (see :func:`validate_process`), is not 1. Each party's
+    characters cost O(s·2^wi) once per distinct table, and a tuple then
+    O(s·n), for s survivors."""
+    value = _tuple_value(op, plan, survivors)
+    if len(plan) <= EXHAUSTIVE_LIMIT:
         combos = itertools.product(*(
-            itertools.product(range(1 << wo), repeat=1 << wi) for wo, wi in widths
+            itertools.product(range(1 << wo), repeat=1 << wi) for _, _, wo, wi in plan
         ))
     else:
         rng = random.Random(seed)
         combos = (
-            [tuple(rng.randrange(1 << wo) for _ in range(1 << wi)) for wo, wi in widths]
+            [tuple(rng.randrange(1 << wo) for _ in range(1 << wi)) for _, _, wo, wi in plan]
             for _ in range(SAMPLE_COUNT)
         )
-    values = [value(tables) for tables in combos]
-    return BilinearCheck(checked=len(values), failed=sum(v != one for v in values))
+    one = 1 << op.log2den
+    return sum(value(tables) != one for tables in combos)
 
 
 def conditional_distribution(
@@ -477,9 +456,15 @@ def conditional_distribution(
     ``outputs`` gives one value per output wire (in party order, or as a
     name-keyed mapping); the result maps input-wire value tuples to their
     probabilities, omitting zero entries.
+
+    The process's terms are multiplied by the ``2**|O|`` terms of the
+    output point mass; once those products reach the work budget (from
+    n = 10) the call is refused with ``ValueError`` before any is formed.
     """
     n = process.n
     o_layout = process.layout.restrict(process.output_wires)
+    refuse_over_budget("conditional distribution", n,
+                       len(process.operator.nums) << o_layout.width, "term products")
     if isinstance(outputs, Mapping):
         assignment = dict(outputs)
     else:

@@ -21,6 +21,7 @@ from acausal.diagop import (
 from acausal.process import (
     UnsupportedPartyCount,
     _gf2_kernel,
+    _party_plan,
     _term_pass,
     _tuple_value,
     build_w,
@@ -251,6 +252,29 @@ def test_conditional_requires_complete_assignment():
         conditional_distribution(build_w(3), (0, 0))
 
 
+def _refuse(*args):
+    raise AssertionError("built work the budget refuses")
+
+
+@pytest.mark.parametrize("n", (10, 11, 14))
+def test_conditional_refuses_products_over_the_budget(monkeypatch, n):
+    # 2^(n-1) terms times 2^|O| point-mass terms: 2^20 products at n = 10
+    w = build_w(n)
+    monkeypatch.setattr(diagop, "multiply", _refuse)
+    monkeypatch.setattr(process, "point_mass", _refuse)
+    with pytest.raises(ValueError, match=f"^conditional distribution refused: n={n} needs "):
+        conditional_distribution(w, [0] * n)
+
+
+def test_conditional_below_the_budget_equals_the_loops():
+    rng = random.Random(48)
+    w = build_w(9)
+    for _ in range(4):
+        o = [rng.randrange(2) for _ in range(9)]
+        assert conditional_distribution(w, o) == {
+            loop.apply(o): loop.weight for loop in loop_decomposition(9)}
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_validate_passes_for_built_processes(n):
     report = validate_process(build_w(n))
@@ -387,7 +411,7 @@ def test_term_pass_matches_pairwise_scan():
     operators += [build_w(n).operator for n in range(3, 9)] + [naive_even_w(4)]
     for op in operators:
         parties = list(range(len(op.layout.wires) // 2))
-        survivors, signaling = _term_pass(op, parties)
+        survivors, signaling = _term_pass(op, _party_plan(op.layout))
         assert signaling == _signaling_scan(op, parties)
         assert survivors == [m for m in op.nums
                              if not _receives_without_sending(op.layout, m, parties)]
@@ -409,9 +433,10 @@ def test_pruned_contraction_equals_full_on_every_table_tuple():
     for _ in range(60):
         op = random_party_operator(rng)
         parties = list(range(len(op.layout.wires) // 2))
-        survivors, _ = _term_pass(op, parties)
+        plan = _party_plan(op.layout)
+        survivors, _ = _term_pass(op, plan)
         pruned_away += len(op.nums) - len(survivors)
-        pruned, full = _tuple_value(op, parties, survivors), _tuple_value(op, parties, op.nums)
+        pruned, full = _tuple_value(op, plan, survivors), _tuple_value(op, plan, op.nums)
         dense = dense_oracle(op)
         for tables in _all_tables(op, parties):
             tuples += 1
@@ -467,7 +492,7 @@ def test_identity_only_bilinear_counts_match_oracle_up_to_five_parties():
     outcomes = set()
     for op in cases:
         parties = list(range(len(op.layout.wires) // 2))
-        assert not any(_term_pass(op, parties)[0])
+        assert not any(_term_pass(op, _party_plan(op.layout))[0])
         dense = dense_oracle(op)
         totals = [total_probability_oracle(op, tables, dense)
                   for tables in _all_tables(op, parties)]
@@ -483,7 +508,7 @@ def _drawn_counts(op, seed):
     tuple valued on every term of ``op``."""
     parties = list(range(len(op.layout.wires) // 2))
     widths = [(op.layout.field(f"O{p}")[1], op.layout.field(f"I{p}")[1]) for p in parties]
-    value = _tuple_value(op, parties, op.nums)
+    value = _tuple_value(op, _party_plan(op.layout), op.nums)
     rng = random.Random(seed)
     values = [value([tuple(rng.randrange(1 << wo) for _ in range(1 << wi)) for wo, wi in widths])
               for _ in range(1000)]
@@ -499,7 +524,7 @@ def test_identity_only_bilinear_counts_match_seeded_draws_at_six_and_seven_parti
         cases.append(_identity_survivor_operator(rng, widths, identity_num))
     outcomes = set()
     for op in cases:
-        assert not any(_term_pass(op, list(range(len(op.layout.wires) // 2)))[0])
+        assert not any(_term_pass(op, _party_plan(op.layout))[0])
         for seed in (0, 3):
             report = validate_process(op, seed=seed)
             assert (report.bilinear.checked, report.bilinear.failed) == _drawn_counts(op, seed)
@@ -543,16 +568,72 @@ def test_validate_eliminates_once(monkeypatch, n):
     assert len(calls) == 1
 
 
+def _traced_identity_oracle(op):
+    """``channel_norm`` as tracing out the inputs and comparing the result
+    with the identity operator on the outputs."""
+    layout = op.layout
+    inputs = [w.name for w in layout.wires if w.kind == "I"]
+    outputs = [w.name for w in layout.wires if w.kind == "O"]
+    return partial_trace(op, inputs) == identity(layout.restrict(outputs))
+
+
+def _near_valid(rng, op):
+    """``op`` without its input-free terms and with the identity
+    coefficient 2^-|I|, then, half the time, one term added or changed."""
+    i_mask = sum(op.layout.field_mask(w.name) for w in op.layout.wires if w.kind == "I")
+    terms = {m: c for m, c in op.terms.items() if m & i_mask}
+    terms[0] = F(1, 1 << i_mask.bit_count())
+    if rng.random() < 0.5:
+        m = rng.randrange(1 << op.layout.width)
+        terms[m] = terms.get(m, 0) + F(rng.choice((-1, 1)), 1 << rng.randint(0, 4))
+    return DiagOperator(op.layout, terms)
+
+
+def test_channel_norm_equals_traced_identity():
+    rng = random.Random(46)
+    cases = []
+    for k in range(2400):
+        op = random_party_operator(rng, max_table_bits=6)
+        cases.append(_near_valid(rng, op) if k % 3 == 0 else op)
+    cases += [build_w(n).operator for n in range(3, 13)]
+    cases += [naive_even_w(n) for n in range(4, 11, 2)]
+    w3 = build_w(3).operator
+    cases.append(DiagOperator(w3.layout, {**w3.terms, 0x1e: -w3.terms[0x1e]}))  # golden w3neg
+    verdicts = []
+    for op in cases:
+        expected = _traced_identity_oracle(op)
+        assert validate_process(op).channel_norm == expected
+        verdicts.append(expected)
+    assert sum(verdicts) > 500 and not all(verdicts)
+
+
+def test_validate_builds_no_operator(monkeypatch):
+    rng = random.Random(47)
+    cases = [build_w(n) for n in range(3, 11)] + [naive_even_w(n) for n in (4, 6, 8)]
+    cases += [random_party_operator(rng) for _ in range(200)]
+    expected = [validate_process(op, seed=3) for op in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_process built an operator")
+
+    for name in ("partial_trace", "identity", "mask_fields"):
+        monkeypatch.setattr(diagop, name, refuse)
+        monkeypatch.setattr(process, name, refuse, raising=False)
+    monkeypatch.setattr(WireLayout, "restrict", refuse)
+    assert [validate_process(op, seed=3) for op in cases] == expected
+
+
 @pytest.mark.parametrize("n", range(3, 17))
 def test_build_w_keeps_only_the_identity_term(n):
-    assert _term_pass(build_w(n).operator, list(range(n)))[0] == [0]
+    op = build_w(n).operator
+    assert _term_pass(op, _party_plan(op.layout))[0] == [0]
 
 
 @pytest.mark.parametrize("n", range(4, 13, 2))
 def test_naive_even_w_keeps_identity_and_all_sigma_z(n):
     op = naive_even_w(n)
     full = (1 << op.layout.width) - 1
-    assert sorted(_term_pass(op, list(range(n)))[0]) == [0, full]
+    assert sorted(_term_pass(op, _party_plan(op.layout))[0]) == [0, full]
 
 
 def test_validate_passes_build_w_where_sampling_took_seconds():
