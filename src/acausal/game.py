@@ -11,6 +11,13 @@ sampler compiles each loop, once per call, into jump tables over runs of
 parties and over the tables each drawing party can deal, and reads them
 shot by shot. Both yield certain winning for the strategies built here,
 for every n >= 3.
+
+In the winning strategy a party's tables depend only on its class (its
+wire widths, the bits its output and input factors read, and whether it
+starts the loop) and its input bit. By default both evaluators build each
+behavior once per party and class for the call, at most 8n of them, and
+the exact one raises each run of equal consecutive party matrices by
+repeated squaring. Every memo lives for one call.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, groupby, product
+from operator import mul
 from typing import Callable, Sequence
 
 from .diagop import LayoutError, Wire, WireLayout, _spare_twos, dyadic_json
@@ -222,6 +230,33 @@ def wide_code(n: int, m: int) -> str:
     raise AssertionError(f"no consistent wide-register code for n={n}, m={m}")
 
 
+def _winning_class(n: int, m: int, i: int) -> tuple[int, int, int | None, int | None, bool]:
+    """Party i's class in the winning strategy for referee value m:
+    ``(wo, wi, o_mask, i_mask, starter)``, its wire widths, the bits its
+    output and input factors read, and whether it starts the loop."""
+    starter = i == (m + 1) % n
+    wo, wi = _widths(n, i)
+    o_mask = _CODE_MASKS.get(wide_code(n, m)) if wo == 2 else 0b1
+    i_mask = 0b1 if wi == 1 else None if starter else _CODE_MASKS[wide_code(n, m)]
+    return wo, wi, o_mask, i_mask, starter
+
+
+def _winning_tables(wo: int, wi: int, o_mask: int | None, i_mask: int | None,
+                    starter: bool, a_i: int) -> tuple[list[list[int]], int]:
+    """The winning behavior's tables and ``log2den`` for one class (see
+    :func:`_winning_class`) and input bit: per outcome x, the product of
+    the output factor ``(1 + (-1)**send Z) / 2**|O_i|`` and the input
+    factor ``(1 + (-1)**x Z) / 2``, each a :func:`_parity_factor` on a 1-
+    or 2-bit wire. The starter sends its bare input bit, every other party
+    ``a_i XOR x``."""
+    tables = []
+    for x in (0, 1):
+        out = _parity_factor(wo, o_mask, a_i if starter else a_i ^ x)
+        inp = _parity_factor(wi, i_mask, x)
+        tables.append([f * g for f in out for g in inp])
+    return tables, wo + 1
+
+
 @lru_cache(maxsize=None)
 def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
     """The local behavior with which the parity game is won with certainty.
@@ -230,10 +265,8 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
     ``a_i XOR x_i``, except the party right after the designated guesser,
     which injects its bare input bit into the loop. For even n the two
     wide-register parties encode/decode through the bits selected by
-    :func:`wide_code`. Each table is the product of an output factor
-    ``(1 + (-1)**send Z) / 2**|O_i|`` and an input factor
-    ``(1 + (-1)**x Z) / 2``, each a :func:`_parity_factor` on a 1- or 2-bit
-    wire.
+    :func:`wide_code`. The tables depend only on the party's class and
+    input bit; :func:`_winning_tables` builds them.
     """
     _check_game_size(n)
     if not 0 <= m < n:
@@ -242,17 +275,27 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
         raise ValueError(f"party index must lie in 0..{n - 1}, got {i}")
     if a_i not in (0, 1):
         raise ValueError("a_i must be a bit")
+    return LocalBehavior(i, _party_layout(n, i), *_winning_tables(*_winning_class(n, m, i), a_i))
 
-    starter = i == (m + 1) % n
-    wo, wi = _widths(n, i)
-    o_mask = _CODE_MASKS.get(wide_code(n, m)) if wo == 2 else 0b1
-    i_mask = 0b1 if wi == 1 else None if starter else _CODE_MASKS[wide_code(n, m)]
-    tables = []
-    for x in (0, 1):
-        out = _parity_factor(wo, o_mask, a_i if starter else a_i ^ x)
-        inp = _parity_factor(wi, i_mask, x)
-        tables.append([f * g for f in out for g in inp])
-    return LocalBehavior(i, _party_layout(n, i), tables, wo + 1)
+
+def _class_strategy(layouts: Sequence[WireLayout]) -> Strategy:
+    """The winning strategy for one evaluation, on the given party layouts.
+
+    It answers as :func:`winning_behavior` does, but builds each behavior
+    once per party and class (widths included: the wide sender and the
+    wide receiver have tables of the same length) and input bit, so an
+    evaluation builds at most 8n behaviors instead of 2n^2. The memo lives
+    as long as the returned function: one evaluator call."""
+    built: dict[tuple, LocalBehavior] = {}
+
+    def strategy(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
+        key = (i, *_winning_class(n, m, i), a_i)
+        behavior = built.get(key)
+        if behavior is None:
+            behavior = built[key] = LocalBehavior(i, layouts[i], *_winning_tables(*key[1:]))
+        return behavior
+
+    return strategy
 
 
 def behavior_from_table(party: int, o_width: int, i_width: int,
@@ -273,9 +316,36 @@ def behavior_from_table(party: int, o_width: int, i_width: int,
 # exact evaluation
 # ---------------------------------------------------------------------------
 
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _party_matrix(table: Sequence[int], wo: int, wi: int, flip: int) -> tuple:
+    """A party's table, indexed like :class:`LocalBehavior`'s, as the
+    integer matrix from its input ``v`` to the next party's input ``o ^
+    flip`` on a loop whose edge out of the party flips ``flip``."""
+    return tuple(tuple(table[((u ^ flip) << wi) | v] for u in range(1 << wo))
+                 for v in range(1 << wi))
+
+
+def _run_product(mats: Sequence[Sequence[Sequence[int]]]) -> Sequence[Sequence[int]]:
+    """The product of ``mats`` in order. Each run of equal consecutive
+    matrices (square, or the chain would not multiply) is raised to its
+    length by repeated squaring."""
+    product = None
+    for mat, run in groupby(mats):
+        power = None
+        count = sum(1 for _ in run)
+        while True:
+            if count & 1:
+                power = mat if power is None else _matmul(power, mat)
+            count >>= 1
+            if not count:
+                break
+            mat = _matmul(mat, mat)
+        product = power if product is None else _matmul(product, power)
+    return product
 
 
 def _loop_traces(n: int, choices: Sequence[tuple[Sequence[Sequence[int]], int]]
@@ -286,10 +356,10 @@ def _loop_traces(n: int, choices: Sequence[tuple[Sequence[Sequence[int]], int]]
     party i's integer tables, indexed like :class:`LocalBehavior`'s, over
     ``2**log2den``.
 
-    On one loop, party i's table is an integer matrix from its input ``v``
-    to the next party's input ``o ^ flip``, and a choice contracts to the
-    trace of the product around the cycle. Choices share the products of
-    their common prefixes; the loops are averaged uniformly.
+    On one loop, party i's table is its :func:`_party_matrix`, and a
+    choice contracts to the trace of the product around the cycle. Choices
+    share the products of their common prefixes; the loops are averaged
+    uniformly.
     """
     loops = loop_decomposition(n)
     widths = [_widths(n, i) for i in range(n)]
@@ -298,8 +368,7 @@ def _loop_traces(n: int, choices: Sequence[tuple[Sequence[Sequence[int]], int]]
     for loop in loops:
         level = [[[1, 0], [0, 1]]]  # party 0 reads one bit
         for (tables, _), (wo, wi), flip in zip(choices, widths, loop.edge_flips):
-            mats = [[[t[((u ^ flip) << wi) | v] for u in range(1 << wo)]
-                     for v in range(1 << wi)] for t in tables]
+            mats = [_party_matrix(t, wo, wi, flip) for t in tables]
             level = [_matmul(p, e) for p in level for e in mats]
         per_loop.append([p[0][0] + p[1][1] for p in level])
     den = len(loops) << log2den
@@ -334,6 +403,20 @@ def outcome_distribution(
     }
 
 
+def _signed_sums(b0: LocalBehavior, b1: LocalBehavior, guesser: bool
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """One party's two factors in :func:`success_probability_exact`, from
+    its behaviors for input bits 0 and 1: its four tables summed, the
+    first pair minus the second (signed by x for the guesser, by a_i for
+    the others), and the common ``log2den``."""
+    k = max(b0.log2den, b1.log2den)
+    (u0, u1), (w0, w1) = ([[v << (k - b.log2den) for v in t] for t in b.tables]
+                          for b in (b0, b1))
+    signed = zip(u0, w0, u1, w1) if guesser else zip(u0, u1, w0, w1)
+    sums, diffs = zip(*((p + q + r + s, p + q - r - s) for p, q, r, s in signed))
+    return sums, diffs, k
+
+
 def success_probability_exact(n: int, strategy: Strategy | None = None) -> "GameResult":
     """Exact per-m and overall success probabilities of a strategy family.
 
@@ -343,31 +426,49 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     two cycle traces on the loop mixture: of every party's tables summed
     over its input bit and outcome, and of the same sums signed by the
     guesser's outcome and by everyone else's input bit. The process's
-    terms are never built. The default strategy wins with certainty for
-    every n >= 3: each per-m probability is exactly 1. Raises
-    ``ValueError`` up front when the 2n^2 behaviors it asks the strategy
-    for reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is refused.
+    terms are never built.
+
+    Within the call, each party's signed sums are kept per pair of
+    behaviors it is dealt, and each :func:`_party_matrix` per sums, widths
+    and edge flip, so equal parties share one matrix; a cycle's product
+    raises each run of equal consecutive matrices by repeated squaring
+    (:func:`_run_product`). The default strategy is
+    :func:`winning_behavior`, built once per party and class for the call
+    (at most 8n behaviors); it wins with certainty for every n >= 3: each
+    per-m probability is exactly 1. A caller's strategy is asked for all
+    2n^2 behaviors. Raises ``ValueError`` up front when those 2n^2
+    behaviors reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is refused.
     """
     _check_game_size(n)
     _check_behaviors(n)
-    strategy = strategy or winning_behavior
     layouts = [_party_layout(n, i) for i in range(n)]
+    strategy = strategy or _class_strategy(layouts)
+    widths = [_widths(n, i) for i in range(n)]
+    flips = [loop.edge_flips for loop in loop_decomposition(n)]
+    folded: dict[tuple, tuple] = {}
+    matrices: dict[tuple, tuple] = {}
     per_m = []
     for m in range(n):
-        agree, parity = [], []
+        parties = []
         for i, layout in enumerate(layouts):
-            b0, b1 = (_check_layout(strategy(n, m, i, a), i, layout) for a in (0, 1))
-            k = max(b0.log2den, b1.log2den)
-            (u0, u1), (w0, w1) = ([[v << (k - b.log2den) for v in t] for t in b.tables]
-                                  for b in (b0, b1))
-            # agree sums all four tables; parity takes the first pair minus
-            # the second: signed by x for the guesser, by a_i for the others
-            signed = zip(u0, w0, u1, w1) if i == m else zip(u0, u1, w0, w1)
-            sums, diffs = zip(*((p + q + r + s, p + q - r - s) for p, q, r, s in signed))
-            agree.append(([sums], k))
-            parity.append(([diffs], k))
-        total = _loop_traces(n, agree)[0] + _loop_traces(n, parity)[0]
-        per_m.append(total / (2 << n))
+            key = (i, strategy(n, m, i, 0), strategy(n, m, i, 1), i == m)
+            if key not in folded:
+                b0, b1 = (_check_layout(b, i, layout) for b in key[1:3])
+                folded[key] = _signed_sums(b0, b1, i == m)
+            parties.append(folded[key])
+        total = 0
+        for edge in flips:
+            for j in (0, 1):  # the summed tables, then the signed ones
+                mats = []
+                for i, party in enumerate(parties):
+                    mkey = (party[j], widths[i], edge[i])
+                    mat = matrices.get(mkey)
+                    if mat is None:
+                        mat = matrices[mkey] = _party_matrix(party[j], *widths[i], edge[i])
+                    mats.append(mat)
+                total += sum(row[v] for v, row in enumerate(_run_product(mats)))
+        log2den = sum(k for _, _, k in parties)
+        per_m.append(Fraction(total, len(flips) << (log2den + n + 1)))
     return GameResult(n=n, per_m=tuple(per_m), p_succ=sum(per_m) / n)
 
 
@@ -494,9 +595,10 @@ def _compile_referee_value(n: int, m: int, strategy: Strategy,
     :func:`_compile_behavior` and, per dealt table, its step and outcomes.
 
     ``behaviors`` and ``jumps`` are the calling sample's memos, keyed by
-    content: a behavior's tables, denominator and layout, and a run's
-    steps. The layout of every behavior is checked, each outcome lookup on
-    the first sight of its content.
+    content: a behavior's tables, denominator and party (whose layout is
+    checked, so the party stands for it), and a run's steps. The layout of
+    every behavior is checked, each outcome lookup on the first sight of
+    its content.
     """
     order = [(m + k) % n for k in range(n)]
     dealt = [None] * n
@@ -504,7 +606,7 @@ def _compile_referee_value(n: int, m: int, strategy: Strategy,
         per_bit = []
         for a in (0, 1):
             behavior = _check_layout(strategy(n, m, i, a), i, layout)
-            key = (behavior.tables, behavior.log2den, layout)
+            key = (behavior.tables, behavior.log2den, i)
             if key not in behaviors:
                 behaviors[key] = _compile_behavior(behavior)
             per_bit.append(behaviors[key])
@@ -567,7 +669,10 @@ def sample_game(n: int, shots: int, seed: int,
     outcomes of each table it can deal. A shot then reads one entry per
     run and maps each draw to its choice by bisection, so its cost does not
     grow with the behaviors' denominators. Tables are shared by content
-    within the call and kept by none across calls. Each shot draws
+    within the call and kept by none across calls. The default strategy
+    is :func:`winning_behavior`, built once per party and class for the
+    call (at most 8n behaviors); a caller's strategy is asked for both
+    input bits of every party at each m drawn. Each shot draws
     ``randrange(n)`` for m, ``getrandbits(n)`` for the inputs,
     ``randrange`` over the loops, then, party by party and input value by
     input value, one ``randrange`` per input value with several choices.
@@ -578,9 +683,9 @@ def sample_game(n: int, shots: int, seed: int,
         raise ValueError(f"shots must be >= 1, got {shots}")
     _check_game_size(n)
     _check_behaviors(n)
-    strategy = strategy or winning_behavior
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     layouts = [_party_layout(n, i) for i in range(n)]
+    strategy = strategy or _class_strategy(layouts)
     nloops = len(flips)
     full = (1 << n) - 1
     rng = random.Random(seed)

@@ -259,9 +259,11 @@ SAMPLE_COUNT = 1000
 WORK_BUDGET_LOG2 = 18
 
 
+_OVER_BUDGET = f"over the budget: work reaching 2^{WORK_BUDGET_LOG2 + 1} is refused"
+
+
 def _refusal(what: str, n: int, need: str) -> ValueError:
-    return ValueError(f"{what} refused: n={n} needs {need}, "
-                      f"over the budget of 2^{WORK_BUDGET_LOG2}")
+    return ValueError(f"{what} refused: n={n} needs {need}, {_OVER_BUDGET}")
 
 
 def refuse_over_budget(what: str, n: int, entries: int, unit: str) -> None:
@@ -284,7 +286,7 @@ def _check_work(plan: list[tuple[int, int, int, int]], rank: int, survivors: lis
     def refuse_over(log2: int, what: str) -> None:
         if log2 > WORK_BUDGET_LOG2:
             raise ValueError(f"validate refused: it needs at least 2^{log2} {what}, "
-                             f"over the budget of 2^{WORK_BUDGET_LOG2}")
+                             f"{_OVER_BUDGET}")
 
     if len(plan) <= EXHAUSTIVE_LIMIT:
         # Party p has 2**(wo * 2**wi) tables; capping wi keeps the exponent

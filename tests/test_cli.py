@@ -181,6 +181,14 @@ def test_play_refuses_outcome_table_over_the_budget(capsys, n):
     assert time.perf_counter() - start < 1.0
 
 
+
+@pytest.mark.parametrize("n", (-3, 0))
+def test_play_round_refuses_a_party_count_below_two(capsys, n):
+    code, out, err = run(capsys, "play", "--n", str(n), "--m", "0", "--inputs", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: party count must be >= 2, got {n}\n"
+
 @pytest.mark.parametrize("argv", (("play", "--n", "512"),
                                   ("sample", "--n", "512", "--shots", "1")))
 def test_game_refuses_behaviors_over_the_budget(capsys, argv):

@@ -479,6 +479,77 @@ def test_game_refuses_behaviors_over_the_budget(n):
     assert time.perf_counter() - start < 1.0
 
 
+
+def test_game_budget_refuses_from_2_19_behaviors():
+    # 2·400^2 = 320,000 behaviors lie above 2^18 but below the 2^19 at
+    # which the game is refused.
+    game._check_behaviors(400)
+    with pytest.raises(ValueError, match=r"work reaching 2\^19 is refused$"):
+        game._check_behaviors(512)
+
+
+# --- the default strategy, shared by class within one call ---------------
+
+@pytest.mark.parametrize("n", (*range(3, 21), 33, 64))
+def test_default_strategy_equals_winning_behavior(n):
+    assert success_probability_exact(n) == success_probability_exact(n, winning_behavior)
+    for seed in range(3):
+        assert sample_game(n, 400, seed) == sample_game(n, 400, seed, winning_behavior)
+
+
+@pytest.mark.parametrize("n", (128, 130))
+def test_default_strategy_is_certain_at_large_even_n(n):
+    # the wide sender's (2, 1) and the wide receiver's (1, 2) tables have
+    # eight entries each; sharing them across the two would lose rounds
+    result = success_probability_exact(n)
+    assert result.per_m == (F(1),) * n
+    assert result.p_succ == 1
+
+
+def test_default_call_builds_behaviors_per_class(monkeypatch):
+    n = 40
+    built = []
+    init = LocalBehavior.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalBehavior, "__init__", counting)
+    winning_behavior.cache_clear()  # a path through it would rebuild all 2n^2
+    assert success_probability_exact(n).p_succ == 1
+    assert len(built) <= 8 * n
+    built.clear()
+    result = sample_game(n, 4000, 0)
+    assert all(per_m_shots for per_m_shots in result.per_m_shots)
+    assert (result.wins, result.losses) == (4000, 0)
+    assert len(built) <= 8 * n
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_default_call_after_a_caller_strategy_keeps_no_memo(n):
+    for strategy in (mixed_strategy, late_starter_strategy):
+        success_probability_exact(n, strategy)
+        assert success_probability_exact(n).per_m == tuple(pairing_success_oracle(n, winning_behavior))
+        sample_game(n, 600, 2, strategy)
+        assert sample_game(n, 600, 2) == sampler_oracle(n, 600, 2)
+
+
+def test_run_product_equals_the_plain_product():
+    rng = random.Random(7)
+    for size in (1, 2, 3):
+        pool = [[[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+                for _ in range(3)]
+        for length in range(1, 40):
+            mats = []
+            while len(mats) < length:
+                mats += [rng.choice(pool)] * rng.randint(1, 9)
+            mats = mats[:length]
+            plain = mats[0]
+            for mat in mats[1:]:
+                plain = game._matmul(plain, mat)
+            assert [list(row) for row in game._run_product(mats)] == plain
+
 def test_outcome_budget_boundary():
     check_outcome_budget(18)
     for n in (19, 40):

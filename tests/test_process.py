@@ -363,6 +363,19 @@ def test_validate_refuses_work_over_the_budget():
         validate_process(DiagOperator(two_bit, independent))
 
 
+
+def test_budget_messages_name_the_limit_they_enforce():
+    # Work is refused once it reaches 2^19, so 2^19 - 1 entries, more
+    # than 2^18, pass, and every refusal says so.
+    limit = r"over the budget: work reaching 2\^19 is refused$"
+    process.refuse_over_budget("game", 7, (1 << 19) - 1, "entries")
+    with pytest.raises(ValueError, match=r"^game refused: n=7 needs 524288 entries, " + limit):
+        process.refuse_over_budget("game", 7, 1 << 19, "entries")
+    wide = WireLayout([Wire(0, "I", 5), Wire(1, "I"), Wire(0, "O"), Wire(1, "O")])
+    with pytest.raises(ValueError, match=r"^validate refused: it needs at least 2\^34 tuples "
+                                         r"of local tables, " + limit):
+        validate_process(identity(wide) * F(1, 64))
+
 @pytest.mark.parametrize("wide, inputs", [("O", 6), ("I", 15)])
 def test_validate_accepts_a_wide_wire_when_only_the_identity_survives(wide, inputs):
     # Six parties, a 10-bit wire on party 0: no table is drawn when only
