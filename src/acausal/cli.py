@@ -28,7 +28,6 @@ from .diagop import (
 )
 from .game import (
     GameRound,
-    _check_game_size,
     check_outcome_budget,
     outcome_distribution,
     sample_game,
@@ -150,7 +149,6 @@ def _cmd_play(args) -> int:
             lines.append(f"p_succ: {_fmt(result.p_succ, args.float)}")
             _emit("\n".join(lines) + "\n", args.out)
         return 0
-    _check_game_size(args.n)
     bits = tuple(int(b) for b in args.inputs.split(","))
     round_ = GameRound(n=args.n, m=args.m, inputs=bits)
     check_outcome_budget(args.n)

@@ -16,8 +16,8 @@ In the winning strategy a party's tables depend only on its class (its
 wire widths, the bits its output and input factors read, and whether it
 starts the loop) and its input bit. By default both evaluators build each
 behavior once per party and class for the call, at most 8n of them, and
-the exact one raises each run of equal consecutive party matrices by
-repeated squaring. Every memo lives for one call.
+the exact one shares each party matrix among the parties and referee
+values that deal equal tables. Every memo lives for one call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby, product
+from itertools import accumulate, product
 from operator import mul
 from typing import Callable, Sequence
 
@@ -68,6 +68,7 @@ class GameRound:
     inputs: tuple[int, ...]
 
     def __post_init__(self):
+        _check_game_size(self.n)
         if not 0 <= self.m < self.n:
             raise ValueError(f"m must lie in 0..{self.n - 1}, got {self.m}")
         if len(self.inputs) != self.n:
@@ -329,23 +330,15 @@ def _party_matrix(table: Sequence[int], wo: int, wi: int, flip: int) -> tuple:
                  for v in range(1 << wi))
 
 
-def _run_product(mats: Sequence[Sequence[Sequence[int]]]) -> Sequence[Sequence[int]]:
-    """The product of ``mats`` in order. Each run of equal consecutive
-    matrices (square, or the chain would not multiply) is raised to its
-    length by repeated squaring."""
-    product = None
-    for mat, run in groupby(mats):
-        power = None
-        count = sum(1 for _ in run)
-        while True:
-            if count & 1:
-                power = mat if power is None else _matmul(power, mat)
-            count >>= 1
-            if not count:
-                break
-            mat = _matmul(mat, mat)
-        product = power if product is None else _matmul(product, power)
-    return product
+def _cycle_traces(choices: Sequence[Sequence[Sequence[Sequence[int]]]]) -> list[int]:
+    """Traces of the products around one loop, one per choice of a matrix
+    for every party, listed with party 0's choice most significant.
+    ``choices[i]`` lists party i's matrices; choices share the products of
+    their common prefixes."""
+    level = choices[0]
+    for mats in choices[1:]:
+        level = [_matmul(p, e) for p in level for e in mats]
+    return [sum(row[v] for v, row in enumerate(p)) for p in level]
 
 
 def _loop_traces(n: int, choices: Sequence[tuple[Sequence[Sequence[int]], int]]
@@ -357,20 +350,17 @@ def _loop_traces(n: int, choices: Sequence[tuple[Sequence[Sequence[int]], int]]
     ``2**log2den``.
 
     On one loop, party i's table is its :func:`_party_matrix`, and a
-    choice contracts to the trace of the product around the cycle. Choices
-    share the products of their common prefixes; the loops are averaged
-    uniformly.
+    choice contracts to the trace of the product around the cycle
+    (:func:`_cycle_traces`); the loops are averaged uniformly.
     """
     loops = loop_decomposition(n)
     widths = [_widths(n, i) for i in range(n)]
     log2den = sum(k for _, k in choices)
-    per_loop = []
-    for loop in loops:
-        level = [[[1, 0], [0, 1]]]  # party 0 reads one bit
-        for (tables, _), (wo, wi), flip in zip(choices, widths, loop.edge_flips):
-            mats = [_party_matrix(t, wo, wi, flip) for t in tables]
-            level = [_matmul(p, e) for p in level for e in mats]
-        per_loop.append([p[0][0] + p[1][1] for p in level])
+    per_loop = [
+        _cycle_traces([[_party_matrix(t, wo, wi, flip) for t in tables]
+                       for (tables, _), (wo, wi), flip in zip(choices, widths, loop.edge_flips)])
+        for loop in loops
+    ]
     den = len(loops) << log2den
     return [Fraction(sum(t), den) for t in zip(*per_loop)]
 
@@ -428,16 +418,17 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     guesser's outcome and by everyone else's input bit. The process's
     terms are never built.
 
-    Within the call, each party's signed sums are kept per pair of
-    behaviors it is dealt, and each :func:`_party_matrix` per sums, widths
-    and edge flip, so equal parties share one matrix; a cycle's product
-    raises each run of equal consecutive matrices by repeated squaring
-    (:func:`_run_product`). The default strategy is
-    :func:`winning_behavior`, built once per party and class for the call
-    (at most 8n behaviors); it wins with certainty for every n >= 3: each
-    per-m probability is exactly 1. A caller's strategy is asked for all
-    2n^2 behaviors. Raises ``ValueError`` up front when those 2n^2
-    behaviors reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is refused.
+    Within the call, each party's signed sums are kept per content of the
+    pair of behaviors it is dealt, and each :func:`_party_matrix` per
+    sums, widths and edge flip, so equal parties share one matrix; each
+    cycle goes through :func:`_cycle_traces` with one matrix per party,
+    the contraction :func:`outcome_distribution` uses. The default
+    strategy is :func:`winning_behavior`, built once per party and class
+    for the call (at most 8n behaviors); it wins with certainty for every
+    n >= 3: each per-m probability is exactly 1. A caller's strategy is
+    asked for all 2n^2 behaviors. Raises ``ValueError`` up front when
+    those 2n^2 behaviors reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is
+    refused.
     """
     _check_game_size(n)
     _check_behaviors(n)
@@ -451,22 +442,24 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     for m in range(n):
         parties = []
         for i, layout in enumerate(layouts):
-            key = (i, strategy(n, m, i, 0), strategy(n, m, i, 1), i == m)
-            if key not in folded:
-                b0, b1 = (_check_layout(b, i, layout) for b in key[1:3])
-                folded[key] = _signed_sums(b0, b1, i == m)
-            parties.append(folded[key])
+            b0 = _check_layout(strategy(n, m, i, 0), i, layout)
+            b1 = _check_layout(strategy(n, m, i, 1), i, layout)
+            key = (b0.tables, b0.log2den, b1.tables, b1.log2den, i == m)
+            sums = folded.get(key)
+            if sums is None:
+                sums = folded[key] = _signed_sums(b0, b1, i == m)
+            parties.append(sums)
         total = 0
         for edge in flips:
             for j in (0, 1):  # the summed tables, then the signed ones
-                mats = []
+                chain = []
                 for i, party in enumerate(parties):
-                    mkey = (party[j], widths[i], edge[i])
-                    mat = matrices.get(mkey)
+                    key = (party[j], widths[i], edge[i])
+                    mat = matrices.get(key)
                     if mat is None:
-                        mat = matrices[mkey] = _party_matrix(party[j], *widths[i], edge[i])
-                    mats.append(mat)
-                total += sum(row[v] for v, row in enumerate(_run_product(mats)))
+                        mat = matrices[key] = _party_matrix(party[j], *widths[i], edge[i])
+                    chain.append((mat,))
+                total += _cycle_traces(chain)[0]
         log2den = sum(k for _, _, k in parties)
         per_m.append(Fraction(total, len(flips) << (log2den + n + 1)))
     return GameResult(n=n, per_m=tuple(per_m), p_succ=sum(per_m) / n)

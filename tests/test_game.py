@@ -38,6 +38,9 @@ def test_game_round_validation():
         GameRound(n=3, m=0, inputs=(0, 0))
     with pytest.raises(ValueError):
         GameRound(n=3, m=0, inputs=(0, 2, 0))
+    for n in (-3, 0):
+        with pytest.raises(ValueError, match=f"^party count must be >= 2, got {n}$"):
+            GameRound(n=n, m=0, inputs=(1,))
 
 
 def test_wide_code_matches_four_party_table():
@@ -534,21 +537,6 @@ def test_default_call_after_a_caller_strategy_keeps_no_memo(n):
         sample_game(n, 600, 2, strategy)
         assert sample_game(n, 600, 2) == sampler_oracle(n, 600, 2)
 
-
-def test_run_product_equals_the_plain_product():
-    rng = random.Random(7)
-    for size in (1, 2, 3):
-        pool = [[[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
-                for _ in range(3)]
-        for length in range(1, 40):
-            mats = []
-            while len(mats) < length:
-                mats += [rng.choice(pool)] * rng.randint(1, 9)
-            mats = mats[:length]
-            plain = mats[0]
-            for mat in mats[1:]:
-                plain = game._matmul(plain, mat)
-            assert [list(row) for row in game._run_product(mats)] == plain
 
 def test_outcome_budget_boundary():
     check_outcome_budget(18)
