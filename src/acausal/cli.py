@@ -5,7 +5,8 @@ the parity game, and report causal bounds. Numeric output is exact by
 default (dyadic or plain fractions); ``--float`` switches the text
 renderings of ``build-w``, ``play`` and ``causal-bound``, the commands
 that print rationals as text, to 17-significant-digit floats, and
-``--json`` selects the machine-readable schemas. Exit codes: 0 success,
+``--json`` selects the machine-readable schemas (``export`` has no such
+switch: ``--format`` alone picks what it writes). Exit codes: 0 success,
 1 validation failure, 2 usage error.
 """
 
@@ -286,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, metavar="PATH")
     p.add_argument("--format", choices=("monomials", "dense"),
                    default="monomials")
-    _add_common(p)
+    p.add_argument("--out", metavar="PATH", help="write output atomically to PATH")
     p.set_defaults(func=_cmd_export)
 
     return parser

@@ -3,10 +3,13 @@
 Each of the n parties holds a uniform input bit ``a_i`` and must produce an
 outcome bit ``x_i``; a shared uniform variable ``m`` names the party whose
 outcome must equal the parity of everyone else's input. Every party is
-locally classical, so its behavior is an integer conditional table, and
-no evaluator builds an operator. Both evaluators run on the process's
-uniform mixture of circular channels: the exact one multiplies one small
-matrix per party around each loop and sums the traces, the Monte-Carlo
+locally classical, so its behavior is an integer conditional table, valid
+by construction: :class:`LocalBehavior` is the one place that checks wires
+and normalization, and no evaluator builds an operator. Both evaluators
+run on the process's uniform mixture of circular channels. The exact one
+multiplies one small matrix per party around each loop and sums the
+traces; it contracts only the signed half of the win indicator, since a
+valid process gives the other half total probability one. The Monte-Carlo
 sampler compiles each loop, once per call, into jump tables over runs of
 parties and over the tables each drawing party can deal, and reads them
 shot by shot. Both yield certain winning for the strategies built here,
@@ -88,15 +91,21 @@ class LocalBehavior:
 
     ``tables[x][(o << wi) | v]``, for x = 0, 1 and ``wi`` the width of
     ``I_i``, is that probability as an integer numerator over
-    ``2**log2den``. The constructor reduces ``log2den`` to the smallest
-    exponent, so equal behaviors have equal tables. For every input value
-    a normalized behavior sums to one over x and o.
+    ``2**log2den``. A behavior is valid by construction: the constructor
+    refuses a layout other than the party's own ``(O_i, I_i)``
+    (``LayoutError``), a negative entry, and an input value whose entries
+    do not sum to ``2**log2den`` over x and o (``ValueError``). It reduces
+    ``log2den`` to the smallest exponent, so equal behaviors have equal
+    tables.
     """
 
     __slots__ = ("party", "layout", "tables", "log2den")
 
     def __init__(self, party: int, layout: WireLayout,
                  tables: Sequence[Sequence[int]], log2den: int = 0):
+        if [(w.party, w.kind) for w in layout.wires] != [(party, "O"), (party, "I")]:
+            raise LayoutError(f"party {party} behavior must sit on its wires "
+                              f"(O{party}, I{party}), got {layout}")
         tables = tuple(tuple(t) for t in tables)
         if len(tables) != 2:
             raise ValueError(f"need one table per outcome x = 0, 1, got {len(tables)}")
@@ -105,6 +114,15 @@ class LocalBehavior:
             raise LayoutError(f"behavior tables on {layout} need {size} entries")
         if log2den < 0:
             raise ValueError(f"log2den must be >= 0, got {log2den}")
+        inputs = 1 << layout.wires[1].width
+        for v in range(inputs):
+            column = [t[j] for t in tables for j in range(v, size, inputs)]
+            if min(column) < 0:
+                raise ValueError(f"behavior of party {party} has a negative weight "
+                                 f"at input {v}")
+            if sum(column) != 1 << log2den:
+                raise ValueError(f"behavior of party {party} is not normalized "
+                                 f"at input {v}")
         shift = _spare_twos((v for t in tables for v in t), log2den)
         if shift:
             tables = tuple(tuple(v >> shift for v in t) for t in tables)
@@ -113,39 +131,16 @@ class LocalBehavior:
         self.tables = tables
         self.log2den = log2den - shift
 
-    def check(self) -> bool:
-        """Normalization: for every input value the table sums to one over
-        the outcomes and the outputs."""
-        wo, wi = (w.width for w in self.layout.wires)
-        one = 1 << self.log2den
-        return all(
-            sum(t[(o << wi) | v] for t in self.tables for o in range(1 << wo)) == one
-            for v in range(1 << wi)
-        )
-
     def outcome_lookup(self) -> tuple[list[list[tuple[int, int, int]]], int]:
-        """Sampling table: per input value, the (x, o, weight) choices.
-
-        Weights are the table's numerators, over ``2**log2den`` with
-        ``log2den`` returned, and sum to that denominator for every input
-        value.
-        """
+        """Sampling view: per input value, the (x, o, weight) choices of
+        non-zero weight, x then o ascending, and ``log2den``. The weights
+        are the table's numerators and sum to ``2**log2den``."""
         wo, wi = (w.width for w in self.layout.wires)
-        lookup: list[list[tuple[int, int, int]]] = []
-        for v in range(1 << wi):
-            choices = []
-            for x, table in enumerate(self.tables):
-                for o in range(1 << wo):
-                    p = table[(o << wi) | v]
-                    if p < 0:
-                        raise ValueError(f"behavior of party {self.party} has a "
-                                         f"negative weight at input {v}")
-                    if p:
-                        choices.append((x, o, p))
-            if sum(c[2] for c in choices) != 1 << self.log2den:
-                raise ValueError(f"behavior of party {self.party} is not normalized "
-                                 f"at input {v}")
-            lookup.append(choices)
+        lookup = [
+            [(x, o, p) for x, table in enumerate(self.tables)
+             for o in range(1 << wo) if (p := table[(o << wi) | v])]
+            for v in range(1 << wi)
+        ]
         return lookup, self.log2den
 
 
@@ -373,18 +368,18 @@ def outcome_distribution(
 
     ``w`` is the circular process :func:`~acausal.process.build_w` returns
     for ``w.n`` parties; it is evaluated on its loop mixture, not
-    contracted against its terms. For valid inputs the returned weights
-    are non-negative and sum to 1. Zero-probability outcomes are included
-    so the support is explicit. Raises ``ValueError`` before any work when
-    the 2^n outcomes reach 2^(WORK_BUDGET_LOG2 + 1).
+    contracted against its terms. Every behavior is normalized and the
+    process is valid, so the returned weights are non-negative and sum to
+    1. Zero-probability outcomes are included so the support is explicit.
+    Raises ``ValueError`` before any work when the 2^n outcomes reach
+    2^(WORK_BUDGET_LOG2 + 1), and ``LayoutError`` for a behavior that does
+    not sit on the wires of the party at its position.
     """
     n = w.n
     check_outcome_budget(n)
     if len(behaviors) != n:
         raise ValueError(f"need {n} behaviors, got {len(behaviors)}")
     for i, beh in enumerate(behaviors):
-        if beh.party != i:
-            raise LayoutError(f"behavior {i} belongs to party {beh.party}")
         _check_layout(beh, i, _party_layout(n, i))
     values = _loop_traces(n, [(beh.tables, beh.log2den) for beh in behaviors])
     return {
@@ -394,29 +389,33 @@ def outcome_distribution(
 
 
 def _signed_sums(b0: LocalBehavior, b1: LocalBehavior, guesser: bool
-                 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """One party's two factors in :func:`success_probability_exact`, from
-    its behaviors for input bits 0 and 1: its four tables summed, the
-    first pair minus the second (signed by x for the guesser, by a_i for
-    the others), and the common ``log2den``."""
+                 ) -> tuple[tuple[int, ...], int]:
+    """One party's factor in :func:`success_probability_exact`, from its
+    behaviors for input bits 0 and 1: its four tables summed with signs, by
+    x for the guesser and by a_i for the others, and the common
+    ``log2den``."""
     k = max(b0.log2den, b1.log2den)
     (u0, u1), (w0, w1) = ([[v << (k - b.log2den) for v in t] for t in b.tables]
                           for b in (b0, b1))
     signed = zip(u0, w0, u1, w1) if guesser else zip(u0, u1, w0, w1)
-    sums, diffs = zip(*((p + q + r + s, p + q - r - s) for p, q, r, s in signed))
-    return sums, diffs, k
+    return tuple(p + q - r - s for p, q, r, s in signed), k
 
 
 def success_probability_exact(n: int, strategy: Strategy | None = None) -> "GameResult":
     """Exact per-m and overall success probabilities of a strategy family.
 
     The win indicator ``[x_m = t]``, with ``t`` the parity of the other
-    inputs, is ``(1 + (-1)^x_m * prod_{i != m} (-1)^a_i) / 2``. Both halves
-    factorise party by party, so the average over all inputs is, per m,
-    two cycle traces on the loop mixture: of every party's tables summed
-    over its input bit and outcome, and of the same sums signed by the
-    guesser's outcome and by everyone else's input bit. The process's
-    terms are never built.
+    inputs, is ``(1 + (-1)^x_m * prod_{i != m} (-1)^a_i) / 2``, and both
+    halves factorise party by party. The first half is 1/2 for every
+    strategy: each behavior is normalized (its constructor refuses any
+    other), so a party's tables summed over its input bit and outcome are
+    twice a normalized channel, and the loop mixture, a valid process,
+    gives every tuple of normalized channels total probability 1; its
+    chains sum to ``len(loops) << (n + log2den)``. Only the second half is
+    contracted, one cycle trace per loop of the same sums signed by the
+    guesser's outcome and by everyone else's input bit: ``per_m = 1/2 +
+    signed / (len(loops) << (n + log2den + 1))``. The process's terms are
+    never built.
 
     Within the call, each party's signed sums are kept per content of the
     pair of behaviors it is dealt, and each :func:`_party_matrix` per
@@ -445,23 +444,22 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
             b0 = _check_layout(strategy(n, m, i, 0), i, layout)
             b1 = _check_layout(strategy(n, m, i, 1), i, layout)
             key = (b0.tables, b0.log2den, b1.tables, b1.log2den, i == m)
-            sums = folded.get(key)
-            if sums is None:
-                sums = folded[key] = _signed_sums(b0, b1, i == m)
-            parties.append(sums)
-        total = 0
+            factor = folded.get(key)
+            if factor is None:
+                factor = folded[key] = _signed_sums(b0, b1, i == m)
+            parties.append(factor)
+        signed = 0
         for edge in flips:
-            for j in (0, 1):  # the summed tables, then the signed ones
-                chain = []
-                for i, party in enumerate(parties):
-                    key = (party[j], widths[i], edge[i])
-                    mat = matrices.get(key)
-                    if mat is None:
-                        mat = matrices[key] = _party_matrix(party[j], *widths[i], edge[i])
-                    chain.append((mat,))
-                total += _cycle_traces(chain)[0]
-        log2den = sum(k for _, _, k in parties)
-        per_m.append(Fraction(total, len(flips) << (log2den + n + 1)))
+            chain = []
+            for i, (diffs, _) in enumerate(parties):
+                key = (diffs, widths[i], edge[i])
+                mat = matrices.get(key)
+                if mat is None:
+                    mat = matrices[key] = _party_matrix(diffs, *widths[i], edge[i])
+                chain.append((mat,))
+            signed += _cycle_traces(chain)[0]
+        log2den = sum(k for _, k in parties)
+        per_m.append(Fraction(1, 2) + Fraction(signed, len(flips) << (log2den + n + 1)))
     return GameResult(n=n, per_m=tuple(per_m), p_succ=sum(per_m) / n)
 
 
@@ -652,9 +650,10 @@ def sample_game(n: int, shots: int, seed: int,
     strategy every shot contributes exactly one consistent, winning
     assignment.
 
-    The first shot that draws a given m compiles it, for both input bits
-    of every party, so a behavior on the wrong wires (``LayoutError``) or
-    a malformed one (``outcome_lookup``'s ``ValueError``) raises on that
+    The first shot that draws a given m compiles it, asking the strategy
+    for both input bits of every party, so a behavior on the wrong wires
+    (``LayoutError``), or a strategy that builds a malformed one (the
+    :class:`LocalBehavior` constructor's ``ValueError``), raises on that
     shot, whichever bits it draws. Compiling cuts the walk around each loop
     into jump tables: runs of up to four consecutive parties that never
     draw become one table per loop, which maps the run's input bits to its

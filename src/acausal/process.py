@@ -95,11 +95,9 @@ def generator_group(n: int) -> tuple[int, ...]:
     the plain and the globally-flipped copy of an (n-1)-group mask and
     ``prime`` repeats that mask's first two positions on a doubled block.
     Either way it is the span of the n - 1 masks :func:`_generators` lists.
+    Party counts below 3 are refused as :func:`build_w` refuses them.
     """
-    if n < 3:
-        raise UnsupportedPartyCount(
-            "no process-matrix group exists for fewer than 3 parties"
-        )
+    _check_party_count(n)
     return tuple(_span(_generators(n)))
 
 

@@ -350,13 +350,11 @@ def write_operator(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(file=operator_files(), dense=st.booleans(), as_json=st.booleans())
-def test_export_exit_codes(write_operator, file, dense, as_json):
+@given(file=operator_files(), dense=st.booleans())
+def test_export_exit_codes(write_operator, file, dense):
     text, well_formed, wide = file
     argv = ["export", "--file", write_operator(text),
             f"--format={'dense' if dense else 'monomials'}"]
-    if as_json:
-        argv.append("--json")
     assert exit_code_and_streams(argv) == (0 if well_formed and not (dense and wide) else 2)
 
 
@@ -434,6 +432,14 @@ def test_float_is_refused_where_no_rational_is_printed(capsys, argv):
         main([*argv, "--float"])
     assert exc.value.code == 2
     assert "--float" in capsys.readouterr().err
+
+
+def test_export_refuses_json(capsys):
+    # export writes one fixed format per --format; --json would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--file", "w.json", "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
 
 
 ONE_BIT = [{"party": 0, "kind": "I", "width": 1},

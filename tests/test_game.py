@@ -133,7 +133,9 @@ def test_winning_behaviors_are_normalized(n):
     for m in range(n):
         for i in range(n):
             for a in (0, 1):
-                assert winning_behavior(n, m, i, a).check()
+                lookup, log2den = winning_behavior(n, m, i, a).outcome_lookup()
+                assert all(sum(p for *_, p in choices) == 1 << log2den
+                           for choices in lookup)
 
 
 def lookup_from_ops(beh):
@@ -164,9 +166,21 @@ def test_behavior_constructor_reduces_and_refuses():
     layout = WireLayout([Wire(0, "O"), Wire(0, "I")])
     beh = LocalBehavior(0, layout, [[2, 0, 0, 2], [0, 2, 2, 0]], log2den=2)
     assert (beh.tables, beh.log2den) == (((1, 0, 0, 1), (0, 1, 1, 0)), 1)
-    assert beh.check()
-    assert not LocalBehavior(0, layout, [[1, 0, 0, 0], [0, 0, 0, 0]]).check()
-    assert not LocalBehavior(0, layout, [[1, 1, 0, 0], [0, 0, 1, 1]]).check()
+    for tables, message in (
+        ([[1, 0, 0, 0], [0, 0, 0, 0]], "is not normalized at input 1"),
+        ([[1, 1, 0, 0], [0, 0, 1, 1]], "is not normalized at input 0"),
+        ([[2, 0, 0, 1], [-1, 1, 0, 0]], "has a negative weight at input 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^behavior of party 0 {message}$"):
+            LocalBehavior(0, layout, tables)
+    good = [[1, 0, 0, 1], [0, 1, 1, 0]]
+    for wires in (
+        [Wire(0, "I"), Wire(0, "O")],  # (I, O) order
+        [Wire(1, "O"), Wire(1, "I")],  # another party's wires
+        [Wire(0, "O", 2)],  # one wire
+    ):
+        with pytest.raises(LayoutError, match=r"^party 0 behavior must sit on its wires \(O0, I0\)"):
+            LocalBehavior(0, WireLayout(wires), good)
     with pytest.raises(ValueError, match="one table per outcome"):
         LocalBehavior(0, layout, [[1, 0, 0, 1]])
     with pytest.raises(LayoutError, match="need 4 entries"):
@@ -463,6 +477,20 @@ def test_sampler_raises_on_first_shot_of_a_malformed_m():
         sample_game(n, 1, seed, strategy)
 
 
+def test_unnormalized_behavior_is_refused_by_both_evaluators():
+    # tables three times too large: without the constructor's check the
+    # exact evaluator would read per_m = (3, 3, 3)
+    def strategy(n, m, i, a_i):
+        good = read_strategy(n, m, i, a_i)
+        return LocalBehavior(i, good.layout, [[3 * p for p in t] for t in good.tables],
+                             good.log2den)
+
+    for call in (lambda: success_probability_exact(3, strategy),
+                 lambda: sample_game(3, 1, 0, strategy)):
+        with pytest.raises(ValueError, match="^behavior of party 0 is not normalized at input 0$"):
+            call()
+
+
 def test_sampler_rejects_behavior_on_wrong_wires():
     def strategy(n, m, i, a_i):
         if i == n - 1:  # the wide receiver answers on a one-bit input
@@ -538,6 +566,22 @@ def test_default_call_after_a_caller_strategy_keeps_no_memo(n):
         assert sample_game(n, 600, 2) == sampler_oracle(n, 600, 2)
 
 
+@pytest.mark.parametrize("n", (3, 4, 9))
+def test_exact_value_contracts_one_chain_per_loop_and_m(monkeypatch, n):
+    # the summed-tables half of the win indicator is 1/2 for every valid
+    # strategy, so only the signed chain is contracted
+    calls = []
+    traces = game._cycle_traces
+
+    def counting(choices):
+        calls.append(len(choices))
+        return traces(choices)
+
+    monkeypatch.setattr(game, "_cycle_traces", counting)
+    assert success_probability_exact(n).p_succ == 1
+    assert calls == [n] * (n * len(loop_decomposition(n)))
+
+
 def test_outcome_budget_boundary():
     check_outcome_budget(18)
     for n in (19, 40):
@@ -545,7 +589,17 @@ def test_outcome_budget_boundary():
             check_outcome_budget(n)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
+@lru_cache(maxsize=None)
+def split_strategy(n, m, i, a_i):
+    # winning for input bit 1, mixed for input bit 0: a party's two
+    # behaviors come over different denominators
+    return (winning_behavior if a_i else mixed_strategy)(n, m, i, a_i)
+
+
+@pytest.mark.parametrize(
+    "strategy", (*STRATEGIES, mixed_strategy, split_strategy),
+    ids=(*STRATEGY_IDS, "mixed", "split"),
+)
 @pytest.mark.parametrize("n", range(3, 9))
 def test_success_probability_equals_pairing_oracle(n, strategy):
     result = success_probability_exact(n, strategy=strategy)

@@ -136,8 +136,13 @@ def test_naive_even_w_equals_even_parity_filter(n):
 
 
 def test_generator_group_rejects_small_n():
+    # the same party-count rule as build_w and loop_decomposition
     with pytest.raises(UnsupportedPartyCount):
         generator_group(2)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"^party count must be >= 2, got {n}$") as info:
+            generator_group(n)
+        assert type(info.value) is ValueError
 
 
 def test_build_w3_literal():
