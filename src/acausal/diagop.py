@@ -59,7 +59,6 @@ __all__ = [
     "WireLayout",
     "DiagOperator",
     "identity",
-    "mask_fields",
     "point_mass",
     "multiply",
     "trace",
@@ -186,16 +185,6 @@ class WireLayout:
 
     def __repr__(self):
         return f"WireLayout({', '.join(f'{w.name}:{w.width}' for w in self.wires)})"
-
-
-def mask_fields(layout: WireLayout, mask: int, wires: Sequence[str]) -> int:
-    """Extract and repack the mask bits of the listed wires, first wire
-    most significant."""
-    packed = 0
-    for name in wires:
-        shift, w = layout.field(name)
-        packed = (packed << w) | ((mask >> shift) & ((1 << w) - 1))
-    return packed
 
 
 def _log2den(c: Fraction) -> int:
@@ -344,22 +333,30 @@ def partial_trace(a: DiagOperator, wires: Iterable[str]) -> DiagOperator:
     """Sum the diagonal over the named wires.
 
     Terms whose mask touches a traced wire vanish; survivors are scaled by
-    ``2 ** traced_width`` and live on the restricted layout.
+    ``2 ** traced_width`` and live on the restricted layout. The kept bits
+    are split once per call into runs of adjacent bits, so each survivor is
+    repacked with one mask and one shift per run: tracing one wire leaves
+    at most two runs.
     """
-    traced = list(wires)
+    traced = set(wires)
     traced_mask = 0
-    traced_width = 0
     for name in traced:
-        traced_mask |= a.layout.field_mask(name)
-        traced_width += a.layout.field(name)[1]
-    kept = [w.name for w in a.layout.wires if w.name not in set(traced)]
-    out_layout = a.layout.restrict(kept)
-    nums = {
-        mask_fields(a.layout, mask, kept): v
-        for mask, v in a.nums.items()
-        if not mask & traced_mask
-    }
-    return _make(out_layout, nums, a.log2den - traced_width)
+        traced_mask |= a.layout.field_mask(name)  # LayoutError if unknown
+    kept = ((1 << a.layout.width) - 1) & ~traced_mask
+    runs = []  # (a run of kept bits, the traced bits below it), low run first
+    rest = kept
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)
+        runs.append((run, low.bit_length() - 1 - (kept & (low - 1)).bit_count()))
+        rest ^= run
+    masks = [mask for mask in a.nums if not mask & traced_mask]
+    packed = [0] * len(masks)
+    for run, drop in runs:
+        packed = [p | (mask & run) >> drop for p, mask in zip(packed, masks)]
+    nums = {p: a.nums[mask] for p, mask in zip(packed, masks)}
+    out_layout = a.layout.restrict(w.name for w in a.layout.wires if w.name not in traced)
+    return _make(out_layout, nums, a.log2den - traced_mask.bit_count())
 
 
 def channel_apply(channel: DiagOperator, state: DiagOperator) -> DiagOperator:
@@ -369,7 +366,10 @@ def channel_apply(channel: DiagOperator, state: DiagOperator) -> DiagOperator:
     the state's wires, at the same widths; the result is
     ``Tr_cond(channel * (1_out (x) state))`` over the remaining (output)
     wires. ``1_out (x) state`` has the state's coefficients, each mask
-    moved wire by wire onto the channel's layout.
+    moved wire by wire onto the channel's layout. The call forms one
+    product per pair of channel and state terms, then traces the state's
+    wires with :func:`partial_trace`; a product state is therefore cheaper
+    fed one factor at a time, each call tracing only that factor's wires.
     """
     layout = channel.layout
     moves = []  # (shift in the state, field mask, shift in the channel)

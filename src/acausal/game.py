@@ -328,12 +328,16 @@ def _party_matrix(table: Sequence[int], wo: int, wi: int, flip: int) -> tuple:
 def _cycle_traces(choices: Sequence[Sequence[Sequence[Sequence[int]]]]) -> list[int]:
     """Traces of the products around one loop, one per choice of a matrix
     for every party, listed with party 0's choice most significant.
-    ``choices[i]`` lists party i's matrices; choices share the products of
-    their common prefixes."""
+    ``choices[i]`` lists party i's matrices, for two parties or more;
+    choices share the products of their common prefixes. The last party's
+    products are never formed: ``trace(P·E)`` is the sum of the entrywise
+    products of P and the transpose of E."""
     level = choices[0]
-    for mats in choices[1:]:
+    for mats in choices[1:-1]:
         level = [_matmul(p, e) for p in level for e in mats]
-    return [sum(row[v] for v, row in enumerate(p)) for p in level]
+    prefixes = [[x for row in p for x in row] for p in level]
+    lasts = [[x for col in zip(*e) for x in col] for e in choices[-1]]
+    return [sum(map(mul, p, e)) for p in prefixes for e in lasts]
 
 
 def _loop_traces(n: int, choices: Sequence[tuple[Sequence[Sequence[int]], int]]

@@ -457,22 +457,31 @@ def conditional_distribution(
     name-keyed mapping); the result maps input-wire value tuples to their
     probabilities, omitting zero entries.
 
-    The process's terms are multiplied by the ``2**|O|`` terms of the
-    output point mass; once those products reach the work budget (from
-    n = 10) the call is refused with ``ValueError`` before any is formed.
+    The output point mass is a product over the output wires, so the
+    process is conditioned on it one wire at a time: each step feeds the
+    2 or 4 terms of one wire's point mass to the current operator through
+    :func:`~acausal.diagop.channel_apply`, which traces that wire out. The
+    terms of the process have distinct input parts, so no step grows the
+    term count, and the call forms ``terms * sum_k 2**|O_k|`` products, not
+    ``terms * 2**|O|``. Once those products reach the work budget (from
+    n = 16) the call is refused with ``ValueError`` before any is formed.
+    The assignment is checked in full before the first step.
     """
     n = process.n
     o_layout = process.layout.restrict(process.output_wires)
     refuse_over_budget("conditional distribution", n,
-                       len(process.operator.nums) << o_layout.width, "term products")
+                       len(process.operator.nums) * sum(1 << w.width for w in o_layout.wires),
+                       "term products")
     if isinstance(outputs, Mapping):
         assignment = dict(outputs)
     else:
         if len(outputs) != n:
             raise ValueError(f"need {n} output values, got {len(outputs)}")
         assignment = {f"O{k}": v for k, v in enumerate(outputs)}
-    state = point_mass(o_layout, o_layout.pack(assignment))
-    result = channel_apply(process.operator, state)
+    o_layout.pack(assignment)  # LayoutError or ValueError before any step
+    result = process.operator
+    for w in o_layout.wires:
+        result = channel_apply(result, point_mass(WireLayout([w]), assignment[w.name]))
     dense = to_dense(result)
     out_layout = result.layout
     return {

@@ -23,12 +23,22 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from acausal.causal import _evaluate
-from acausal.diagop import DiagOperator, Wire, WireLayout, from_dense, mask_fields
+from acausal.diagop import DiagOperator, Wire, WireLayout, from_dense
 from acausal.game import RNG_NAME, SampleResult, _check_game_size, winning_behavior
 from acausal.process import build_w, loop_decomposition
+
+
+def mask_fields(layout: WireLayout, mask: int, wires: Sequence[str]) -> int:
+    """Extract and repack the mask bits of the listed wires, first wire
+    most significant, one wire at a time."""
+    packed = 0
+    for name in wires:
+        shift, w = layout.field(name)
+        packed = (packed << w) | ((mask >> shift) & ((1 << w) - 1))
+    return packed
 
 
 def dense_oracle(op: DiagOperator) -> list[Fraction]:

@@ -31,6 +31,7 @@ from acausal.process import build_w, naive_even_w
 from conftest import (
     dense_oracle,
     is_group,
+    mask_fields,
     mask_from_fields,
     random_dyadic_distribution,
     random_layout,
@@ -142,6 +143,26 @@ def test_partial_trace_matches_dense_oracle():
                 total += dense[(hi << (shift + w)) | (v << shift) | lo]
             expected.append(total)
         assert to_dense(result) == expected
+
+
+def test_partial_trace_repacks_like_mask_fields():
+    # interleaved wires of width 1-3, traced on the empty set, every wire,
+    # non-adjacent subsets and random ones, against a wire-by-wire repack
+    rng = random.Random(62)
+    for _ in range(150):
+        a = random_operator(rng, max_width=14, max_terms=20)
+        names = list(a.layout.names)
+        subsets = ([], names, names[::2], names[1::2],
+                   rng.sample(names, rng.randint(0, len(names))))
+        for traced in subsets:
+            kept = [name for name in names if name not in traced]
+            traced_mask = sum(a.layout.field_mask(name) for name in traced)
+            traced_width = sum(a.layout.field(name)[1] for name in traced)
+            expected = {mask_fields(a.layout, mask, kept): v
+                        for mask, v in a.nums.items() if not mask & traced_mask}
+            out_layout = a.layout.restrict(kept)
+            assert partial_trace(a, traced) == diagop._make(
+                out_layout, expected, a.log2den - traced_width)
 
 
 def test_channel_apply_point_masses():

@@ -261,14 +261,76 @@ def _refuse(*args):
     raise AssertionError("built work the budget refuses")
 
 
-@pytest.mark.parametrize("n", (10, 11, 14))
+@pytest.mark.parametrize("n", (16, 17))
 def test_conditional_refuses_products_over_the_budget(monkeypatch, n):
-    # 2^(n-1) terms times 2^|O| point-mass terms: 2^20 products at n = 10
+    # 2^(n-1) terms times the 2 or 4 point-mass terms of each output wire:
+    # 2^20 products at n = 16, 491,520 at n = 15
     w = build_w(n)
     monkeypatch.setattr(diagop, "multiply", _refuse)
     monkeypatch.setattr(process, "point_mass", _refuse)
     with pytest.raises(ValueError, match=f"^conditional distribution refused: n={n} needs "):
         conditional_distribution(w, [0] * n)
+
+
+def _one_shot(w, o_idx):
+    """The conditional through one point mass on every output wire at once."""
+    o_layout = w.layout.restrict(w.output_wires)
+    result = diagop.channel_apply(w.operator, diagop.point_mass(o_layout, o_idx))
+    return {result.layout.unpack(idx): p for idx, p in enumerate(to_dense(result)) if p}
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_conditional_wire_by_wire_equals_one_point_mass(n):
+    w = build_w(n)
+    o_layout = w.layout.restrict(w.output_wires)
+    rows = range(1 << o_layout.width)
+    if n >= 8:
+        rows = random.Random(n).sample(rows, 6)
+    for o_idx in rows:
+        assert conditional_distribution(w, o_layout.unpack(o_idx)) == _one_shot(w, o_idx)
+
+
+@pytest.mark.parametrize("n", (10, 11, 12, 13, 15))
+def test_conditional_equals_the_loops_up_to_the_budget(n):
+    # n = 15 is the largest n the budget accepts
+    w = build_w(n)
+    o_layout = w.layout.restrict(w.output_wires)
+    rng = random.Random(n)
+    for _ in range(2):
+        o = o_layout.unpack(rng.randrange(1 << o_layout.width))
+        assert conditional_distribution(w, o) == {
+            loop.apply(o): loop.weight for loop in loop_decomposition(n)}
+
+
+@pytest.mark.parametrize("n, products", ((8, 2304), (9, 4608)))
+def test_conditional_multiplies_each_output_wire_once(monkeypatch, n, products):
+    # 2^(n-1) terms times sum_k 2^|O_k|: 128 * (7 * 2 + 4) at n = 8 and
+    # 256 * 9 * 2 at n = 9, against 2^(n-1) * 2^|O| in one point mass
+    counted = []
+    multiply = diagop.multiply
+
+    def counting(a, b):
+        counted.append(len(a.nums) * len(b.nums))
+        return multiply(a, b)
+
+    monkeypatch.setattr(diagop, "multiply", counting)
+    conditional_distribution(build_w(n), [1] * n)
+    assert sum(counted) == products
+    assert len(counted) == n
+
+
+@pytest.mark.parametrize("outputs, error", (
+    ((0, 0), ValueError),  # wrong length
+    ((0, 0, 2), ValueError),  # out of range
+    ({"O0": 0, "O1": 0}, LayoutError),  # a wire missing from the mapping
+    ({"O0": 0, "O1": 0, "O2": 0, "O3": 0}, LayoutError),  # an unknown wire
+))
+def test_conditional_checks_the_assignment_before_any_work(monkeypatch, outputs, error):
+    w = build_w(3)
+    monkeypatch.setattr(diagop, "multiply", _refuse)
+    monkeypatch.setattr(process, "point_mass", _refuse)
+    with pytest.raises(error):
+        conditional_distribution(w, outputs)
 
 
 def test_conditional_below_the_budget_equals_the_loops():
@@ -634,7 +696,7 @@ def test_validate_builds_no_operator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validate_process built an operator")
 
-    for name in ("partial_trace", "identity", "mask_fields"):
+    for name in ("partial_trace", "identity"):
         monkeypatch.setattr(diagop, name, refuse)
         monkeypatch.setattr(process, name, refuse, raising=False)
     monkeypatch.setattr(WireLayout, "restrict", refuse)
