@@ -29,7 +29,6 @@ from .diagop import (
 )
 from .game import (
     GameRound,
-    check_outcome_budget,
     outcome_distribution,
     sample_game,
     success_probability_exact,
@@ -152,7 +151,6 @@ def _cmd_play(args) -> int:
         return 0
     bits = tuple(int(b) for b in args.inputs.split(","))
     round_ = GameRound(n=args.n, m=args.m, inputs=bits)
-    check_outcome_budget(args.n)
     behaviors = [
         winning_behavior(args.n, round_.m, i, round_.inputs[i])
         for i in range(args.n)
@@ -164,17 +162,14 @@ def _cmd_play(args) -> int:
             "m": round_.m,
             "a": list(round_.inputs),
             "distribution": [
-                {"x": list(xs), **dyadic_json(p)}
-                for xs, p in sorted(dist.items())
-                if p
+                {"x": list(xs), **dyadic_json(p)} for xs, p in dist.items()
             ],
         }
         _emit(json.dumps(payload) + "\n", args.out)
     else:
         lines = [
             f"x={','.join(map(str, xs))}: {_fmt(p, args.float)}"
-            for xs, p in sorted(dist.items())
-            if p
+            for xs, p in dist.items()
         ]
         _emit("\n".join(lines) + "\n", args.out)
     return 0

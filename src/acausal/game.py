@@ -5,33 +5,38 @@ outcome bit ``x_i``; a shared uniform variable ``m`` names the party whose
 outcome must equal the parity of everyone else's input. Every party is
 locally classical, so its behavior is an integer conditional table, valid
 by construction: :class:`LocalBehavior` is the one place that checks wires
-and normalization, and no evaluator builds an operator. Both evaluators
-run on the process's uniform mixture of circular channels. The exact one
-multiplies one small matrix per party around each loop and sums the
-traces; it contracts only the signed half of the win indicator, since a
-valid process gives the other half total probability one. The Monte-Carlo
-sampler compiles each loop, once per call, into jump tables over runs of
-parties and over the tables each drawing party can deal, and reads them
-shot by shot. Both yield certain winning for the strategies built here,
-for every n >= 3.
+and normalization, and no evaluator builds an operator. Every evaluator
+reads a table set through one view, its non-zero ``(x, o, weight)``
+entries per input value, and runs on the process's uniform mixture of
+circular channels. Both exact evaluators walk each loop party by party,
+carrying the weight of each partial path by its input value and
+outcomes, so an outcome distribution costs as much as the paths it
+walks, not 2^n, and is returned on its support. The game value contracts only the signed half of the win indicator,
+since a valid process gives the other half total probability one. The
+Monte-Carlo sampler compiles each loop, once per call, into jump tables
+over runs of parties and over the tables each drawing party can deal,
+and reads them shot by shot. Both yield certain winning for the
+strategies built here, for every n >= 3.
 
 In the winning strategy a party's tables depend only on its class (its
 wire widths, the bits its output and input factors read, and whether it
-starts the loop) and its input bit. By default both evaluators build each
-behavior once per party and class for the call, at most 8n of them, and
-the exact one shares each party matrix among the parties and referee
-values that deal equal tables. Every memo lives for one call.
+starts the loop) and its input bit. By default every evaluator builds
+each behavior once per party and class for the call, at most 8n of
+them, and the game value shares each party's signed sums among the
+parties and referee values that deal equal tables. Every memo lives for
+one call.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from operator import mul
+from math import prod
 from typing import Callable, Sequence
 
 from .diagop import LayoutError, Wire, WireLayout, _spare_twos, dyadic_json
@@ -133,15 +138,21 @@ class LocalBehavior:
 
     def outcome_lookup(self) -> tuple[list[list[tuple[int, int, int]]], int]:
         """Sampling view: per input value, the (x, o, weight) choices of
-        non-zero weight, x then o ascending, and ``log2den``. The weights
-        are the table's numerators and sum to ``2**log2den``."""
-        wo, wi = (w.width for w in self.layout.wires)
-        lookup = [
-            [(x, o, p) for x, table in enumerate(self.tables)
-             for o in range(1 << wo) if (p := table[(o << wi) | v])]
-            for v in range(1 << wi)
-        ]
-        return lookup, self.log2den
+        non-zero weight, x then o ascending (:func:`_nonzero_entries`), and
+        ``log2den``. The weights are the table's numerators and sum to
+        ``2**log2den``."""
+        return _nonzero_entries(self.tables, self.layout.wires[1].width), self.log2den
+
+
+def _nonzero_entries(tables: Sequence[Sequence[int]], wi: int
+                     ) -> list[list[tuple[int, int, int]]]:
+    """Per input value v, the ``(x, o, weight)`` entries of non-zero weight
+    of a table set indexed like :class:`LocalBehavior`'s, ``tables[x][(o
+    << wi) | v]``, x then o ascending."""
+    inputs = 1 << wi
+    return [[(x, j >> wi, p) for x, table in enumerate(tables)
+             for j in range(v, len(table), inputs) if (p := table[j])]
+            for v in range(inputs)]
 
 
 def _check_game_size(n: int) -> None:
@@ -157,12 +168,6 @@ def _check_behaviors(n: int) -> None:
     evaluation may ask the strategy for (n referee values, n parties, two
     input bits) when they reach the work budget."""
     refuse_over_budget("game", n, 2 * n * n, "local behaviors")
-
-
-def check_outcome_budget(n: int) -> None:
-    """Refuse, before anything is built, a joint outcome table of 2^n
-    entries once it reaches the work budget: n >= 19."""
-    refuse_over_budget("outcome distribution", n, 1 << n, "outcome entries")
 
 
 def _party_layout(n: int, i: int) -> WireLayout:
@@ -312,83 +317,74 @@ def behavior_from_table(party: int, o_width: int, i_width: int,
 # exact evaluation
 # ---------------------------------------------------------------------------
 
-def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _walk(entries: Sequence[Sequence[Sequence[tuple[int, int, int]]]],
+          flips: Sequence[int]) -> dict[int, int]:
+    """One table per party contracted around one loop, kept by outcome
+    string: the trace of the product of the parties' transfer matrices,
+    taken one start value at a time. This is the sum-product recursion on
+    a cycle (Kschischang, Frey & Loeliger, IEEE Trans. Inf. Theory 47,
+    2001).
 
-
-def _party_matrix(table: Sequence[int], wo: int, wi: int, flip: int) -> tuple:
-    """A party's table, indexed like :class:`LocalBehavior`'s, as the
-    integer matrix from its input ``v`` to the next party's input ``o ^
-    flip`` on a loop whose edge out of the party flips ``flip``."""
-    return tuple(tuple(table[((u ^ flip) << wi) | v] for u in range(1 << wo))
-                 for v in range(1 << wi))
-
-
-def _cycle_traces(choices: Sequence[Sequence[Sequence[Sequence[int]]]]) -> list[int]:
-    """Traces of the products around one loop, one per choice of a matrix
-    for every party, listed with party 0's choice most significant.
-    ``choices[i]`` lists party i's matrices, for two parties or more;
-    choices share the products of their common prefixes. The last party's
-    products are never formed: ``trace(P·E)`` is the sum of the entrywise
-    products of P and the transpose of E."""
-    level = choices[0]
-    for mats in choices[1:-1]:
-        level = [_matmul(p, e) for p in level for e in mats]
-    prefixes = [[x for row in p for x in row] for p in level]
-    lasts = [[x for col in zip(*e) for x in col] for e in choices[-1]]
-    return [sum(map(mul, p, e)) for p in prefixes for e in lasts]
-
-
-def _loop_traces(n: int, choices: Sequence[tuple[Sequence[Sequence[int]], int]]
-                 ) -> list[Fraction]:
-    """Contractions against the process's loop mixture, one per choice of
-    a table on ``(O_i, I_i)`` for every party i, listed with party 0's
-    choice most significant. ``choices[i]`` is ``(tables, log2den)``:
-    party i's integer tables, indexed like :class:`LocalBehavior`'s, over
-    ``2**log2den``.
-
-    On one loop, party i's table is its :func:`_party_matrix`, and a
-    choice contracts to the trace of the product around the cycle
-    (:func:`_cycle_traces`); the loops are averaged uniformly.
+    ``entries[i]`` is party i's :func:`_nonzero_entries`, and ``flips[i]``
+    the flip on the loop's edge out of party i. For each input value ``v0``
+    of party 0, a frontier ``{(input value, outcome prefix): weight}``
+    moves from party to party through the entries at each input value,
+    the output flipped into the next party's input; the entries back at
+    ``v0`` are kept. Returns, per outcome string packed with party 0's
+    outcome most significant, the summed integer weight. The work grows
+    with the frontier, not with the 2^n outcome strings.
     """
-    loops = loop_decomposition(n)
-    widths = [_widths(n, i) for i in range(n)]
-    log2den = sum(k for _, k in choices)
-    per_loop = [
-        _cycle_traces([[_party_matrix(t, wo, wi, flip) for t in tables]
-                       for (tables, _), (wo, wi), flip in zip(choices, widths, loop.edge_flips)])
-        for loop in loops
-    ]
-    den = len(loops) << log2den
-    return [Fraction(sum(t), den) for t in zip(*per_loop)]
+    total: dict[int, int] = {}
+    for v0 in range(len(entries[0])):
+        frontier = {(v0, 0): 1}
+        for choices, flip in zip(entries, flips):
+            step: dict[tuple[int, int], int] = {}
+            for (v, prefix), weight in frontier.items():
+                prefix <<= 1
+                for x, o, p in choices[v]:
+                    key = (o ^ flip, prefix | x)
+                    step[key] = step.get(key, 0) + weight * p
+            frontier = step
+        for (v, packed), weight in frontier.items():
+            if v == v0:
+                total[packed] = total.get(packed, 0) + weight
+    return total
 
 
 def outcome_distribution(
     w: ProcessMatrix,
     behaviors: Sequence[LocalBehavior],
 ) -> dict[tuple[int, ...], Fraction]:
-    """Exact joint outcome distribution P(x_0..x_{n-1}).
+    """Exact joint outcome distribution P(x_0..x_{n-1}) on its support.
 
     ``w`` is the circular process :func:`~acausal.process.build_w` returns
     for ``w.n`` parties; it is evaluated on its loop mixture, not
-    contracted against its terms. Every behavior is normalized and the
-    process is valid, so the returned weights are non-negative and sum to
-    1. Zero-probability outcomes are included so the support is explicit.
-    Raises ``ValueError`` before any work when the 2^n outcomes reach
-    2^(WORK_BUDGET_LOG2 + 1), and ``LayoutError`` for a behavior that does
-    not sit on the wires of the party at its position.
+    contracted against its terms: one :func:`_walk` of the behaviors'
+    non-zero entries per loop, the loops averaged uniformly. Every
+    behavior is normalized and the process is valid, so the weights are
+    positive and sum to 1. Only the outcomes of non-zero probability are
+    returned, in ascending order. Raises ``LayoutError`` for a behavior
+    that does not sit on the wires of the party at its position, and
+    ``ValueError`` before any walk when the walk's paths, ``min(2^n, prod_p
+    max_v #entries of party p at v)``, reach 2^(WORK_BUDGET_LOG2 + 1).
     """
     n = w.n
-    check_outcome_budget(n)
     if len(behaviors) != n:
         raise ValueError(f"need {n} behaviors, got {len(behaviors)}")
     for i, beh in enumerate(behaviors):
         _check_layout(beh, i, _party_layout(n, i))
-    values = _loop_traces(n, [(beh.tables, beh.log2den) for beh in behaviors])
+    lookups = [beh.outcome_lookup() for beh in behaviors]
+    entries = [lookup for lookup, _ in lookups]
+    paths = prod(max(map(len, lookup)) for lookup in entries)
+    refuse_over_budget("outcome distribution", n, min(1 << n, paths), "walk paths")
+    loops = loop_decomposition(n)
+    total = Counter()
+    for loop in loops:
+        total.update(_walk(entries, loop.edge_flips))
+    den = len(loops) << sum(k for _, k in lookups)
     return {
-        tuple((packed >> (n - 1 - i)) & 1 for i in range(n)): p
-        for packed, p in enumerate(values)
+        tuple((packed >> (n - 1 - i)) & 1 for i in range(n)): Fraction(weight, den)
+        for packed, weight in sorted(total.items())
     }
 
 
@@ -416,52 +412,42 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     twice a normalized channel, and the loop mixture, a valid process,
     gives every tuple of normalized channels total probability 1; its
     chains sum to ``len(loops) << (n + log2den)``. Only the second half is
-    contracted, one cycle trace per loop of the same sums signed by the
-    guesser's outcome and by everyone else's input bit: ``per_m = 1/2 +
-    signed / (len(loops) << (n + log2den + 1))``. The process's terms are
-    never built.
+    contracted: per loop, one :func:`_walk` of the same sums signed by the
+    guesser's outcome and by everyone else's input bit, each party's sums
+    read as a table with the single outcome 0: ``per_m = 1/2 + signed /
+    (len(loops) << (n + log2den + 1))``. The process's terms are never
+    built.
 
-    Within the call, each party's signed sums are kept per content of the
-    pair of behaviors it is dealt, and each :func:`_party_matrix` per
-    sums, widths and edge flip, so equal parties share one matrix; each
-    cycle goes through :func:`_cycle_traces` with one matrix per party,
-    the contraction :func:`outcome_distribution` uses. The default
-    strategy is :func:`winning_behavior`, built once per party and class
-    for the call (at most 8n behaviors); it wins with certainty for every
-    n >= 3: each per-m probability is exactly 1. A caller's strategy is
-    asked for all 2n^2 behaviors. Raises ``ValueError`` up front when
-    those 2n^2 behaviors reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is
-    refused.
+    Within the call, each party's signed sums and their non-zero entries
+    are kept per content of the pair of behaviors it is dealt and its
+    input width, so equal parties share them. The default strategy is
+    :func:`winning_behavior`, built once per party and class for the call
+    (at most 8n behaviors); it wins with certainty for every n >= 3: each
+    per-m probability is exactly 1. A caller's strategy is asked for all
+    2n^2 behaviors. Raises ``ValueError`` up front when those 2n^2
+    behaviors reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is refused.
     """
     _check_game_size(n)
     _check_behaviors(n)
     layouts = [_party_layout(n, i) for i in range(n)]
     strategy = strategy or _class_strategy(layouts)
-    widths = [_widths(n, i) for i in range(n)]
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     folded: dict[tuple, tuple] = {}
-    matrices: dict[tuple, tuple] = {}
     per_m = []
     for m in range(n):
         parties = []
         for i, layout in enumerate(layouts):
             b0 = _check_layout(strategy(n, m, i, 0), i, layout)
             b1 = _check_layout(strategy(n, m, i, 1), i, layout)
-            key = (b0.tables, b0.log2den, b1.tables, b1.log2den, i == m)
+            wi = layout.wires[1].width
+            key = (b0.tables, b0.log2den, b1.tables, b1.log2den, i == m, wi)
             factor = folded.get(key)
             if factor is None:
-                factor = folded[key] = _signed_sums(b0, b1, i == m)
+                diffs, k = _signed_sums(b0, b1, i == m)
+                factor = folded[key] = _nonzero_entries((diffs,), wi), k
             parties.append(factor)
-        signed = 0
-        for edge in flips:
-            chain = []
-            for i, (diffs, _) in enumerate(parties):
-                key = (diffs, widths[i], edge[i])
-                mat = matrices.get(key)
-                if mat is None:
-                    mat = matrices[key] = _party_matrix(diffs, *widths[i], edge[i])
-                chain.append((mat,))
-            signed += _cycle_traces(chain)[0]
+        entries = [e for e, _ in parties]
+        signed = sum(_walk(entries, edge).get(0, 0) for edge in flips)
         log2den = sum(k for _, k in parties)
         per_m.append(Fraction(1, 2) + Fraction(signed, len(flips) << (log2den + n + 1)))
     return GameResult(n=n, per_m=tuple(per_m), p_succ=sum(per_m) / n)

@@ -170,16 +170,28 @@ def test_causal_bound_refuses_witness_over_the_budget(capsys, n):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("n", (19, 40))
-def test_play_refuses_outcome_table_over_the_budget(capsys, n):
+@pytest.mark.parametrize("m", (0, 9, 18))
+def test_play_round_runs_at_19_parties(capsys, m):
+    bits = [(i * i + m) % 3 & 1 for i in range(19)]
+    code, out, err = run(capsys, "play", "--n", "19", "--m", str(m),
+                         "--inputs", ",".join(map(str, bits)), "--json")
+    assert (code, err) == (0, "")
+    support = json.loads(out)["distribution"]
+    parity = (sum(bits) - bits[m]) & 1
+    assert support and all(e["x"][m] == parity for e in support)
+    assert sum(Fraction(e["num"], 1 << e["log2den"]) for e in support) == 1
+
+
+@pytest.mark.parametrize("n", (20, 40))
+def test_play_refuses_a_round_over_the_budget(capsys, n):
     start = time.perf_counter()
     inputs = ",".join("01"[i & 1] for i in range(n))
     code, out, err = run(capsys, "play", "--n", str(n), "--m", "0", "--inputs", inputs)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: outcome distribution refused") and err.count("\n") == 1
+    assert err.startswith(f"error: build_w refused: n={n} needs 2^{n - 1} terms")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert time.perf_counter() - start < 1.0
-
 
 
 @pytest.mark.parametrize("n", (-3, 0))
@@ -246,7 +258,7 @@ def test_play_exit_codes(n, m, tokens, as_json, data):
         and 3 <= n < 512
         and (not round_given
              or (0 <= m < n and len(tokens) == n
-                 and all(t in ("0", "1") for t in tokens) and n < 19))
+                 and all(t in ("0", "1") for t in tokens) and n < 20))
     )
     assert exit_code_and_streams(argv) == (0 if well_formed else 2)
 

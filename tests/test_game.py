@@ -12,7 +12,6 @@ from acausal.game import (
     GameRound,
     LocalBehavior,
     behavior_from_table,
-    check_outcome_budget,
     outcome_distribution,
     sample_game,
     success_probability_exact,
@@ -282,13 +281,7 @@ def test_constant_behaviors_give_point_distribution():
         behavior_from_table(i, 1, 1, [(consts[i], 0), (consts[i], 0)])
         for i in range(3)
     ]
-    expected = {
-        tuple((packed >> (2 - i)) & 1 for i in range(3)):
-            F(1) if tuple((packed >> (2 - i)) & 1 for i in range(3)) == consts
-            else F(0)
-        for packed in range(8)
-    }
-    assert outcome_distribution(w, behaviors) == expected
+    assert outcome_distribution(w, behaviors) == {consts: F(1)}
 
 
 def test_outcome_distribution_party_mismatch():
@@ -569,24 +562,49 @@ def test_default_call_after_a_caller_strategy_keeps_no_memo(n):
 @pytest.mark.parametrize("n", (3, 4, 9))
 def test_exact_value_contracts_one_chain_per_loop_and_m(monkeypatch, n):
     # the summed-tables half of the win indicator is 1/2 for every valid
-    # strategy, so only the signed chain is contracted
+    # strategy, so only the signed chain is walked
     calls = []
-    traces = game._cycle_traces
+    walk = game._walk
 
-    def counting(choices):
-        calls.append(len(choices))
-        return traces(choices)
+    def counting(entries, flips):
+        calls.append(len(entries))
+        return walk(entries, flips)
 
-    monkeypatch.setattr(game, "_cycle_traces", counting)
+    monkeypatch.setattr(game, "_walk", counting)
     assert success_probability_exact(n).p_succ == 1
     assert calls == [n] * (n * len(loop_decomposition(n)))
 
 
-def test_outcome_budget_boundary():
-    check_outcome_budget(18)
-    for n in (19, 40):
-        with pytest.raises(ValueError, match=f"^outcome distribution refused: n={n} needs"):
-            check_outcome_budget(n)
+def spread_round(n, spread, outcomes):
+    """Behaviors for n parties: each of the first ``spread`` weighs its
+    first ``outcomes`` (x, o) pairs, in x then o order, equally at every
+    input value; the others are deterministic."""
+    behaviors = []
+    for i in range(n):
+        wo, wi = _widths(n, i)
+        cells = [(x, o) for x in (0, 1) for o in range(1 << wo)][:outcomes if i < spread else 1]
+        tables = [[int((x, j >> wi) in cells) for j in range(1 << (wo + wi))] for x in (0, 1)]
+        behaviors.append(LocalBehavior(i, game._party_layout(n, i), tables,
+                                       log2den=len(cells).bit_length() - 1))
+    return behaviors
+
+
+def test_outcome_budget_boundary(monkeypatch):
+    # the walk's paths, min(2^n, prod_p max_v #entries), are refused before
+    # any walk once they reach 2^19; the accepted rounds are not walked
+    walks = []
+    monkeypatch.setattr(game, "_walk", lambda entries, flips: walks.append(flips) or {})
+    for n, spread, outcomes in ((18, 18, 4), (19, 18, 2)):
+        assert outcome_distribution(build_w(n), spread_round(n, spread, outcomes)) == {}
+    assert len(walks) == len(loop_decomposition(18)) + len(loop_decomposition(19))
+
+    def refuse(entries, flips):
+        raise AssertionError("walked a round over the budget")
+
+    monkeypatch.setattr(game, "_walk", refuse)
+    for outcomes in (4, 2):
+        with pytest.raises(ValueError, match="^outcome distribution refused: n=19 needs 524288 walk paths"):
+            outcome_distribution(build_w(19), spread_round(19, 19, outcomes))
 
 
 @lru_cache(maxsize=None)
@@ -618,8 +636,33 @@ def test_outcome_distribution_equals_pairing_oracle(n, strategy):
         for a_idx in inputs:
             a = [(a_idx >> (n - 1 - i)) & 1 for i in range(n)]
             behaviors = [strategy(n, m, i, a[i]) for i in range(n)]
-            dist = outcome_distribution(w, behaviors)
-            assert list(dist.items()) == list(pairing_outcome_oracle(w, behaviors).items())
+            assert_support_equals_oracle(w, behaviors)
+
+
+def assert_support_equals_oracle(w, behaviors):
+    expected = pairing_outcome_oracle(w, behaviors)
+    support = [(xs, p) for xs, p in expected.items() if p]
+    assert list(outcome_distribution(w, behaviors).items()) == support
+
+
+def random_behavior(n, i, rng):
+    """Party i's behavior dealing 2**log2den units, log2den 0-2, to random
+    (x, o) cells at every input value."""
+    wo, wi = _widths(n, i)
+    log2den = rng.randrange(3)
+    tables = [[0] * (1 << (wo + wi)) for _ in (0, 1)]
+    for v in range(1 << wi):
+        for _ in range(1 << log2den):
+            tables[rng.getrandbits(1)][(rng.getrandbits(wo) << wi) | v] += 1
+    return LocalBehavior(i, game._party_layout(n, i), tables, log2den)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_walk_equals_pairing_oracle_on_random_behaviors(n):
+    w = build_w(n)
+    rng = random.Random(f"walk {n}")
+    for _ in range(3):
+        assert_support_equals_oracle(w, [random_behavior(n, i, rng) for i in range(n)])
 
 
 def test_outcome_distribution_rejects_behavior_on_wrong_wires():

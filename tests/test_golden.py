@@ -72,6 +72,10 @@ GOLDEN = {
         (0, "99f1e9f59bbdaa8d4b528c582d2f2cbcc7a0d7b94ec66d8e7e910bd229d622b3"),
     ("play", "--n", "7", "--m", "0", "--inputs", "0,1,1,0,1,0,1", "--json"):
         (0, "8b652638d7aeb22689a9dc66da87b18ed5f94dce77907558a84ef62f6051b718"),
+    ("play", "--n", "19", "--m", "7", "--inputs", "0,1,1,0,1,0,0,1,1,1,0,1,0,1,1,0,0,1,0"):
+        (0, "0deffea77b641cd9d67311fc0d88a44b4c7e696ee334da414d9c6265e85eeb09"),
+    ("play", "--n", "19", "--m", "7", "--inputs", "0,1,1,0,1,0,0,1,1,1,0,1,0,1,1,0,0,1,0", "--json"):
+        (0, "3aef402977bf611401219dc50a23c7956ff92724f47a80911003be98d2db9aca"),
     ("causal-bound", "--n", "4", "--json"):
         (0, "7615fc02a96f999d75378d0205acc9f60ee951beceb8ab72c8952c41d7614f57"),
     ("causal-bound", "--n", "12", "--json"):
