@@ -8,6 +8,13 @@ that print rationals as text, to 17-significant-digit floats, and
 ``--json`` selects the machine-readable schemas (``export`` has no such
 switch: ``--format`` alone picks what it writes). Exit codes: 0 success,
 1 validation failure, 2 usage error.
+
+Each call builds the argument parser of the one command it runs, from
+``_COMMANDS``; a usage error prints that command's usage line. Only a call
+that names no command first (none, ``-h``, an unknown command, a leading
+option) builds the top-level parser with the command listing. ``--out``
+files are written atomically with the mode a plain write would leave.
+Also runs as ``python -m acausal``.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -22,6 +30,7 @@ from fractions import Fraction
 from .causal import MODEL, brute_force_causal, causal_bound, forwarding_strategy_success
 from .diagop import (
     DiagOperator,
+    FormatError,
     dense_csv_lines,
     dyadic_json,
     operator_from_json,
@@ -49,10 +58,23 @@ def _frac_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
+def _plain_write_mode(path: str) -> int:
+    """The mode ``open(path, "w")`` leaves: the existing file's, or the
+    umask applied to 0o666."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    mode = _plain_write_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acausal-")
     try:
+        os.fchmod(fd, mode)  # mkstemp creates it 0600
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -111,9 +133,16 @@ def _cmd_build_w(args) -> int:
     return 0
 
 
+def _read_operator(path: str) -> DiagOperator:
+    with open(path) as handle:
+        try:
+            return operator_from_json(json.load(handle))
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def _cmd_validate(args) -> int:
-    with open(args.file) as handle:
-        op = operator_from_json(json.load(handle))
+    op = _read_operator(args.file)
     report = validate_process(op, seed=args.seed)
     if args.json:
         payload = report.to_json()
@@ -219,8 +248,7 @@ def _cmd_causal_bound(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    with open(args.file) as handle:
-        op = operator_from_json(json.load(handle))
+    op = _read_operator(args.file)
     text = _render_operator(op, args.format, as_json=True, as_float=False)
     _emit(text, args.out)
     return 0
@@ -238,61 +266,91 @@ def _add_common(parser, n=False, rationals=False):
                         help="write output atomically to PATH")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _args_build_w(p):
+    _add_common(p, n=True, rationals=True)
+    p.add_argument("--format", choices=("monomials", "dense"),
+                   default="monomials")
+
+
+def _args_validate(p):
+    p.add_argument("--file", required=True, metavar="PATH")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the drawn bilinear tuples beyond 5 parties; "
+                        "used only when a non-identity term survives")
+    _add_common(p)
+
+
+def _args_play(p):
+    _add_common(p, n=True, rationals=True)
+    p.add_argument("--m", type=int, help="referee value")
+    p.add_argument("--inputs", help="comma-separated input bits")
+
+
+def _args_sample(p):
+    _add_common(p, n=True)
+    p.add_argument("--shots", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _args_causal_bound(p):
+    _add_common(p, n=True, rationals=True)
+    p.add_argument("--brute-force", action="store_true",
+                   help="exact optimum over all protocols")
+
+
+def _args_export(p):
+    p.add_argument("--file", required=True, metavar="PATH")
+    p.add_argument("--format", choices=("monomials", "dense"),
+                   default="monomials")
+    p.add_argument("--out", metavar="PATH", help="write output atomically to PATH")
+
+
+# name -> (help line, function adding the arguments, handler)
+_COMMANDS = {
+    "build-w": ("construct the n-party process matrix", _args_build_w, _cmd_build_w),
+    "validate": ("validate an operator JSON file", _args_validate, _cmd_validate),
+    "play": ("exact game evaluation", _args_play, _cmd_play),
+    "sample": ("seeded Monte-Carlo game sampling", _args_sample, _cmd_sample),
+    "causal-bound": ("causal-order value and bound", _args_causal_bound,
+                     _cmd_causal_bound),
+    "export": ("convert an operator file", _args_export, _cmd_export),
+}
+
+
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command ``argv`` names and its parsed arguments. A parser is
+    built per call, for the named command only; usage errors and ``-h``
+    exit through argparse."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"acausal {name}")
+        _COMMANDS[name][1](parser)
+        return name, parser.parse_args(argv[1:])
+    # No command first: the top-level parser prints the help or the usage
+    # error. Of its subparsers only the command named further on, if any,
+    # takes arguments, which is all such a parse reaches.
     parser = argparse.ArgumentParser(
         prog="acausal",
         description="exact process-matrix construction, parity game, and "
                     "causal bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-w", help="construct the n-party process matrix")
-    _add_common(p, n=True, rationals=True)
-    p.add_argument("--format", choices=("monomials", "dense"),
-                   default="monomials")
-    p.set_defaults(func=_cmd_build_w)
-
-    p = sub.add_parser("validate", help="validate an operator JSON file")
-    p.add_argument("--file", required=True, metavar="PATH")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the drawn bilinear tuples beyond 5 parties; "
-                        "used only when a non-identity term survives")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("play", help="exact game evaluation")
-    _add_common(p, n=True, rationals=True)
-    p.add_argument("--m", type=int, help="referee value")
-    p.add_argument("--inputs", help="comma-separated input bits")
-    p.set_defaults(func=_cmd_play)
-
-    p = sub.add_parser("sample", help="seeded Monte-Carlo game sampling")
-    _add_common(p, n=True)
-    p.add_argument("--shots", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("causal-bound", help="causal-order value and bound")
-    _add_common(p, n=True, rationals=True)
-    p.add_argument("--brute-force", action="store_true",
-                   help="exact optimum over all protocols")
-    p.set_defaults(func=_cmd_causal_bound)
-
-    p = sub.add_parser("export", help="convert an operator file")
-    p.add_argument("--file", required=True, metavar="PATH")
-    p.add_argument("--format", choices=("monomials", "dense"),
-                   default="monomials")
-    p.add_argument("--out", metavar="PATH", help="write output atomically to PATH")
-    p.set_defaults(func=_cmd_export)
-
-    return parser
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == named:
+            add_arguments(p)
+    args = parser.parse_args(argv)
+    return args.command, args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    name, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    # Looked up on the module at call time, so a wrapper installed there
+    # (the bench's span recorder) is the one that runs.
+    handler = globals()[_COMMANDS[name][2].__name__]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError) as exc:  # the package raises ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,14 @@
+import argparse
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -531,3 +536,96 @@ def test_log2den_over_the_bound_is_usage_error(tmp_path, capsys, command):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: terms[1]: log2den must lie in 0..")
+
+
+COMMANDS = ("build-w", "validate", "play", "sample", "causal-bound", "export")
+LISTING = "{build-w,validate,play,sample,causal-bound,export}"
+
+
+def test_named_command_builds_one_parser_per_call(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        assert main(["causal-bound", "--n", "3"]) == 0
+    assert built == ["acausal causal-bound"] * 2
+
+
+@pytest.mark.parametrize("argv", [(command, "--file", "w.json") if command in
+                                  ("validate", "export") else (command, "--n", "3")
+                                  for command in COMMANDS], ids=COMMANDS)
+def test_unrecognized_argument_prints_the_command_usage(capsys, argv):
+    command = argv[0]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--frobnicate"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: acausal {command} ")
+    assert "--frobnicate" in err
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["bogus"], 2), (["-h"], 0)],
+                         ids=["none", "unknown", "help"])
+def test_no_command_prints_the_top_level_listing(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    printed = captured.out if code == 0 else captured.err
+    assert printed.startswith(f"usage: acausal [-h] {LISTING} ...\n")
+
+
+def test_leading_option_is_parsed_by_the_top_level_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "build-w", "--n", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "acausal: error: unrecognized arguments: --json\n")
+    # the command named after the option still parses its own arguments
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "build-w", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: acausal build-w [-h] --n N")
+
+
+def test_out_new_file_gets_the_mode_of_a_plain_write(tmp_path, capsys):
+    (tmp_path / "plain.json").open("w").close()
+    out = tmp_path / "w3.json"
+    assert run(capsys, "build-w", "--n", "3", "--out", str(out))[0] == 0
+    assert out.stat().st_mode == (tmp_path / "plain.json").stat().st_mode
+
+
+@pytest.mark.parametrize("mode", (0o644, 0o640))
+def test_out_overwrite_keeps_the_file_mode(tmp_path, capsys, mode):
+    out = tmp_path / "w3.json"
+    out.write_text("old")
+    out.chmod(mode)
+    assert run(capsys, "build-w", "--n", "3", "--out", str(out))[0] == 0
+    assert out.stat().st_mode & 0o7777 == mode
+    assert json.loads(out.read_text())["layout"]
+
+
+@pytest.mark.parametrize("command", ("validate", "export"))
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "acausal", "causal-bound", "--n", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert run(capsys, "causal-bound", "--n", "3") == (0, proc.stdout, "")

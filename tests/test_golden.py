@@ -123,3 +123,25 @@ def test_cli_output_is_pinned(argv, inputs, capsys):
     code = main([a.replace("{dir}", str(inputs)) for a in argv])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+# sha256 of the help text at an 80-column terminal
+HELP = {
+    ("-h",): "7d6f58fe8945700f7222501d9781bf08e3941275ce1a679fa1c7d00100fca6eb",
+    ("build-w", "-h"): "becc3e54d43a478c2e41412952f9c68cb8500ec8c8cd28eb3651131890952714",
+    ("validate", "-h"): "3dc21f23309bd055c6b9a31be7d1c82f9aaa8b3ce281015dd3bbcfe817eddae0",
+    ("play", "-h"): "24e46b339f4df2ab73b9fe52b2d84e0b04845f6449d14b276f4660affb4b65b4",
+    ("sample", "-h"): "bc3abb5abedbfc712f187c800a20146b4a7c0ab7d7c0fccb7e8d50094de43305",
+    ("causal-bound", "-h"): "c1c3f0064020a5128591cf2ab2233dcefd8d35abe0c5b1d882d2d3d88e936846",
+    ("export", "-h"): "17df6ded0cdd166d2bd3255ada08920499eb8a55c86955c1967574a1948b8afb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP), ids=" ".join)
+def test_help_is_pinned(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP[argv]
