@@ -17,7 +17,6 @@ from .diagop import (
     WireLayout,
     channel_apply,
     from_dense,
-    identity,
     is_nonnegative,
     multiply,
     operator_from_json,
@@ -25,7 +24,6 @@ from .diagop import (
     partial_trace,
     point_mass,
     to_dense,
-    trace,
 )
 from .game import (
     GameResult,

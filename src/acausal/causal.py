@@ -137,39 +137,33 @@ def _check_size(n: int) -> None:
     refuse_over_budget("causal witness", n, 2 * n * n, "order entries")
 
 
-def _route_guesser_last(n: int, first: int) -> CausalValue:
-    """The rule with this first party that puts the guesser last whenever
-    she is not ``first`` (the others in increasing order) and uses
-    ``(first, *rest)`` when she is, valued and wrapped with its witness.
-    No rule with this first party does better on any (m, a_first) key."""
-    rest = [p for p in range(n) if p != first]
+def forwarding_strategy_success(n: int) -> CausalValue:
+    """Value and witness of the optimal forwarding protocol, the one body
+    behind both causal searches.
+
+    Party 0 goes first and routes the order so that the guesser acts last
+    whenever the guesser is somebody else (the others in increasing
+    order); when the guesser is party 0 the order is ``(0, 1, ..., n-1)``.
+    Every per-m term is then 1 except m = 0, where the first party can
+    only guess, and no rule with first party 0 does better on any
+    (m, a_first) key. The returned value is computed by the exact closed
+    form of ``_evaluate`` (the tests check it against enumeration of every
+    input row) and equals ``causal_bound(n)`` -- for n = 2 as well, where
+    there is no routing freedom and the 3/4 comes out of the plain
+    two-party order.
+    """
+    _check_size(n)
     orders = {}
     for m in range(n):
-        if m == first:
-            order = (first, *rest)
-        else:
-            order = (first, *(p for p in rest if p != m), m)
+        order = (0, *(p for p in range(1, n) if p != m))
+        if m:
+            order += (m,)
         orders[(m, 0)] = orders[(m, 1)] = order
-    value, per_m = _evaluate(n, first, orders)
-    protocol = CausalProtocol(n=n, first=first, orders=orders)
+    value, per_m = _evaluate(n, 0, orders)
+    protocol = CausalProtocol(n=n, first=0, orders=orders)
     return CausalValue(
         n=n, value=value, bound=causal_bound(n), protocol=protocol, per_m=per_m
     )
-
-
-def forwarding_strategy_success(n: int) -> CausalValue:
-    """Value and witness of the optimal forwarding protocol.
-
-    Party 0 goes first and routes the order so that the guesser acts last
-    whenever the guesser is somebody else; every per-m term is then 1
-    except m = 0, where the first party can only guess. The returned value
-    is computed by the exact closed form of ``_evaluate`` (the tests check
-    it against enumeration of every input row) and equals
-    ``causal_bound(n)`` -- for n = 2 as well, where there is no routing
-    freedom and the 3/4 comes out of the plain two-party order.
-    """
-    _check_size(n)
-    return _route_guesser_last(n, 0)
 
 
 def brute_force_causal(n: int) -> CausalValue:
@@ -177,14 +171,14 @@ def brute_force_causal(n: int) -> CausalValue:
 
     A shell's value is a sum of one term per (m, a_first) key, and each
     term depends only on that key's order, so the maximum for a first
-    party is the maximum per key, which ``_route_guesser_last`` attains.
-    That maximum is the same for every first party: as the guesser she
-    wins half the rows, and every other guesser, routed last, wins them
-    all, so each first party's value is ``1 - 1/(2n)``. In an enumeration
-    of every first party and order rule in lexicographic order the first
-    strict maximum therefore has first party 0, and only that shell is
-    valued, with ``_evaluate``: O(n^2). Value, witness and ``per_m`` equal
-    that enumeration's first strict maximum.
+    party is the maximum per key, which the rule that routes the guesser
+    last attains. That maximum is the same for every first party: as the
+    guesser she wins half the rows, and every other guesser, routed last,
+    wins them all, so each first party's value is ``1 - 1/(2n)``. In an
+    enumeration of every first party and order rule in lexicographic order
+    the first strict maximum therefore has first party 0, and it is the
+    shell :func:`forwarding_strategy_success` values, with ``_evaluate``:
+    O(n^2). Value, witness and ``per_m`` equal that enumeration's first
+    strict maximum, so this returns ``forwarding_strategy_success(n)``.
     """
-    _check_size(n)
-    return _route_guesser_last(n, 0)
+    return forwarding_strategy_success(n)

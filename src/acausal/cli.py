@@ -74,8 +74,8 @@ def _write_atomic(path: str, text: str) -> None:
     mode = _plain_write_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acausal-")
     try:
-        os.fchmod(fd, mode)  # mkstemp creates it 0600
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), mode)  # mkstemp creates it 0600
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -17,7 +17,7 @@ integer numerator over one power of two shared by the whole operator,
 ``log2den`` is as small as possible. Equal operators therefore have equal
 representations, every equality test is exact, and no floating point
 enters the core. Only this module knows the format; ``Fraction`` values
-appear at its boundary (constructor, ``terms``, ``to_dense``, ``trace``).
+appear at its boundary (constructor, ``terms``, ``to_dense``).
 
 One GF(2) elimination, :func:`gf2_echelon`, serves the package: it gives
 ``process`` its kernels, and the dense side (:func:`is_nonnegative`,
@@ -26,7 +26,7 @@ whose masks span rank r has only ``2**r`` distinct dense entries. That is
 the one route from parity form to dense entries; only the inverse,
 :func:`from_dense`, transforms the ``2**width`` entries it is given.
 
-The algebra is what the package uses: entrywise products, (partial)
+The algebra is what the package uses: entrywise products, partial
 traces and :func:`channel_apply`, which feeds a state to a channel. A
 deterministic local channel ``o = t[v]`` on wires ``(O, I)`` is never
 built here: its coefficient at the mask ``(s_O, s_I)`` is the character
@@ -58,10 +58,8 @@ __all__ = [
     "Wire",
     "WireLayout",
     "DiagOperator",
-    "identity",
     "point_mass",
     "multiply",
-    "trace",
     "partial_trace",
     "channel_apply",
     "to_dense",
@@ -267,35 +265,8 @@ class DiagOperator:
         return (self.layout == other.layout and self.log2den == other.log2den
                 and self.nums == other.nums)
 
-    def __add__(self, other):
-        if not isinstance(other, DiagOperator):
-            return NotImplemented
-        if other.layout != self.layout:
-            raise LayoutError("layout mismatch in addition")
-        log2den = max(self.log2den, other.log2den)
-        out = {m: v << (log2den - self.log2den) for m, v in self.nums.items()}
-        for m, v in other.nums.items():
-            out[m] = out.get(m, 0) + (v << (log2den - other.log2den))
-        return _make(self.layout, out, log2den)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, DiagOperator):
-            return NotImplemented
-        (s,), log2den = _dyadic_ints([scalar])
-        return _make(self.layout, {m: v * s for m, v in self.nums.items()},
-                     self.log2den + log2den)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"DiagOperator({self.layout!r}, {len(self.nums)} terms)"
-
-
-def identity(layout: WireLayout) -> DiagOperator:
-    return _make(layout, {0: 1}, 0)
 
 
 def point_mass(layout: WireLayout, index: int) -> DiagOperator:
@@ -322,11 +293,6 @@ def multiply(a: DiagOperator, b: DiagOperator) -> DiagOperator:
             key = ma ^ mb
             nums[key] = nums.get(key, 0) + va * vb
     return _make(a.layout, nums, a.log2den + b.log2den)
-
-
-def trace(a: DiagOperator) -> Fraction:
-    """Sum of the diagonal; only the empty mask contributes."""
-    return Fraction(a.nums.get(0, 0) << a.layout.width, 1 << a.log2den)
 
 
 def partial_trace(a: DiagOperator, wires: Iterable[str]) -> DiagOperator:

@@ -462,10 +462,17 @@ class GameResult:
     p_succ: Fraction
 
     def to_json(self) -> dict:
+        """JSON form. Each ``per_m`` entry is dyadic and written
+        ``{"num", "log2den"}``. ``p_succ``, their mean over n, is written
+        the same way when it is dyadic, as every result of the default
+        strategy is, and as ``{"num", "den"}`` in lowest terms otherwise
+        (per_m = (1/2, 1, 1) averages to 5/6)."""
+        den = self.p_succ.denominator
         return {
             "n": self.n,
             "per_m": [dyadic_json(v) for v in self.per_m],
-            "p_succ": dyadic_json(self.p_succ),
+            "p_succ": (dyadic_json(self.p_succ) if not den & (den - 1)
+                       else {"num": self.p_succ.numerator, "den": den}),
         }
 
 

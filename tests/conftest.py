@@ -126,8 +126,13 @@ def pairing_success_oracle(n: int, strategy) -> list[Fraction]:
             target = (a_idx.bit_count() - a_bits[m]) & 1
             factors = []
             for i in range(n):
-                x_ops = ops[i][a_bits[i]]
-                factors.append(x_ops[target] if i == m else x_ops[0] + x_ops[1])
+                x0, x1 = ops[i][a_bits[i]]
+                if i == m:
+                    factors.append((x0, x1)[target])
+                else:  # the channel, summed over the outcome
+                    factors.append(DiagOperator(x0.layout, {
+                        k: x0.terms.get(k, 0) + x1.terms.get(k, 0)
+                        for k in x0.terms.keys() | x1.terms.keys()}))
             win += contract(op, keys, factors)
         per_m.append(win / (1 << n))
     return per_m

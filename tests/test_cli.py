@@ -610,6 +610,18 @@ def test_out_overwrite_keeps_the_file_mode(tmp_path, capsys, mode):
     assert json.loads(out.read_text())["layout"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_out_closes_the_temp_file_when_fchmod_fails(tmp_path, capsys, monkeypatch):
+    def deny(fd, mode):
+        raise PermissionError("fchmod denied")
+
+    before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fchmod", deny)
+    assert run(capsys, "build-w", "--n", "3", "--out", str(tmp_path / "w3.json"))[0] == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ("validate", "export"))
 def test_deeply_nested_json_is_usage_error(tmp_path, capsys, command):
     path = tmp_path / "deep.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -696,3 +697,17 @@ def test_game_result_json_shape():
         "per_m": [{"num": 1, "log2den": 0}] * 3,
         "p_succ": {"num": 1, "log2den": 0},
     }
+
+
+def test_game_result_json_writes_a_non_dyadic_average_as_num_den():
+    def strategy(n, m, i, a_i):
+        if m == 0:
+            return behavior_from_table(i, 1, 1, [(0, 0), (0, 0)])
+        return winning_behavior(n, m, i, a_i)
+
+    result = success_probability_exact(3, strategy)
+    assert result.per_m == (F(1, 2), F(1), F(1)) and result.p_succ == F(5, 6)
+    payload = result.to_json()
+    assert payload["per_m"] == [{"num": 1, "log2den": 1}] + [{"num": 1, "log2den": 0}] * 2
+    assert payload["p_succ"] == {"num": 5, "den": 6}
+    assert json.loads(json.dumps(payload)) == payload

@@ -12,11 +12,9 @@ from acausal.diagop import (
     Wire,
     WireLayout,
     gf2_echelon,
-    identity,
     is_nonnegative,
     partial_trace,
     to_dense,
-    trace,
 )
 from acausal.process import (
     UnsupportedPartyCount,
@@ -182,14 +180,14 @@ def test_build_w_budget_boundary():
 def test_w_trace_is_output_register_size(n):
     w = build_w(n)
     o_width = sum(w.layout.field(name)[1] for name in w.output_wires)
-    assert trace(w.operator) == 1 << o_width
+    assert sum(to_dense(w.operator)) == 1 << o_width
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_channel_normalization(n):
     w = build_w(n)
     traced = partial_trace(w.operator, w.input_wires)
-    assert traced == identity(w.layout.restrict(w.output_wires))
+    assert traced == DiagOperator(w.layout.restrict(w.output_wires), {0: 1})
 
 
 def test_w3_channel_normalization_by_dense_summation():
@@ -358,7 +356,7 @@ def test_validate_uniform_channelless_object():
     n = 3
     layout = game_layout(n)
     i_width = 3
-    op = identity(layout) * F(1, 1 << i_width)
+    op = DiagOperator(layout, {0: F(1, 1 << i_width)})
     report = validate_process(op)
     assert report.passed
     assert all(not any(row) for row in report.signaling)
@@ -416,7 +414,7 @@ def test_validate_passes_build_w_past_the_dense_route():
 def test_validate_refuses_work_over_the_budget():
     wide = WireLayout([Wire(0, "I", 5), Wire(1, "I"), Wire(0, "O"), Wire(1, "O")])
     with pytest.raises(ValueError, match=r"2\^34 tuples"):
-        validate_process(identity(wide) * F(1, 64))
+        validate_process(DiagOperator(wide, {0: F(1, 64)}))
     # Six parties, a 10-bit I0 and a surviving term on O1 alone: 1000 draws
     # fill 2^10 + 5·2 table entries each.
     sampled = WireLayout([Wire(k, kind, 10 if (k, kind) == (0, "I") else 1)
@@ -441,7 +439,7 @@ def test_budget_messages_name_the_limit_they_enforce():
     wide = WireLayout([Wire(0, "I", 5), Wire(1, "I"), Wire(0, "O"), Wire(1, "O")])
     with pytest.raises(ValueError, match=r"^validate refused: it needs at least 2\^34 tuples "
                                          r"of local tables, " + limit):
-        validate_process(identity(wide) * F(1, 64))
+        validate_process(DiagOperator(wide, {0: F(1, 64)}))
 
 @pytest.mark.parametrize("wide, inputs", [("O", 6), ("I", 15)])
 def test_validate_accepts_a_wide_wire_when_only_the_identity_survives(wide, inputs):
@@ -451,7 +449,7 @@ def test_validate_accepts_a_wide_wire_when_only_the_identity_survives(wide, inpu
     layout = WireLayout([Wire(k, kind, 10 if (k, kind) == (0, wide) else 1)
                          for kind in "IO" for k in range(6)])
     start = time.perf_counter()
-    report = validate_process(identity(layout) * F(1, 1 << inputs))
+    report = validate_process(DiagOperator(layout, {0: F(1, 1 << inputs)}))
     assert time.perf_counter() - start < 1.0
     assert report.passed, report.failures()
     assert (report.bilinear.checked, report.bilinear.failed) == (1000, 0)
@@ -559,8 +557,9 @@ def test_identity_only_bilinear_counts_match_oracle_up_to_five_parties():
     # Only the identity can survive, so one evaluation stands for every
     # tuple; the oracle values each tuple from the dense entries.
     rng = random.Random(44)
-    cases = [build_w(3).operator, build_w(5).operator,
-             build_w(3).operator + identity(game_layout(3)) * F(1, 1 << 6)]
+    w3 = build_w(3).operator
+    cases = [w3, build_w(5).operator,
+             DiagOperator(w3.layout, {**w3.terms, 0: w3.terms[0] + F(1, 1 << 6)})]
     cases.append(DiagOperator(game_layout(3), {}))
     for count in range(1, 6):
         for identity_num in (1, 3, None):
@@ -597,8 +596,10 @@ def _drawn_counts(op, seed):
 
 def test_identity_only_bilinear_counts_match_seeded_draws_at_six_and_seven_parties():
     rng = random.Random(45)
-    cases = [build_w(6).operator, build_w(7).operator,
-             build_w(7).operator * F(3, 4), DiagOperator(game_layout(6), {})]
+    w7 = build_w(7).operator
+    cases = [build_w(6).operator, w7,
+             DiagOperator(w7.layout, {m: c * F(3, 4) for m, c in w7.terms.items()}),
+             DiagOperator(game_layout(6), {})]
     for identity_num in (1, 1, 5, None):
         widths = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(rng.randint(6, 7))]
         cases.append(_identity_survivor_operator(rng, widths, identity_num))
@@ -654,7 +655,7 @@ def _traced_identity_oracle(op):
     layout = op.layout
     inputs = [w.name for w in layout.wires if w.kind == "I"]
     outputs = [w.name for w in layout.wires if w.kind == "O"]
-    return partial_trace(op, inputs) == identity(layout.restrict(outputs))
+    return partial_trace(op, inputs) == DiagOperator(layout.restrict(outputs), {0: 1})
 
 
 def _near_valid(rng, op):
@@ -696,9 +697,8 @@ def test_validate_builds_no_operator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validate_process built an operator")
 
-    for name in ("partial_trace", "identity"):
-        monkeypatch.setattr(diagop, name, refuse)
-        monkeypatch.setattr(process, name, refuse, raising=False)
+    monkeypatch.setattr(diagop, "partial_trace", refuse)
+    monkeypatch.setattr(process, "partial_trace", refuse, raising=False)
     monkeypatch.setattr(WireLayout, "restrict", refuse)
     assert [validate_process(op, seed=3) for op in cases] == expected
 
@@ -751,7 +751,7 @@ def test_gf2_elimination_equals_brute_force():
 def test_validate_rejects_unpartitioned_layout():
     layout = WireLayout([Wire("env", "X"), Wire("env", "Y")])
     with pytest.raises(LayoutError):
-        validate_process(identity(layout) * F(1, 2))
+        validate_process(DiagOperator(layout, {0: F(1, 2)}))
 
 
 def test_loops_three_parties():
