@@ -31,8 +31,9 @@ from .causal import MODEL, brute_force_causal, causal_bound, forwarding_strategy
 from .diagop import (
     DiagOperator,
     FormatError,
-    dense_csv_lines,
+    dense_csv,
     dyadic_json,
+    fraction_json,
     operator_from_json,
     operator_to_json,
 )
@@ -52,10 +53,6 @@ def _fmt(value: Fraction, as_float: bool) -> str:
     if as_float:
         return f"{float(value):.17g}"
     return str(value)
-
-
-def _frac_json(value: Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator}
 
 
 def _plain_write_mode(path: str) -> int:
@@ -117,7 +114,7 @@ def _render_operator(op: DiagOperator, fmt: str, as_json: bool,
                 f"dense export refused: width {op.layout.width} exceeds the "
                 f"{DENSE_WIDTH_CAP}-bit cap"
             )
-        return "\n".join(dense_csv_lines(op)) + "\n"
+        return dense_csv(op)
     if as_json:
         return json.dumps(operator_to_json(op)) + "\n"
     return _operator_text(op, as_float)
@@ -229,8 +226,8 @@ def _cmd_causal_bound(args) -> int:
         payload = {
             "n": args.n,
             "model": MODEL,
-            "value": _frac_json(value),
-            "bound": _frac_json(bound),
+            "value": fraction_json(value),
+            "bound": fraction_json(bound),
             "match": value == bound,
             "witness": witness.to_json(),
         }

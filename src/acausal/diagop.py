@@ -21,7 +21,7 @@ appear at its boundary (constructor, ``terms``, ``to_dense``).
 
 One GF(2) elimination, :func:`gf2_echelon`, serves the package: it gives
 ``process`` its kernels, and the dense side (:func:`is_nonnegative`,
-:func:`to_dense`, the dense CSV) the coordinates in which an operator
+:func:`to_dense`, :func:`dense_csv`) the coordinates in which an operator
 whose masks span rank r has only ``2**r`` distinct dense entries. That is
 the one route from parity form to dense entries; only the inverse,
 :func:`from_dense`, transforms the ``2**width`` entries it is given.
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -67,9 +68,10 @@ __all__ = [
     "is_nonnegative",
     "gf2_echelon",
     "dyadic_json",
+    "fraction_json",
     "operator_to_json",
     "operator_from_json",
-    "dense_csv_lines",
+    "dense_csv",
     "parse_dense_csv",
 ]
 
@@ -484,6 +486,12 @@ def dyadic_json(value: Fraction | int) -> dict:
     return {"num": value.numerator, "log2den": _log2den(value)}
 
 
+def fraction_json(value: Fraction | int) -> dict:
+    """``{"num", "den"}`` form of any rational in lowest terms."""
+    value = Fraction(value)
+    return {"num": value.numerator, "den": value.denominator}
+
+
 MAX_LOG2DEN = 1024
 """Largest denominator exponent the JSON and CSV parsers accept; every
 operator and dense entry the package writes stays far below it. A larger
@@ -555,33 +563,60 @@ def operator_from_json(obj) -> DiagOperator:
     return _make(layout, {m: v << (log2den - k) for m, (v, k) in parsed.items()}, log2den)
 
 
-def dense_csv_lines(a: DiagOperator) -> Iterable[str]:
-    """Dense CSV rows ``index,numerator,log2_denominator`` with a header;
-    each entry is in lowest terms.
+_CSV_HEADER = "index,numerator,log2_denominator"
+_CSV_BLOCK = 1000
+# Row r of the first block, and row r of block p >= 1 after the prefix
+# str(p): the index of row p * 1000 + r is str(p) + f"{r:03d}".
+_FIRST_ROWS = [f"{r},%s\n" for r in range(_CSV_BLOCK)]
+_BLOCK_ROWS = [f"{r:03d},%s\n" for r in range(_CSV_BLOCK)]
+
+
+def dense_csv(a: DiagOperator) -> str:
+    """Dense CSV text: the header ``index,numerator,log2_denominator``,
+    then one row per dense entry, in lowest terms, each line ending in a
+    newline.
 
     Like :func:`to_dense`, it takes the rank route: each of the ``2**rank``
-    distinct entries is reduced and formatted once, and every row looks
-    its text up.
+    distinct entries is reduced and formatted once, and the rows take
+    their texts by lookup. Rows are written 1,000 at a time with one
+    ``%``-format each: block p >= 1 joins the cached rows ``000,%s`` ..
+    ``999,%s`` with its prefix ``str(p)``, so no per-row string is made.
     """
-    yield "index,numerator,log2_denominator"
     vals, high, low = _dense_tables(a)
     texts = []
     for v in vals:
         shift = _spare_twos((v,), a.log2den)
         texts.append(f"{v >> shift},{a.log2den - shift}")
-    for i, y in enumerate(high):
-        yield from [f"{x},{texts[y ^ z]}" for x, z in enumerate(low, i * len(low))]
+    entries = chain.from_iterable([texts[y ^ z] for z in low] for y in high)
+    total = len(high) * len(low)
+    parts = [_CSV_HEADER + "\n"]
+    for p in range((total + _CSV_BLOCK - 1) // _CSV_BLOCK):
+        count = min(total - p * _CSV_BLOCK, _CSV_BLOCK)
+        if p:
+            prefix = str(p)
+            template = prefix + prefix.join(_BLOCK_ROWS[:count])
+        else:
+            template = "".join(_FIRST_ROWS[:count])
+        parts.append(template % tuple(islice(entries, count)))
+    return "".join(parts)
 
 
 def parse_dense_csv(lines: Iterable[str]) -> list[Fraction]:
-    """Dense diagonal from CSV rows; a malformed row, or one whose
-    ``log2den`` exceeds :data:`MAX_LOG2DEN`, raises :class:`FormatError`
-    naming its line number."""
+    """Dense diagonal from CSV rows, skipping blank lines and the header
+    when it is the first non-blank line; any other row that is not three
+    integers with the next index, or whose ``log2den`` exceeds
+    :data:`MAX_LOG2DEN`, raises :class:`FormatError` naming its line
+    number."""
     values = []
+    header = True  # no non-blank line read yet
     for row, line in enumerate(lines, 1):
         line = line.strip()
-        if not line or line.startswith("index"):
+        if not line:
             continue
+        if header:
+            header = False
+            if line == _CSV_HEADER:
+                continue
         try:
             idx, num, log2den = map(int, line.split(","))
         except ValueError:

@@ -39,7 +39,7 @@ from itertools import accumulate, product
 from math import prod
 from typing import Callable, Sequence
 
-from .diagop import LayoutError, Wire, WireLayout, _spare_twos, dyadic_json
+from .diagop import LayoutError, Wire, WireLayout, _spare_twos, dyadic_json, fraction_json
 from .process import (
     ProcessMatrix,
     UnsupportedPartyCount,
@@ -472,7 +472,7 @@ class GameResult:
             "n": self.n,
             "per_m": [dyadic_json(v) for v in self.per_m],
             "p_succ": (dyadic_json(self.p_succ) if not den & (den - 1)
-                       else {"num": self.p_succ.numerator, "den": den}),
+                       else fraction_json(self.p_succ)),
         }
 
 

@@ -14,7 +14,9 @@ n = 2, 3, independently of the per-key optimum ``brute_force_causal``
 takes, and the recursive-model oracle searches a wider class of causal
 strategies than the package models. The sampler oracle asks the strategy
 for every party's behavior on every shot and walks each loop from party 0,
-independently of the per-m compilation ``sample_game`` does.
+independently of the per-m compilation ``sample_game`` does. The dense
+CSV oracle formats every row with its own f-string, independently of the
+1,000-row templates ``dense_csv`` fills.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from acausal.causal import _evaluate
-from acausal.diagop import DiagOperator, Wire, WireLayout, from_dense
+from acausal.diagop import (
+    DiagOperator,
+    Wire,
+    WireLayout,
+    _dense_tables,
+    _spare_twos,
+    from_dense,
+)
 from acausal.game import RNG_NAME, SampleResult, _check_game_size, winning_behavior
 from acausal.process import build_w, loop_decomposition
 
@@ -50,6 +59,21 @@ def dense_oracle(op: DiagOperator) -> list[Fraction]:
             total += -c if (b & mask).bit_count() & 1 else c
         out.append(total)
     return out
+
+
+def dense_csv_oracle(op: DiagOperator) -> str:
+    """Dense CSV text written one row at a time: the header, then one
+    f-string per row from the rank-route tables, each line ending in a
+    newline."""
+    vals, high, low = _dense_tables(op)
+    texts = []
+    for v in vals:
+        shift = _spare_twos((v,), op.log2den)
+        texts.append(f"{v >> shift},{op.log2den - shift}")
+    lines = ["index,numerator,log2_denominator"]
+    for i, y in enumerate(high):
+        lines += [f"{x},{texts[y ^ z]}" for x, z in enumerate(low, i * len(low))]
+    return "\n".join(lines) + "\n"
 
 
 def total_probability_oracle(op: DiagOperator, tables, dense=None) -> Fraction:

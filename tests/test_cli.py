@@ -398,12 +398,15 @@ def test_export_dense_csv(tmp_path, capsys):
     code, _, _ = run(capsys, "export", "--file", str(src), "--format",
                      "dense", "--out", str(dst))
     assert code == 0
-    lines = dst.read_text().strip().splitlines()
+    text = dst.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    lines = text.splitlines()
     assert lines[0] == "index,numerator,log2_denominator"
     dense = to_dense(build_w(3).operator)
     assert len(lines) == 65
-    for row, expected in zip(lines[1:], dense):
+    for i, (row, expected) in enumerate(zip(lines[1:], dense)):
         idx, num, log2den = row.split(",")
+        assert idx == str(i)
         assert expected.numerator == int(num)
         assert expected.denominator == 1 << int(log2den)
 

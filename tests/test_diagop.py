@@ -13,7 +13,7 @@ from acausal.diagop import (
     Wire,
     WireLayout,
     channel_apply,
-    dense_csv_lines,
+    dense_csv,
     from_dense,
     gf2_echelon,
     is_nonnegative,
@@ -27,6 +27,7 @@ from acausal.diagop import (
 )
 from acausal.process import build_w, naive_even_w
 from conftest import (
+    dense_csv_oracle,
     dense_oracle,
     is_group,
     mask_fields,
@@ -382,7 +383,7 @@ def test_json_roundtrip():
 def test_dense_csv_roundtrip():
     rng = random.Random(14)
     a = random_operator(rng, max_width=8)
-    lines = list(dense_csv_lines(a))
+    lines = dense_csv(a).splitlines()
     assert lines[0] == "index,numerator,log2_denominator"
     assert parse_dense_csv(lines) == to_dense(a)
 
@@ -406,8 +407,10 @@ def dense_route_operators(rng, width):
             DiagOperator(layout, {m: nonzero_dyadic(rng) for m in full})]
 
 
-@pytest.mark.parametrize("width", range(11))
+@pytest.mark.parametrize("width", range(13))
 def test_dense_route_matches_the_sign_rule_oracle(width):
+    # 1 to 4,096 CSV rows: one partial 1,000-row block up to width 9, then
+    # full blocks, the crossings at rows 999/1000/1001 and a partial last one
     rng = random.Random(100 + width)
     ranks = set()
     for _ in range(3):
@@ -415,7 +418,9 @@ def test_dense_route_matches_the_sign_rule_oracle(width):
             ranks.add(len(gf2_echelon(a.nums)))
             dense = to_dense(a)
             assert dense == dense_oracle(a)
-            assert parse_dense_csv(dense_csv_lines(a)) == dense
+            text = dense_csv(a)
+            assert text == dense_csv_oracle(a)
+            assert parse_dense_csv(text.splitlines()) == dense
     assert {0, width} <= ranks and (width < 4 or len(ranks) > 2)
 
 
@@ -425,11 +430,29 @@ def test_dense_export_transforms_2_to_the_rank_entries(monkeypatch):
     monkeypatch.setattr(diagop, "_wht", lambda vec: lengths.append(len(vec)) or wht(vec))
     w = build_w(8).operator
     assert w.layout.width == 18 and len(gf2_echelon(w.nums)) == 7
-    lines = list(dense_csv_lines(w))
+    lines = dense_csv(w).splitlines()
     dense = to_dense(w)
     assert lengths == [1 << 7, 1 << 7]
     assert len(lines) == (1 << 18) + 1 and len(dense) == 1 << 18
     assert set(dense) == {0, F(1, 4)}
+
+
+def test_dense_csv_equals_the_per_row_oracle_on_the_processes():
+    for op in [build_w(n).operator for n in range(3, 10)] + [naive_even_w(n) for n in (4, 6, 8)]:
+        assert dense_csv(op) == dense_csv_oracle(op)
+
+
+def test_parse_dense_csv_skips_the_header_only_as_the_first_line():
+    header = "index,numerator,log2_denominator"
+    assert parse_dense_csv(["", f" {header} ", "0,1,0", "", "1,1,2"]) == [1, F(1, 4)]
+    assert parse_dense_csv(["0,1,0"]) == [1]
+    for lines, bad in (([header, "0,1,0", "indexes are fun", "1,1,0"], 3),
+                       (["0,1,0", header, "1,1,0"], 2),
+                       (["", header, "", header, "0,1,0"], 4),
+                       ([header + ",x", "0,1,0"], 1),
+                       (["indexes are fun", "0,1,0"], 1)):
+        with pytest.raises(FormatError, match=f"^line {bad}: "):
+            parse_dense_csv(lines)
 
 
 @pytest.mark.parametrize("row", ["0,1", "0,1,0,5", "0,x,0", "0,1,-1", "1,1,0"])
@@ -486,6 +509,8 @@ def test_parse_dense_csv_returns_a_list_or_raises_format_error(rows, header):
         values = parse_dense_csv(lines)
     except FormatError:
         return
-    data = [line for line in lines if line.strip() and not line.strip().startswith("index")]
+    data = [line.strip() for line in lines if line.strip()]
+    if data[:1] == ["index,numerator,log2_denominator"]:
+        data = data[1:]
     assert isinstance(values, list) and len(values) == len(data)
     assert all(isinstance(v, Fraction) for v in values)
