@@ -67,14 +67,23 @@ def _plain_write_mode(path: str) -> int:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it, removed on
+    failure. A failure to create the temp file or to rename it over
+    ``path`` raises its ``OSError`` again, errno kept, naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     mode = _plain_write_mode(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acausal-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acausal-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w") as handle:
             os.fchmod(handle.fileno(), mode)  # mkstemp creates it 0600
             handle.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -175,7 +184,10 @@ def _cmd_play(args) -> int:
             lines.append(f"p_succ: {_fmt(result.p_succ, args.float)}")
             _emit("\n".join(lines) + "\n", args.out)
         return 0
-    bits = tuple(int(b) for b in args.inputs.split(","))
+    try:
+        bits = tuple(int(b) for b in args.inputs.split(","))
+    except ValueError:
+        raise ValueError(f"--inputs must be comma-separated bits, got {args.inputs!r}") from None
     round_ = GameRound(n=args.n, m=args.m, inputs=bits)
     behaviors = [
         winning_behavior(args.n, round_.m, i, round_.inputs[i])

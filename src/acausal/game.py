@@ -11,20 +11,22 @@ entries per input value, and runs on the process's uniform mixture of
 circular channels. Both exact evaluators walk each loop party by party,
 carrying the weight of each partial path by its input value and
 outcomes, so an outcome distribution costs as much as the paths it
-walks, not 2^n, and is returned on its support. The game value contracts only the signed half of the win indicator,
-since a valid process gives the other half total probability one. The
-Monte-Carlo sampler compiles each loop, once per call, into jump tables
-over runs of parties and over the tables each drawing party can deal,
-and reads them shot by shot. Both yield certain winning for the
-strategies built here, for every n >= 3.
+walks, not 2^n, and is returned on its support. The game value
+contracts only the signed half of the win indicator, since a valid
+process gives the other half total probability one. The Monte-Carlo
+sampler compiles each loop, once per call, into jump tables over runs
+of parties and over the tables each drawing party can deal, and reads
+them shot by shot. Both yield certain winning for the strategies built
+here, for every n >= 3.
 
 In the winning strategy a party's tables depend only on its class (its
 wire widths, the bits its output and input factors read, and whether it
-starts the loop) and its input bit. By default every evaluator builds
-each behavior once per party and class for the call, at most 8n of
-them, and the game value shares each party's signed sums among the
-parties and referee values that deal equal tables. Every memo lives for
-one call.
+starts the loop) and its input bit. Both game evaluators get their
+behaviors from one :func:`_dealer` per call, the one place that holds
+the behavior budget and the default strategy: it builds each behavior
+once per party and class for the call, at most 8n of them. The game
+value shares each party's signed sums among the parties and referee
+values that deal equal tables. Every memo lives for one call.
 """
 
 from __future__ import annotations
@@ -163,13 +165,6 @@ def _check_game_size(n: int) -> None:
         raise ValueError(f"party count must be >= 2, got {n}")
 
 
-def _check_behaviors(n: int) -> None:
-    """Refuse, before building any, the 2n^2 local behaviors a game
-    evaluation may ask the strategy for (n referee values, n parties, two
-    input bits) when they reach the work budget."""
-    refuse_over_budget("game", n, 2 * n * n, "local behaviors")
-
-
 def _party_layout(n: int, i: int) -> WireLayout:
     """Party i's wires ``(O_i, I_i)``, of the widths :func:`_widths` gives."""
     wo, wi = _widths(n, i)
@@ -279,24 +274,35 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
     return LocalBehavior(i, _party_layout(n, i), *_winning_tables(*_winning_class(n, m, i), a_i))
 
 
-def _class_strategy(layouts: Sequence[WireLayout]) -> Strategy:
-    """The winning strategy for one evaluation, on the given party layouts.
+def _dealer(n: int, strategy: Strategy | None) -> Callable[[int, int, int], LocalBehavior]:
+    """``deal(m, i, a_i)``: party i's behavior for referee value m and input
+    bit a_i, for one game evaluation of n parties.
 
-    It answers as :func:`winning_behavior` does, but builds each behavior
-    once per party and class (widths included: the wide sender and the
-    wide receiver have tables of the same length) and input bit, so an
-    evaluation builds at most 8n behaviors instead of 2n^2. The memo lives
-    as long as the returned function: one evaluator call."""
+    It refuses, before any behavior is built, a party count the game
+    cannot be played with and the 2n^2 behaviors (n referee values, n
+    parties, two input bits) that reach the work budget. A caller's
+    strategy is asked once per deal, its answer checked to sit on party
+    i's wires. The default answers as :func:`winning_behavior` does, but
+    builds each behavior once per party and class (widths included: the
+    wide sender and the wide receiver have tables of the same length) and
+    input bit, on the party's own layout, so an evaluation builds at most
+    8n behaviors instead of 2n^2. The memo lives as long as ``deal``: one
+    evaluator call."""
+    _check_game_size(n)
+    refuse_over_budget("game", n, 2 * n * n, "local behaviors")
+    layouts = [_party_layout(n, i) for i in range(n)]
+    if strategy is not None:
+        return lambda m, i, a_i: _check_layout(strategy(n, m, i, a_i), i, layouts[i])
     built: dict[tuple, LocalBehavior] = {}
 
-    def strategy(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
+    def deal(m: int, i: int, a_i: int) -> LocalBehavior:
         key = (i, *_winning_class(n, m, i), a_i)
         behavior = built.get(key)
         if behavior is None:
             behavior = built[key] = LocalBehavior(i, layouts[i], *_winning_tables(*key[1:]))
         return behavior
 
-    return strategy
+    return deal
 
 
 def behavior_from_table(party: int, o_width: int, i_width: int,
@@ -427,19 +433,15 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     2n^2 behaviors. Raises ``ValueError`` up front when those 2n^2
     behaviors reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is refused.
     """
-    _check_game_size(n)
-    _check_behaviors(n)
-    layouts = [_party_layout(n, i) for i in range(n)]
-    strategy = strategy or _class_strategy(layouts)
+    deal = _dealer(n, strategy)
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     folded: dict[tuple, tuple] = {}
     per_m = []
     for m in range(n):
         parties = []
-        for i, layout in enumerate(layouts):
-            b0 = _check_layout(strategy(n, m, i, 0), i, layout)
-            b1 = _check_layout(strategy(n, m, i, 1), i, layout)
-            wi = layout.wires[1].width
+        for i in range(n):
+            b0, b1 = deal(m, i, 0), deal(m, i, 1)
+            wi = b0.layout.wires[1].width
             key = (b0.tables, b0.log2den, b1.tables, b1.log2den, i == m, wi)
             factor = folded.get(key)
             if factor is None:
@@ -558,8 +560,7 @@ def _jump_table(steps: tuple[tuple[tuple[int, ...], ...], ...]) -> tuple[tuple[i
     return tuple(table)
 
 
-def _compile_referee_value(n: int, m: int, strategy: Strategy,
-                           layouts: Sequence[WireLayout],
+def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], LocalBehavior],
                            flips: Sequence[tuple[int, ...]],
                            behaviors: dict, jumps: dict) -> tuple:
     """Referee value m compiled for the shot loop of :func:`sample_game`.
@@ -582,18 +583,18 @@ def _compile_referee_value(n: int, m: int, strategy: Strategy,
     draw, and otherwise ``(cums, den, steps, xss)``: the draws of
     :func:`_compile_behavior` and, per dealt table, its step and outcomes.
 
-    ``behaviors`` and ``jumps`` are the calling sample's memos, keyed by
-    content: a behavior's tables, denominator and party (whose layout is
-    checked, so the party stands for it), and a run's steps. The layout of
-    every behavior is checked, each outcome lookup on the first sight of
-    its content.
+    ``deal`` is the calling sample's :func:`_dealer`. ``behaviors`` and
+    ``jumps`` are its memos, keyed by content: a behavior's tables,
+    denominator and party (the dealer puts it on the party's layout, so
+    the party stands for it), and a run's steps. Each outcome lookup runs
+    on the first sight of its content.
     """
     order = [(m + k) % n for k in range(n)]
     dealt = [None] * n
-    for i, layout in enumerate(layouts):
+    for i in range(n):
         per_bit = []
         for a in (0, 1):
-            behavior = _check_layout(strategy(n, m, i, a), i, layout)
+            behavior = deal(m, i, a)
             key = (behavior.tables, behavior.log2den, i)
             if key not in behaviors:
                 behaviors[key] = _compile_behavior(behavior)
@@ -670,11 +671,8 @@ def sample_game(n: int, shots: int, seed: int,
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    _check_game_size(n)
-    _check_behaviors(n)
+    deal = _dealer(n, strategy)
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
-    layouts = [_party_layout(n, i) for i in range(n)]
-    strategy = strategy or _class_strategy(layouts)
     nloops = len(flips)
     full = (1 << n) - 1
     rng = random.Random(seed)
@@ -691,8 +689,7 @@ def sample_game(n: int, shots: int, seed: int,
         loop = randrange(nloops)
         plan = compiled.get(m)
         if plan is None:
-            plan = compiled[m] = _compile_referee_value(n, m, strategy, layouts, flips,
-                                                        behaviors, jumps)
+            plan = compiled[m] = _compile_referee_value(n, m, deal, flips, behaviors, jumps)
         guess, per_loop = plan
         runs, drawers = per_loop[loop]
         rotated = ((a_idx << m) | (a_idx >> (n - m))) & full

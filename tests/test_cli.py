@@ -97,6 +97,18 @@ def test_play_requires_both_m_and_inputs(capsys):
     assert "together" in err
 
 
+@pytest.mark.parametrize("inputs, message", (
+    ("1,,1", "--inputs must be comma-separated bits, got '1,,1'"),
+    ("1,x,1", "--inputs must be comma-separated bits, got '1,x,1'"),
+    ("1,2,1", "inputs must be bits"),
+))
+def test_play_malformed_inputs_are_usage_errors(capsys, inputs, message):
+    code, out, err = run(capsys, "play", "--n", "3", "--m", "0", "--inputs", inputs)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sample_json_deterministic(capsys):
     code, first, _ = run(capsys, "sample", "--n", "3", "--shots", "500",
                          "--seed", "11", "--json")
@@ -623,6 +635,19 @@ def test_out_closes_the_temp_file_when_fchmod_fails(tmp_path, capsys, monkeypatc
     assert run(capsys, "build-w", "--n", "3", "--out", str(tmp_path / "w3.json"))[0] == 2
     assert len(os.listdir("/proc/self/fd")) == before
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ("missing/w3.json", "outdir"))
+def test_out_failure_names_the_path_and_leaves_no_temp_file(tmp_path, capsys, target):
+    (tmp_path / "outdir").mkdir()
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, "build-w", "--n", "3", "--out", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ") and err.endswith(f": {path!r}\n")
+    assert ".acausal-" not in err
+    for directory in (tmp_path, tmp_path / "outdir"):
+        assert not [f for f in os.listdir(directory) if f.startswith(".acausal-")]
 
 
 @pytest.mark.parametrize("command", ("validate", "export"))

@@ -508,9 +508,31 @@ def test_game_refuses_behaviors_over_the_budget(n):
 def test_game_budget_refuses_from_2_19_behaviors():
     # 2·400^2 = 320,000 behaviors lie above 2^18 but below the 2^19 at
     # which the game is refused.
-    game._check_behaviors(400)
+    game._dealer(400, None)
     with pytest.raises(ValueError, match=r"work reaching 2\^19 is refused$"):
-        game._check_behaviors(512)
+        game._dealer(512, None)
+
+
+@pytest.fixture
+def built_behaviors(monkeypatch):
+    """The party of every LocalBehavior constructed while the test runs."""
+    built = []
+    init = LocalBehavior.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalBehavior, "__init__", counting)
+    winning_behavior.cache_clear()  # a path through it would rebuild all 2n^2
+    return built
+
+
+def test_game_budget_refuses_before_building_a_behavior(built_behaviors):
+    for call in (lambda: success_probability_exact(512), lambda: sample_game(512, 1, 0)):
+        with pytest.raises(ValueError, match="^game refused: n=512 needs 524288 local behaviors"):
+            call()
+    assert built_behaviors == []
 
 
 # --- the default strategy, shared by class within one call ---------------
@@ -531,17 +553,9 @@ def test_default_strategy_is_certain_at_large_even_n(n):
     assert result.p_succ == 1
 
 
-def test_default_call_builds_behaviors_per_class(monkeypatch):
+def test_default_call_builds_behaviors_per_class(built_behaviors):
     n = 40
-    built = []
-    init = LocalBehavior.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args[0])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(LocalBehavior, "__init__", counting)
-    winning_behavior.cache_clear()  # a path through it would rebuild all 2n^2
+    built = built_behaviors
     assert success_probability_exact(n).p_succ == 1
     assert len(built) <= 8 * n
     built.clear()
