@@ -519,24 +519,27 @@ parties has ``2**L`` entries per loop, one per value of their input bits."""
 
 
 def _compile_behavior(behavior: LocalBehavior) -> tuple:
-    """Sampling form of a behavior: ``(cums, den, xss, oss)``.
+    """Sampling form of a behavior: ``(digits, den, bits, xss, oss)``.
 
     ``xss[j]`` and ``oss[j]`` give, by input value, the outcomes and the
     outputs of the j-th deterministic table the behavior can deal: every
     combination of the choices of :meth:`LocalBehavior.outcome_lookup`,
-    the first input value's choice most significant. ``cums`` lists, for
-    each input value with several choices, their cumulative weights over
-    ``den``. A draw ``r`` picks choice ``bisect(cum, r)``, and the picks,
+    the first input value's choice most significant. ``digits`` lists, for
+    each input value with several choices, ``(radix, cum)``: the number of
+    choices and their cumulative weights over ``den``. A draw ``r`` below
+    ``den``, read off ``getrandbits(bits)`` with ``bits =
+    den.bit_length()``, picks choice ``bisect(cum, r)``, and the picks,
     read as mixed-radix digits, index the table dealt. A behavior with one
-    choice at every input value has no ``cums`` and one table.
+    choice at every input value has no ``digits`` and one table.
     """
     lookup, log2den = behavior.outcome_lookup()
-    cums = [list(accumulate(num for _, _, num in choices))
-            for choices in lookup if len(choices) > 1]
+    digits = tuple((len(choices), list(accumulate(num for _, _, num in choices)))
+                   for choices in lookup if len(choices) > 1)
     dealt = list(product(*lookup))
     xss = [tuple(x for x, _, _ in table) for table in dealt]
     oss = [tuple(o for _, o, _ in table) for table in dealt]
-    return cums, 1 << log2den, xss, oss
+    den = 1 << log2den
+    return digits, den, den.bit_length(), xss, oss
 
 
 def _jump_table(steps: tuple[tuple[tuple[int, ...], ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -580,7 +583,7 @@ def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], Local
     the loop's edge flips folded in (None for a bit that draws).
     ``drawers`` lists, in party order, ``(r, shift, per_bit)`` for the
     drawing party at run r. ``per_bit[a]`` is None where bit a does not
-    draw, and otherwise ``(cums, den, steps, xss)``: the draws of
+    draw, and otherwise ``(digits, den, bits, steps, xss)``: the draws of
     :func:`_compile_behavior` and, per dealt table, its step and outcomes.
 
     ``deal`` is the calling sample's :func:`_dealer`. ``behaviors`` and
@@ -602,7 +605,7 @@ def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], Local
         dealt[(i - m) % n] = per_bit
     spans = []  # [first position, length, draws]
     for k, per_bit in enumerate(dealt):
-        draws = any(cums for cums, *_ in per_bit)
+        draws = any(digits for digits, *_ in per_bit)
         if draws or not spans or spans[-1][2] or spans[-1][1] == _RUN_LENGTH:
             spans.append([k, 1, draws])
         else:
@@ -613,8 +616,8 @@ def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], Local
         runs = []
         for k, size, draws in spans:
             steps = tuple(
-                tuple(None if cums else tuple(o ^ edge[order[j]] for o in oss[0])
-                      for cums, _, _, oss in dealt[j])
+                tuple(None if digits else tuple(o ^ edge[order[j]] for o in oss[0])
+                      for digits, _, _, _, oss in dealt[j])
                 for j in range(k, k + size)
             )
             if draws:
@@ -628,12 +631,13 @@ def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], Local
         for i, r in drawing:
             flip = edge[i]
             per_bit = tuple(
-                (cums, den, [tuple(o ^ flip for o in os) for os in oss], xss) if cums else None
-                for cums, den, xss, oss in dealt[spans[r][0]]
+                (digits, den, bits, [tuple(o ^ flip for o in os) for os in oss], xss)
+                if digits else None
+                for digits, den, bits, xss, oss in dealt[spans[r][0]]
             )
             drawers.append((r, runs[r][0], per_bit))
         per_loop.append((runs, drawers))
-    guess = [None if cums else xss[0] for cums, _, xss, _ in dealt[0]]
+    guess = [None if digits else xss[0] for digits, _, _, xss, _ in dealt[0]]
     return guess, per_loop
 
 
@@ -662,32 +666,41 @@ def sample_game(n: int, shots: int, seed: int,
     within the call and kept by none across calls. The default strategy
     is :func:`winning_behavior`, built once per party and class for the
     call (at most 8n behaviors); a caller's strategy is asked for both
-    input bits of every party at each m drawn. Each shot draws
-    ``randrange(n)`` for m, ``getrandbits(n)`` for the inputs,
-    ``randrange`` over the loops, then, party by party and input value by
-    input value, one ``randrange`` per input value with several choices.
-    Raises ``ValueError`` up front when the 2n^2 behaviors it may ask for
-    reach 2^(WORK_BUDGET_LOG2 + 1).
+    input bits of every party at each m drawn. Each shot draws m below n,
+    ``getrandbits(n)`` for the inputs, a loop below the loop count, then,
+    party by party and input value by input value, one draw below the
+    behavior's ``2**log2den`` per input value with several choices. A draw
+    below b is ``getrandbits(b.bit_length())``, redrawn while it is ``>=
+    b``: the stream ``randrange(b)`` gives, without its call frames.
+    Raises ``ValueError`` up front for a negative seed (``random.Random``
+    seeds -s like s, so it would alias a positive seed) and when the 2n^2
+    behaviors it may ask for reach 2^(WORK_BUDGET_LOG2 + 1).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     deal = _dealer(n, strategy)
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     nloops = len(flips)
+    n_bits, loop_bits = n.bit_length(), nloops.bit_length()
     full = (1 << n) - 1
-    rng = random.Random(seed)
-    randrange = rng.randrange
-    compiled: dict[int, tuple] = {}
+    getrandbits = random.Random(seed).getrandbits
+    compiled: list = [None] * n
     behaviors: dict = {}
     jumps: dict = {}
-    wins = losses = 0
+    losses = 0
     per_m_wins = [0] * n
     per_m_shots = [0] * n
     for _ in range(shots):
-        m = randrange(n)
-        a_idx = rng.getrandbits(n)
-        loop = randrange(nloops)
-        plan = compiled.get(m)
+        m = getrandbits(n_bits)
+        while m >= n:
+            m = getrandbits(n_bits)
+        a_idx = getrandbits(n)
+        loop = getrandbits(loop_bits)
+        while loop >= nloops:
+            loop = getrandbits(loop_bits)
+        plan = compiled[m]
         if plan is None:
             plan = compiled[m] = _compile_referee_value(n, m, deal, flips, behaviors, jumps)
         guess, per_loop = plan
@@ -699,10 +712,13 @@ def sample_game(n: int, shots: int, seed: int,
         for r, shift, per_bit in drawers:
             drawn = per_bit[(rotated >> shift) & 1]
             if drawn is not None:
-                cums, den, steps, xss = drawn
+                digits, den, bits, steps, xss = drawn
                 j = 0
-                for cum in cums:
-                    j = j * len(cum) + bisect(cum, randrange(den))
+                for radix, cum in digits:
+                    d = getrandbits(bits)
+                    while d >= den:
+                        d = getrandbits(bits)
+                    j = j * radix + bisect(cum, d)
                 walk[r] = steps[j]
                 if r == 0:
                     xs = xss[j]
@@ -714,7 +730,6 @@ def sample_game(n: int, shots: int, seed: int,
                 v = step[v]
             if v == cand:
                 if xs[cand] == target:
-                    wins += 1
                     per_m_wins[m] += 1
                 else:
                     losses += 1
@@ -723,7 +738,7 @@ def sample_game(n: int, shots: int, seed: int,
         shots=shots,
         seed=seed,
         rng=RNG_NAME,
-        wins=wins,
+        wins=sum(per_m_wins),
         losses=losses,
         per_m_wins=tuple(per_m_wins),
         per_m_shots=tuple(per_m_shots),

@@ -287,7 +287,7 @@ def test_sample_exit_codes(n, shots, seed, as_json):
     argv = ["sample", "--n", str(n), "--shots", str(shots), "--seed", str(seed)]
     if as_json:
         argv.append("--json")
-    well_formed = shots >= 1 and 3 <= n < 512
+    well_formed = shots >= 1 and seed >= 0 and 3 <= n < 512
     assert exit_code_and_streams(argv) == (0 if well_formed else 2)
 
 

@@ -363,6 +363,24 @@ def mixed_strategy(n, m, i, a_i):
     return LocalBehavior(i, b_light.layout, tables, log2den=2)
 
 
+@lru_cache(maxsize=None)
+def wide_den_strategy(n, m, i, a_i):
+    # two tables that differ in every outcome, mixed with an odd weight over
+    # 2**33 .. 2**40: every draw asks getrandbits for 34 to 41 bits, two MT
+    # words, and is redrawn about half the time
+    wo, wi = _widths(n, i)
+    rng = random.Random(f"wide {n} {m} {i} {a_i}")
+    log2den = rng.randrange(33, 41)
+    first = [(rng.getrandbits(1), rng.getrandbits(wo)) for _ in range(1 << wi)]
+    second = [(x ^ 1, rng.getrandbits(wo)) for x, _ in first]
+    b_first, b_second = (behavior_from_table(i, wo, wi, t) for t in (first, second))
+    p = rng.randrange(1, 1 << log2den, 2)
+    q = (1 << log2den) - p
+    tables = [[p * u + q * v for u, v in zip(t1, t2)]
+              for t1, t2 in zip(b_first.tables, b_second.tables)]
+    return LocalBehavior(i, b_first.layout, tables, log2den)
+
+
 def test_constant_strategy_value_is_half():
     for n in (3, 4):
         result = success_probability_exact(n, strategy=constant_strategy)
@@ -432,6 +450,34 @@ ORACLE_SIZES = (*range(3, 13), 16, 33, 64)
 def test_sampler_equals_oracle(strategy, n):
     for seed in range(3):
         assert sample_game(n, 1500, seed, strategy) == sampler_oracle(n, 1500, seed, strategy)
+
+
+@pytest.mark.parametrize("n", (3, 4, 33))
+def test_sampler_draws_over_two_words_equal_oracle(n):
+    dens = {wide_den_strategy(n, m, i, a).log2den
+            for m in range(n) for i in range(n) for a in (0, 1)}
+    assert min(dens) >= 33 and max(dens) <= 40
+    for seed in range(3):
+        assert (sample_game(n, 1000, seed, wide_den_strategy)
+                == sampler_oracle(n, 1000, seed, wide_den_strategy))
+
+
+def test_sampler_calls_no_randrange(monkeypatch):
+    expected = {(n, strategy): sampler_oracle(n, 500, 3, strategy)
+                for n in (3, 4, 16) for strategy in (winning_behavior, mixed_strategy)}
+
+    def refuse(*args):
+        raise AssertionError("randrange called")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    for (n, strategy), result in expected.items():
+        assert sample_game(n, 500, 3, strategy) == result
+
+
+@pytest.mark.parametrize("seed", (-1, -5, -(1 << 70)))
+def test_sampler_refuses_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+        sample_game(5, 100, seed)
 
 
 def test_sampler_shares_no_tables_across_calls():
