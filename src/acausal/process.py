@@ -344,7 +344,8 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
     * ``bilinear_norm``: for tuples of deterministic local channels
       ``f_i: I_i -> O_i``, the total outcome probability is 1; exhaustive
       up to ``EXHAUSTIVE_LIMIT`` parties, ``SAMPLE_COUNT`` tuples drawn
-      with ``seed`` beyond;
+      with ``seed`` beyond (:func:`_drawn_tables`: the stream
+      ``randrange(2**wo)`` gives, one draw per table entry);
     * ``term_structure``: every non-identity parity term leaves some party
       receiving without sending (sigma_z on its input, identity on its
       output), which rules out closed signaling cycles;
@@ -375,13 +376,18 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
 
     For t terms, n parties, s survivors and k distinct tables the checks
     after ``nonneg`` cost O(t·n + k·s·2^wi + tuples·s·n), and O(t·n) when
-    only the identity survives.
+    only the identity survives: each party's characters are computed once
+    per distinct table it meets and kept in one dict for the call.
 
-    Raises ``LayoutError`` unless the wires are the ``I_p`` and ``O_p`` of
-    parties 0..n-1, and ``ValueError`` before any check when the bilinear
-    check, its contractions or the nonnegativity transform would exceed
-    the work budget.
+    Raises ``ValueError`` up front for a negative ``seed`` (``random.Random``
+    seeds -s like s, so it would alias a positive seed), ``LayoutError``
+    unless the wires are the ``I_p`` and ``O_p`` of parties 0..n-1, and
+    ``ValueError`` before any check when the bilinear check, its
+    contractions or the nonnegativity transform would exceed the work
+    budget.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     op = process.operator if isinstance(process, ProcessMatrix) else process
     plan = _party_plan(op.layout)
     survivors, signaling = _term_pass(op, plan)
@@ -405,44 +411,67 @@ def validate_process(process: ProcessMatrix | DiagOperator, seed: int = 0) -> Va
 
 def _tuple_value(op: DiagOperator, plan: list[tuple[int, int, int, int]], masks: Iterable[int]):
     """``value(tables)``: the numerator, over ``2**op.log2den``, of
-    ``sum_s nums[s] * prod_p chi_p(s)`` on the terms ``masks`` of ``op``,
-    with each party's characters cached per table. Entry ``v -> t[v]`` of
-    party p is the layout index holding ``t[v]`` on ``O_p`` and ``v`` on
-    ``I_p``, so a mask meets it on p's wires alone."""
+    ``sum_s nums[s] * prod_p chi_p(s)`` on the terms ``masks`` of ``op``.
+    Each party keeps one dict from table to its character vector, filled
+    on the first tuple holding that table and kept for the calls of this
+    ``value`` alone. Entry ``v -> t[v]`` of party p is the layout index
+    holding ``t[v]`` on ``O_p`` and ``v`` on ``I_p``, so a mask meets it on
+    p's wires alone."""
     masks = list(masks)
     nums = [op.nums[m] for m in masks]
-    # o * low places the value o on the field whose lowest bit is low
+    known = [{} for _ in plan]  # per party: table -> its characters on masks
+    # o * o_low | v * i_low places o on O_p and v on I_p
     lows = [(o_field & -o_field, i_field & -i_field) for o_field, i_field, _, _ in plan]
 
-    @lru_cache(maxsize=None)
-    def characters(p: int, table: tuple[int, ...]) -> list[int]:
-        o_low, i_low = lows[p]
-        entries = [o * o_low | v * i_low for v, o in enumerate(table)]
-        return [sum(-1 if (s & e).bit_count() & 1 else 1 for e in entries) for s in masks]
-
     def value(tables: Sequence[tuple[int, ...]]) -> int:
-        chis = [characters(p, t) for p, t in enumerate(tables)]
+        chis = list(map(dict.get, known, tables))
+        if None in chis:
+            for p, table in enumerate(tables):
+                if chis[p] is None:
+                    o_low, i_low = lows[p]
+                    entries = [o * o_low | v * i_low for v, o in enumerate(table)]
+                    chis[p] = known[p][table] = [
+                        sum(-1 if (s & e).bit_count() & 1 else 1 for e in entries) for s in masks
+                    ]
         return sum(map(math.prod, zip(nums, *chis)))
     return value
 
 
+def _drawn_tables(plan: list[tuple[int, int, int, int]], seed: int):
+    """``SAMPLE_COUNT`` tuples of local tables drawn with ``seed``: party by
+    party, entry ``v`` of party p is a draw below ``2**wo``, which is
+    ``getrandbits(wo + 1)`` redrawn while it is ``>= 2**wo``. That is the
+    stream ``randrange(2**wo)`` gives, at every width, without its call
+    frames."""
+    getrandbits = random.Random(seed).getrandbits
+    shapes = [(wo + 1, 1 << wo, range(1 << wi)) for _, _, wo, wi in plan]
+    for _ in range(SAMPLE_COUNT):
+        tables = []
+        for bits, bound, entries in shapes:
+            table = []
+            for _ in entries:
+                r = getrandbits(bits)
+                while r >= bound:
+                    r = getrandbits(bits)
+                table.append(r)
+            tables.append(tuple(table))
+        yield tables
+
+
 def _bilinear_check(op, plan, seed, survivors) -> int:
-    """The number of tuples of deterministic local tables, exhaustive or
-    drawn with ``seed``, whose total outcome probability, valued on the
-    ``survivors`` (see :func:`validate_process`), is not 1. Each party's
-    characters cost O(s·2^wi) once per distinct table, and a tuple then
-    O(s·n), for s survivors."""
+    """The number of tuples of deterministic local tables, every tuple up
+    to ``EXHAUSTIVE_LIMIT`` parties and the tuples of
+    :func:`_drawn_tables` beyond, whose total outcome probability, valued
+    on the ``survivors`` (see :func:`validate_process`), is not 1. Each
+    party's characters cost O(s·2^wi) once per distinct table, and a tuple
+    then O(s·n), for s survivors."""
     value = _tuple_value(op, plan, survivors)
     if len(plan) <= EXHAUSTIVE_LIMIT:
         combos = itertools.product(*(
             itertools.product(range(1 << wo), repeat=1 << wi) for _, _, wo, wi in plan
         ))
     else:
-        rng = random.Random(seed)
-        combos = (
-            [tuple(rng.randrange(1 << wo) for _ in range(1 << wi)) for _, _, wo, wi in plan]
-            for _ in range(SAMPLE_COUNT)
-        )
+        combos = _drawn_tables(plan, seed)
     one = 1 << op.log2den
     return sum(value(tables) != one for tables in combos)
 

@@ -73,6 +73,18 @@ def test_validate_flags_invalid_process(tmp_path, capsys):
     assert payload["passed"] is False
 
 
+@pytest.mark.parametrize("seed", (-1, -5))
+def test_validate_refuses_a_negative_seed(tmp_path, capsys, seed):
+    # random.Random seeds -s like s: the refusal keeps -5 from reporting
+    # the draws of 5
+    path = tmp_path / "naive8.json"
+    path.write_text(json.dumps(operator_to_json(naive_even_w(8))))
+    argv = ["validate", "--file", str(path), "--seed"]
+    assert run(capsys, *argv, str(seed)) == (2, "", f"error: seed must be >= 0, got {seed}\n")
+    code, out, _ = run(capsys, *argv, str(-seed))
+    assert code == 1 and "bilinear_norm: checked 1000, failed " in out
+
+
 def test_play_reports_certain_win(capsys):
     code, out, _ = run(capsys, "play", "--n", "4")
     assert code == 0
@@ -395,7 +407,7 @@ def test_validate_exit_codes(write_operator, file, seed, as_json):
     if as_json:
         argv.append("--json")
     code = exit_code_and_streams(argv)
-    assert code in (0, 1, 2) if well_formed else code == 2
+    assert code in (0, 1, 2) if well_formed and seed >= 0 else code == 2
 
 
 def test_missing_operator_file_is_usage_error(tmp_path):

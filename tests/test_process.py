@@ -17,6 +17,7 @@ from acausal.diagop import (
     to_dense,
 )
 from acausal.process import (
+    BilinearCheck,
     UnsupportedPartyCount,
     _gf2_kernel,
     _party_plan,
@@ -535,15 +536,21 @@ def test_exhaustive_bilinear_counts_match_oracle_on_random_operators():
         assert report.bilinear.failed == sum(t != 1 for t in totals)
 
 
+def _shuffled_party_layout(rng, widths):
+    """The wires ``O_p`` and ``I_p`` of parties of the given ``(wo, wi)``
+    widths, in shuffled order."""
+    wires = [w for p, (wo, wi) in enumerate(widths)
+             for w in (Wire(p, "O", wo), Wire(p, "I", wi))]
+    rng.shuffle(wires)
+    return WireLayout(wires)
+
+
 def _identity_survivor_operator(rng, widths, identity_num):
     """An operator on parties of the given ``(wo, wi)`` widths, in shuffled
     wire order, whose terms besides the identity all have a party that
     receives without sending. The identity coefficient is
     ``identity_num / 2**|I|``, and absent when ``identity_num`` is None."""
-    wires = [w for p, (wo, wi) in enumerate(widths)
-             for w in (Wire(p, "O", wo), Wire(p, "I", wi))]
-    rng.shuffle(wires)
-    layout = WireLayout(wires)
+    layout = _shuffled_party_layout(rng, widths)
     parties = range(len(widths))
     masks = {rng.randrange(1, 1 << layout.width) for _ in range(8)}
     terms = {m: F(rng.randint(-4, 4), 1 << rng.randint(0, 5)) for m in masks
@@ -583,15 +590,16 @@ def test_identity_only_bilinear_counts_match_oracle_up_to_five_parties():
 
 
 def _drawn_counts(op, seed):
-    """``(checked, failed)`` of the seeded draws beyond five parties, each
-    tuple valued on every term of ``op``."""
+    """The ``BilinearCheck`` of the seeded draws beyond five parties, each
+    entry drawn with ``randrange`` and each tuple valued on every term of
+    ``op``."""
     parties = list(range(len(op.layout.wires) // 2))
     widths = [(op.layout.field(f"O{p}")[1], op.layout.field(f"I{p}")[1]) for p in parties]
     value = _tuple_value(op, _party_plan(op.layout), op.nums)
     rng = random.Random(seed)
     values = [value([tuple(rng.randrange(1 << wo) for _ in range(1 << wi)) for wo, wi in widths])
               for _ in range(1000)]
-    return len(values), sum(v != 1 << op.log2den for v in values)
+    return BilinearCheck(checked=len(values), failed=sum(v != 1 << op.log2den for v in values))
 
 
 def test_identity_only_bilinear_counts_match_seeded_draws_at_six_and_seven_parties():
@@ -608,9 +616,64 @@ def test_identity_only_bilinear_counts_match_seeded_draws_at_six_and_seven_parti
         assert not any(_term_pass(op, _party_plan(op.layout))[0])
         for seed in (0, 3):
             report = validate_process(op, seed=seed)
-            assert (report.bilinear.checked, report.bilinear.failed) == _drawn_counts(op, seed)
+            assert report.bilinear == _drawn_counts(op, seed)
             outcomes.add(report.bilinear.failed == 0)
     assert outcomes == {True, False}
+
+
+def _surviving_operator(rng, widths):
+    """An operator on parties of ``widths = [(wo, wi), ...]``, in shuffled
+    wire order, with the identity coefficient ``1 / 2**|I|``, random terms
+    and two terms on the outputs alone, which survive: its tables are
+    drawn beyond five parties."""
+    layout = _shuffled_party_layout(rng, widths)
+    outputs = sum(layout.field_mask(f"O{p}") for p in range(len(widths)))
+    masks = {rng.randrange(1, 1 << layout.width) for _ in range(6)}
+    masks |= {rng.randrange(1, 1 << layout.width) & outputs or outputs for _ in range(2)}
+    terms = {m: F(rng.choice((-3, -1, 1, 3)), 1 << rng.randint(2, 5)) for m in masks}
+    terms[0] = F(1, 1 << sum(wi for _, wi in widths))
+    return DiagOperator(layout, terms)
+
+
+def test_drawn_bilinear_counts_match_randrange_draws_on_surviving_terms():
+    # every table is drawn and valued: the draws below 2**wo for 1- and
+    # 2-bit outputs take one word each, those below 2**33 two words
+    rng = random.Random(46)
+    cases = [naive_even_w(6), naive_even_w(8)]
+    for count in (6, 7, 6, 7):
+        cases.append(_surviving_operator(
+            rng, [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(count)]))
+    for count in (6, 7):
+        widths = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(count)]
+        widths[rng.randrange(count)] = (33, rng.randint(1, 2))
+        cases.append(_surviving_operator(rng, widths))
+    for op in cases:
+        assert any(_term_pass(op, _party_plan(op.layout))[0])
+        for seed in (0, 3):
+            report = validate_process(op, seed=seed)
+            assert report.bilinear == _drawn_counts(op, seed)
+            # some drawn tuples pass and some fail, so the counts tell
+            # the draws apart
+            assert 0 < report.bilinear.failed < 1000, report.bilinear
+
+
+def test_validate_calls_no_randrange(monkeypatch):
+    expected = {n: _drawn_counts(naive_even_w(n), n) for n in (6, 8)}
+
+    def refuse(*args):
+        raise AssertionError("randrange called")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    for n, drawn in expected.items():
+        assert validate_process(naive_even_w(n), seed=n).bilinear == drawn
+
+
+@pytest.mark.parametrize("seed", (-1, -5, -(1 << 70)))
+def test_validate_refuses_a_negative_seed(seed):
+    # refused before any check, also where the seed would not be used
+    for op in (naive_even_w(8), build_w(3), DiagOperator(WireLayout([Wire("env", "X", 1)]), {})):
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+            validate_process(op, seed=seed)
 
 
 def test_validate_draws_no_table_when_only_the_identity_survives(monkeypatch):
