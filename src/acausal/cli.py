@@ -148,6 +148,8 @@ def _read_operator(path: str) -> DiagOperator:
 
 
 def _cmd_validate(args) -> int:
+    if args.seed < 0:  # before the file is read: the refusal does not depend on it
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     op = _read_operator(args.file)
     report = validate_process(op, seed=args.seed)
     if args.json:

@@ -364,8 +364,8 @@ def outcome_distribution(
     """Exact joint outcome distribution P(x_0..x_{n-1}) on its support.
 
     ``w`` is the circular process :func:`~acausal.process.build_w` returns
-    for ``w.n`` parties; it is evaluated on its loop mixture, not
-    contracted against its terms: one :func:`_walk` of the behaviors'
+    for ``w.n`` parties; only ``w.n`` is read, so no term is built, and it
+    is evaluated on its loop mixture, not contracted against its terms: one :func:`_walk` of the behaviors'
     non-zero entries per loop, the loops averaged uniformly. Every
     behavior is normalized and the process is valid, so the weights are
     positive and sum to 1. Only the outcomes of non-zero probability are

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .diagop import (
@@ -103,12 +103,45 @@ def generator_group(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ProcessMatrix:
-    """A validated-by-construction process object with its metadata."""
+    """The n-party circular process matrix, as a handle on n alone.
+
+    Constructing it checks the party count and builds nothing else: the
+    process is the group sum fixed by the n - 1 generators of
+    :func:`generator_group`, so everything else is derived from n.
+    ``layout`` and ``operator`` are derived on first read and kept on the
+    handle; ``normalization``, the coefficient of every term, and the wire
+    names are derived on each read.
+    """
 
     n: int
-    layout: WireLayout
-    operator: DiagOperator
-    normalization: Fraction
+
+    def __post_init__(self):
+        _check_party_count(self.n)
+
+    @cached_property
+    def layout(self) -> WireLayout:
+        return game_layout(self.n)
+
+    @cached_property
+    def operator(self) -> DiagOperator:
+        """The normalized sum of the generator group, each element placed
+        once on the input side and once, cyclically shifted, on the output
+        side. For even n the doubled block sits on the wide wires
+        ``O_{n-2}`` and ``I_{n-1}`` and is not split. Placement only copies
+        bits, so it is linear over GF(2): the terms are the span of the
+        placed generators. The 2^(n-1) terms are refused from n >= 20,
+        before any is built, by the work budget.
+        """
+        n = self.n
+        # Decided from n: for a huge n, 1 << (n - 1) is itself a huge integer.
+        if n - 1 > WORK_BUDGET_LOG2:
+            raise _refusal("build_w", n, f"2^{n - 1} terms")
+        k = n | 1  # bits per side: n at odd n, n + 1 at even n
+        return _make(self.layout, dict.fromkeys(_span(_place(g, k) for g in _generators(n)), 1), k)
+
+    @property
+    def normalization(self) -> Fraction:
+        return Fraction(1, 1 << (self.n | 1))
 
     @property
     def input_wires(self) -> tuple[str, ...]:
@@ -143,21 +176,13 @@ def _check_party_count(n: int) -> None:
 def build_w(n: int) -> ProcessMatrix:
     """The n-party circular process matrix, for any n >= 3.
 
-    The result is the normalized sum of the generator group, each element
-    placed once on the input side and once, cyclically shifted, on the
-    output side. For even n the doubled block sits on the wide wires
-    ``O_{n-2}`` and ``I_{n-1}`` and is not split. Placement only copies
-    bits, so it is linear over GF(2): the terms are the span of the placed
-    generators. The 2^(n-1) terms are refused from n >= 20, before any is
-    built, by the work budget.
+    Returns the :class:`ProcessMatrix` handle, which refuses party counts
+    below 3 and builds no layout and no term until they are read: a caller
+    that needs only ``n`` or the loops (:func:`loop_decomposition`) is not
+    refused on size. Reading ``operator`` builds the 2^(n-1) terms, and
+    refuses them from n >= 20 by the work budget.
     """
-    _check_party_count(n)
-    # Decided from n: for a huge n, 1 << (n - 1) is itself a huge integer.
-    if n - 1 > WORK_BUDGET_LOG2:
-        raise _refusal("build_w", n, f"2^{n - 1} terms")
-    k = n if n % 2 else n + 1
-    op = _make(game_layout(n), dict.fromkeys(_span(_place(g, k) for g in _generators(n)), 1), k)
-    return ProcessMatrix(n=n, layout=op.layout, operator=op, normalization=Fraction(1, 1 << k))
+    return ProcessMatrix(n)
 
 
 def naive_even_w(n: int) -> DiagOperator:
@@ -251,9 +276,10 @@ def _party_plan(layout: WireLayout) -> list[tuple[int, int, int, int]]:
 EXHAUSTIVE_LIMIT = 5
 SAMPLE_COUNT = 1000
 # validate_process refuses files needing 2**(WORK_BUDGET_LOG2 + 1) or more
-# table tuples, drawn table entries or nonnegativity entries, and build_w,
-# conditional_distribution, the game and the causal witness refuse as many
-# terms, products or entries.
+# table tuples, drawn table entries or nonnegativity entries, and the
+# process operator, conditional_distribution, loop_decomposition, the game
+# and the causal witness refuse as many terms, products, row operations or
+# entries.
 WORK_BUDGET_LOG2 = 18
 
 
@@ -492,15 +518,19 @@ def conditional_distribution(
     :func:`~acausal.diagop.channel_apply`, which traces that wire out. The
     terms of the process have distinct input parts, so no step grows the
     term count, and the call forms ``terms * sum_k 2**|O_k|`` products, not
-    ``terms * 2**|O|``. Once those products reach the work budget (from
-    n = 16) the call is refused with ``ValueError`` before any is formed.
-    The assignment is checked in full before the first step.
+    ``terms * 2**|O|``. The 2^(n-1) terms times ``sum_k 2**|O_k|``, which
+    is 2n at odd n and 2n + 2 at even n, are sized from n before the
+    handle's ``layout`` or ``operator`` is read: once they reach the work
+    budget (from n = 16) the call is refused with ``ValueError``, and no
+    term is built. The assignment is checked in full before the first step.
     """
     n = process.n
+    per_term = 2 * n if n % 2 else 2 * n + 2
+    # per_term << (n - 1) reaches 2^(WORK_BUDGET_LOG2 + 1) iff its floor
+    # log2 does; decided without forming it, which at a huge n is huge.
+    if n - 2 + per_term.bit_length() > WORK_BUDGET_LOG2:
+        raise _refusal("conditional distribution", n, f"2^{n - 1} * {per_term} term products")
     o_layout = process.layout.restrict(process.output_wires)
-    refuse_over_budget("conditional distribution", n,
-                       len(process.operator.nums) * sum(1 << w.width for w in o_layout.wires),
-                       "term products")
     if isinstance(outputs, Mapping):
         assignment = dict(outputs)
     else:
@@ -542,7 +572,10 @@ class LoopChannel:
         return self.edge_flips[(receiver - 1) % self.n]
 
     def apply(self, outputs: Sequence[int]) -> tuple[int, ...]:
-        """Input values produced from a complete tuple of output values."""
+        """Input values produced from a complete tuple of output values.
+        Raises ``ValueError`` unless there is one output value per party."""
+        if len(outputs) != self.n:
+            raise ValueError(f"need {self.n} output values, got {len(outputs)}")
         return tuple(
             outputs[(j - 1) % self.n] ^ self.flip_into(j) for j in range(self.n)
         )
@@ -572,9 +605,12 @@ def loop_decomposition(n: int) -> tuple[LoopChannel, ...]:
     every input-side mask of the generator group, that is, to its n - 1
     generators, which :func:`_place` puts on the inputs unchanged. Odd n
     yields two loops (identity and all-edges-flip), even n yields four.
-    ``build_w(n)`` is never built.
+    No term of ``build_w(n)`` is built. The elimination of the n - 1
+    generators costs (n - 1)^2 row operations, refused with ``ValueError``
+    before any is done once they reach the work budget, from n = 726.
     """
     _check_party_count(n)
+    refuse_over_budget("loop decomposition", n, (n - 1) ** 2, "row operations")
     sub = game_layout(n).restrict(f"I{k}" for k in range(n))
     flips = _gf2_kernel(_generators(n), sub.width)
     weight = Fraction(1, len(flips))

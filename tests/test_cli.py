@@ -11,11 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from acausal.cli import main
 from acausal.diagop import operator_from_json, operator_to_json, to_dense
-from acausal.process import build_w, naive_even_w
+from acausal.process import ProcessMatrix, build_w, naive_even_w
 
 
 def run(capsys, *argv):
@@ -80,7 +80,11 @@ def test_validate_refuses_a_negative_seed(tmp_path, capsys, seed):
     path = tmp_path / "naive8.json"
     path.write_text(json.dumps(operator_to_json(naive_even_w(8))))
     argv = ["validate", "--file", str(path), "--seed"]
-    assert run(capsys, *argv, str(seed)) == (2, "", f"error: seed must be >= 0, got {seed}\n")
+    refusal = (2, "", f"error: seed must be >= 0, got {seed}\n")
+    assert run(capsys, *argv, str(seed)) == refusal
+    # refused before the file is opened
+    assert run(capsys, "validate", "--file", str(tmp_path / "missing.json"),
+               "--seed", str(seed)) == refusal
     code, out, _ = run(capsys, *argv, str(-seed))
     assert code == 1 and "bilinear_norm: checked 1000, failed " in out
 
@@ -211,15 +215,27 @@ def test_play_round_runs_at_19_parties(capsys, m):
     assert sum(Fraction(e["num"], 1 << e["log2den"]) for e in support) == 1
 
 
-@pytest.mark.parametrize("n", (20, 40))
-def test_play_refuses_a_round_over_the_budget(capsys, n):
+def _refuse_terms(self):
+    raise AssertionError("built the process terms")
+
+
+@pytest.mark.parametrize("n", (20, 40, 511, 725, 726, 727))
+def test_play_refuses_a_round_over_the_budget(monkeypatch, capsys, n):
+    # A round runs on the loops alone: W's term budget (n >= 20) does not
+    # bound it, the loop elimination's (n - 1)^2 row operations do, from
+    # n = 726.
+    monkeypatch.setattr(ProcessMatrix, "operator", property(_refuse_terms))
     start = time.perf_counter()
     inputs = ",".join("01"[i & 1] for i in range(n))
     code, out, err = run(capsys, "play", "--n", str(n), "--m", "0", "--inputs", inputs)
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: build_w refused: n={n} needs 2^{n - 1} terms")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    if n <= 725:
+        assert (code, err) == (0, "")
+        assert out.count("x=") == (2 if n % 2 else 4)
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: loop decomposition refused: n={n} needs {(n - 1) ** 2} row operations")
+        assert err.count("\n") == 1 and "Traceback" not in err
     assert time.perf_counter() - start < 1.0
 
 
@@ -263,17 +279,24 @@ def exit_code_and_streams(argv):
     return code
 
 
-GAME_SIZES = st.integers(-3, 10) | st.sampled_from((19, 40, 512, 2048))
+GAME_SIZES = st.integers(-3, 10) | st.sampled_from((19, 40, 512, 725, 726, 2048))
 INPUT_TOKENS = st.sampled_from(("0", "1", "2", "-1", "x", ""))
 
 
 @settings(max_examples=150, deadline=None)
 @given(n=GAME_SIZES, m=st.none() | st.integers(-2, 12),
        tokens=st.none() | st.lists(INPUT_TOKENS | st.sampled_from(("0", "1")), max_size=12),
-       as_json=st.booleans(), data=st.data())
-def test_play_exit_codes(n, m, tokens, as_json, data):
-    if tokens is not None and n > 0 and data.draw(st.booleans()):
-        tokens = [data.draw(st.sampled_from(("0", "1"))) for _ in range(n)]
+       as_json=st.booleans(), full=st.none() | st.integers(min_value=0))
+# Full-length rounds on both sides of the round budget: random examples
+# rarely draw one at these sizes.
+@example(n=40, m=3, tokens=[], as_json=False, full=0b1011)
+@example(n=512, m=11, tokens=[], as_json=True, full=(1 << 512) - 1)
+@example(n=725, m=0, tokens=[], as_json=False, full=12345)
+@example(n=726, m=0, tokens=[], as_json=True, full=0)
+def test_play_exit_codes(n, m, tokens, as_json, full):
+    # full: the round's input bits, read from the integer over all n parties
+    if tokens is not None and n > 0 and full is not None:
+        tokens = [str(full >> i & 1) for i in range(n)]
     argv = ["play", "--n", str(n)]
     if m is not None:
         argv.append(f"--m={m}")
@@ -284,10 +307,10 @@ def test_play_exit_codes(n, m, tokens, as_json, data):
     round_given = m is not None and tokens is not None
     well_formed = (
         (m is None) == (tokens is None)
-        and 3 <= n < 512
-        and (not round_given
-             or (0 <= m < n and len(tokens) == n
-                 and all(t in ("0", "1") for t in tokens) and n < 20))
+        and 3 <= n
+        and (n < 512 if not round_given
+             else (n <= 725 and 0 <= m < n and len(tokens) == n
+                   and all(t in ("0", "1") for t in tokens)))
     )
     assert exit_code_and_streams(argv) == (0 if well_formed else 2)
 

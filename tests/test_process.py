@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -18,6 +19,7 @@ from acausal.diagop import (
 )
 from acausal.process import (
     BilinearCheck,
+    ProcessMatrix,
     UnsupportedPartyCount,
     _gf2_kernel,
     _party_plan,
@@ -172,9 +174,21 @@ def test_build_w_budget_boundary():
     assert len(build_w.__wrapped__(19).operator.nums) == 1 << 18
     for n in (20, 40, 10**9):
         start = time.perf_counter()
+        w = build_w(n)
         with pytest.raises(ValueError, match=fr"^build_w refused: n={n} needs 2\^{n - 1} terms"):
-            build_w(n)
+            w.operator
         assert time.perf_counter() - start < 1.0
+
+
+def test_build_w_builds_nothing_until_read():
+    assert [f.name for f in dataclasses.fields(ProcessMatrix)] == ["n"]
+    start = time.perf_counter()
+    w = build_w(10**9)
+    assert vars(w) == {"n": 10**9}  # no layout, no term
+    assert time.perf_counter() - start < 1.0
+    w = build_w.__wrapped__(5)
+    assert w.layout == game_layout(5) and vars(w).keys() == {"n", "layout"}
+    assert w.operator is w.operator and w.operator.layout is w.layout
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -260,15 +274,20 @@ def _refuse(*args):
     raise AssertionError("built work the budget refuses")
 
 
-@pytest.mark.parametrize("n", (16, 17))
+@pytest.mark.parametrize("n", (16, 17, 10**9))
 def test_conditional_refuses_products_over_the_budget(monkeypatch, n):
     # 2^(n-1) terms times the 2 or 4 point-mass terms of each output wire:
-    # 2^20 products at n = 16, 491,520 at n = 15
-    w = build_w(n)
+    # 2^20 products at n = 16, 491,520 at n = 15. Sized from n, so the
+    # handle builds no term, and the refusal comes before the assignment
+    # is read: 10**9 parties get 17 zeros, not a list of 10**9.
+    w = build_w.__wrapped__(n)  # a fresh handle: no other test's terms on it
     monkeypatch.setattr(diagop, "multiply", _refuse)
     monkeypatch.setattr(process, "point_mass", _refuse)
+    start = time.perf_counter()
     with pytest.raises(ValueError, match=f"^conditional distribution refused: n={n} needs "):
-        conditional_distribution(w, [0] * n)
+        conditional_distribution(w, [0] * min(n, 17))
+    assert time.perf_counter() - start < 1.0
+    assert "operator" not in vars(w)
 
 
 def _one_shot(w, o_idx):
@@ -840,6 +859,13 @@ def test_loops_four_parties_match_flip_patterns():
         (0, 1, 1, 1),
         (1, 0, 3, 1),
     }
+
+
+@pytest.mark.parametrize("outputs", ((0, 1, 1, 1, 1), (0, 1)))
+def test_loop_refuses_an_output_tuple_of_another_length(outputs):
+    loop = loop_decomposition(3)[1]
+    with pytest.raises(ValueError, match=f"^need 3 output values, got {len(outputs)}$"):
+        loop.apply(outputs)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
