@@ -46,11 +46,11 @@ functions, so everything here is safe for concurrent read-only use.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "LayoutError",

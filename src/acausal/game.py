@@ -16,8 +16,9 @@ contracts only the signed half of the win indicator, since a valid
 process gives the other half total probability one. The Monte-Carlo
 sampler compiles each loop, once per call, into jump tables over runs
 of parties and over the tables each drawing party can deal, and reads
-them shot by shot. Both yield certain winning for the strategies built
-here, for every n >= 3.
+them shot by shot, walking all of the guesser's start values in one
+pass. Both yield certain winning for the strategies built here, for
+every n >= 3.
 
 In the winning strategy a party's tables depend only on its class (its
 wire widths, the bits its output and input factors read, and whether it
@@ -575,16 +576,22 @@ def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], Local
     at which neither input bit draws form runs of at most ``_RUN_LENGTH``;
     every other position is a run of its own.
 
-    Returns ``(guess, per_loop)``. ``guess[a]`` is the guesser's outcome by
-    input value, for input bit a, or None where that bit draws.
+    Returns ``(guess, starts, per_loop)``. ``guess[a]`` is the guesser's
+    outcome by input value, for input bit a, or None where that bit draws.
+    ``starts`` is ``range(0, 2**w, 2)`` for the guesser's input width w:
+    the first of each pair of start values a shot walks as two lanes.
     ``per_loop[loop]`` is ``(runs, drawers)``. ``runs`` lists, in position
     order, ``(shift, mask, table)``: the run's bits are ``(rotated >>
     shift) & mask`` and ``table`` maps them to the run's composed step,
-    the loop's edge flips folded in (None for a bit that draws).
-    ``drawers`` lists, in party order, ``(r, shift, per_bit)`` for the
-    drawing party at run r. ``per_bit[a]`` is None where bit a does not
-    draw, and otherwise ``(digits, den, bits, steps, xss)``: the draws of
-    :func:`_compile_behavior` and, per dealt table, its step and outcomes.
+    the loop's edge flips folded in. A drawing party's run has a table of
+    its own for this m and loop, a two-slot list by input bit: a bit that
+    does not draw holds its fixed step, a bit that draws None until a
+    shot writes the step it deals. ``drawers`` lists, in party order,
+    ``(r, shift, slots, per_bit)`` for the drawing party at run r, with
+    ``slots`` that run's table. ``per_bit[a]`` is None where bit a does
+    not draw, and otherwise ``(digits, den, bits, steps, xss)``: the draws
+    of :func:`_compile_behavior` and, per dealt table, its step and
+    outcomes.
 
     ``deal`` is the calling sample's :func:`_dealer`. ``behaviors`` and
     ``jumps`` are its memos, keyed by content: a behavior's tables,
@@ -621,7 +628,7 @@ def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], Local
                 for j in range(k, k + size)
             )
             if draws:
-                table = steps[0]
+                table = list(steps[0])
             elif steps in jumps:
                 table = jumps[steps]
             else:
@@ -635,10 +642,12 @@ def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], Local
                 if digits else None
                 for digits, den, bits, xss, oss in dealt[spans[r][0]]
             )
-            drawers.append((r, runs[r][0], per_bit))
+            shift, _, slots = runs[r]
+            drawers.append((r, shift, slots, per_bit))
         per_loop.append((runs, drawers))
     guess = [None if digits else xss[0] for digits, _, _, xss, _ in dealt[0]]
-    return guess, per_loop
+    starts = range(0, 1 << _widths(n, m)[1], 2)
+    return guess, starts, per_loop
 
 
 def sample_game(n: int, shots: int, seed: int,
@@ -660,13 +669,19 @@ def sample_game(n: int, shots: int, seed: int,
     into jump tables: runs of up to four consecutive parties that never
     draw become one table per loop, which maps the run's input bits to its
     composed step, and every drawing party gets the precompiled step and
-    outcomes of each table it can deal. A shot then reads one entry per
-    run and maps each draw to its choice by bisection, so its cost does not
-    grow with the behaviors' denominators. Tables are shared by content
-    within the call and kept by none across calls. The default strategy
-    is :func:`winning_behavior`, built once per party and class for the
-    call (at most 8n behaviors); a caller's strategy is asked for both
-    input bits of every party at each m drawn. Each shot draws m below n,
+    outcomes of each table it can deal. A shot maps each draw to its
+    choice by bisection, so its cost does not grow with the behaviors'
+    denominators, and writes the dealt step into its run's slot for the
+    drawn input bit. It then walks the guesser's start values in pairs,
+    two lanes from ``c`` and ``c + 1``, reading each run's step once per
+    pair: one pass, or two for the wide receiver's four values at
+    ``m = n - 1``. A start value the walk returns to is a consistent
+    assignment, and it wins when the guesser's outcome there is the
+    parity of the other inputs. Tables are shared by content within the
+    call and kept by none across calls. The default strategy is
+    :func:`winning_behavior`, built once per party and class for the call
+    (at most 8n behaviors); a caller's strategy is asked for both input
+    bits of every party at each m drawn. Each shot draws m below n,
     ``getrandbits(n)`` for the inputs, a loop below the loop count, then,
     party by party and input value by input value, one draw below the
     behavior's ``2**log2den`` per input value with several choices. A draw
@@ -703,14 +718,14 @@ def sample_game(n: int, shots: int, seed: int,
         plan = compiled[m]
         if plan is None:
             plan = compiled[m] = _compile_referee_value(n, m, deal, flips, behaviors, jumps)
-        guess, per_loop = plan
+        guess, starts, per_loop = plan
         runs, drawers = per_loop[loop]
         rotated = ((a_idx << m) | (a_idx >> (n - m))) & full
-        walk = [table[(rotated >> shift) & mask] for shift, mask, table in runs]
         bit = rotated >> (n - 1)
         xs = guess[bit]
-        for r, shift, per_bit in drawers:
-            drawn = per_bit[(rotated >> shift) & 1]
+        for r, shift, slots, per_bit in drawers:
+            a = (rotated >> shift) & 1
+            drawn = per_bit[a]
             if drawn is not None:
                 digits, den, bits, steps, xss = drawn
                 j = 0
@@ -719,17 +734,25 @@ def sample_game(n: int, shots: int, seed: int,
                     while d >= den:
                         d = getrandbits(bits)
                     j = j * radix + bisect(cum, d)
-                walk[r] = steps[j]
+                slots[a] = steps[j]
                 if r == 0:
                     xs = xss[j]
         target = (a_idx.bit_count() - bit) & 1
         per_m_shots[m] += 1
-        for cand in range(len(xs)):
-            v = cand
-            for step in walk:
-                v = step[v]
-            if v == cand:
-                if xs[cand] == target:
+        for c in starts:
+            v0 = c
+            v1 = c + 1
+            for shift, mask, table in runs:
+                step = table[(rotated >> shift) & mask]
+                v0 = step[v0]
+                v1 = step[v1]
+            if v0 == c:
+                if xs[v0] == target:
+                    per_m_wins[m] += 1
+                else:
+                    losses += 1
+            if v1 == c + 1:
+                if xs[v1] == target:
                     per_m_wins[m] += 1
                 else:
                     losses += 1

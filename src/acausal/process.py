@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
 
 from .diagop import (
     DiagOperator,
@@ -110,7 +110,10 @@ class ProcessMatrix:
     :func:`generator_group`, so everything else is derived from n.
     ``layout`` and ``operator`` are derived on first read and kept on the
     handle; ``normalization``, the coefficient of every term, and the wire
-    names are derived on each read.
+    names are derived on each read. ``layout``, ``normalization`` (whose
+    denominator has n | 1 bits) and the wire names are sized by the 2n
+    wires, so each is refused from n >= 2^18, decided from n before
+    anything is built.
     """
 
     n: int
@@ -118,8 +121,12 @@ class ProcessMatrix:
     def __post_init__(self):
         _check_party_count(self.n)
 
+    def _refuse_wires(self, what: str) -> None:
+        refuse_over_budget(f"process {what}", self.n, 2 * self.n, "wires")
+
     @cached_property
     def layout(self) -> WireLayout:
+        self._refuse_wires("layout")
         return game_layout(self.n)
 
     @cached_property
@@ -141,14 +148,17 @@ class ProcessMatrix:
 
     @property
     def normalization(self) -> Fraction:
+        self._refuse_wires("normalization")
         return Fraction(1, 1 << (self.n | 1))
 
     @property
     def input_wires(self) -> tuple[str, ...]:
+        self._refuse_wires("input_wires")
         return tuple(f"I{k}" for k in range(self.n))
 
     @property
     def output_wires(self) -> tuple[str, ...]:
+        self._refuse_wires("output_wires")
         return tuple(f"O{k}" for k in range(self.n))
 
 

@@ -488,11 +488,13 @@ def test_sampler_shares_no_tables_across_calls():
         assert sample_game(n, 800, seed, strategy) == sampler_oracle(n, 800, seed, strategy)
 
 
-def test_mixed_strategy_is_not_certain():
-    # so the oracle comparison above covers losing shots as well
-    result = sample_game(5, 2000, 0, mixed_strategy)
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_mixed_strategy_is_not_certain(n):
+    # so the oracle comparison above covers losing shots as well, at even n
+    # where the wide receiver guesses with four start values
+    result = sample_game(n, 2000, 0, mixed_strategy)
     assert result.losses > 0
-    exact = success_probability_exact(5, strategy=mixed_strategy)
+    exact = success_probability_exact(n, strategy=mixed_strategy)
     assert 0 < exact.p_succ < 1
 
 
@@ -673,6 +675,14 @@ def split_strategy(n, m, i, a_i):
     # winning for input bit 1, mixed for input bit 0: a party's two
     # behaviors come over different denominators
     return (winning_behavior if a_i else mixed_strategy)(n, m, i, a_i)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 16))
+def test_sampler_with_one_drawing_bit_equals_oracle(n):
+    # a party drawing at input bit 0 only: the walk must keep bit 1's fixed
+    # step in the drawing run's other slot
+    for seed in range(3):
+        assert sample_game(n, 1500, seed, split_strategy) == sampler_oracle(n, 1500, seed, split_strategy)
 
 
 @pytest.mark.parametrize(

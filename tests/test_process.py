@@ -191,6 +191,18 @@ def test_build_w_builds_nothing_until_read():
     assert w.operator is w.operator and w.operator.layout is w.layout
 
 
+@pytest.mark.parametrize("name", ("layout", "input_wires", "output_wires", "normalization"))
+def test_process_wire_properties_refused_from_n(name):
+    # sized by the 2n wires, refused from 2n = 2^19 before anything is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=fr"^process {name} refused: n={10**9} needs {2 * 10**9} wires"):
+        getattr(build_w.__wrapped__(10**9), name)
+    with pytest.raises(ValueError, match=f"^process {name} refused: n={1 << 18} needs"):
+        getattr(build_w.__wrapped__(1 << 18), name)
+    assert time.perf_counter() - start < 1.0
+    assert getattr(build_w.__wrapped__(725), name)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_w_trace_is_output_register_size(n):
     w = build_w(n)
