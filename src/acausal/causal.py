@@ -29,9 +29,8 @@ them all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .process import refuse_over_budget
 
@@ -48,8 +47,7 @@ __all__ = [
 MODEL = "adaptive-order full-forwarding"
 
 
-@dataclass(frozen=True)
-class CausalProtocol:
+class CausalProtocol(NamedTuple):
     """A deterministic adaptive-order protocol.
 
     ``orders[(m, a_first)]`` is the full activation order (a permutation
@@ -74,8 +72,7 @@ class CausalProtocol:
         return {"first": self.first, "orders": entries}
 
 
-@dataclass(frozen=True)
-class CausalValue:
+class CausalValue(NamedTuple):
     """Best causal success probability with a witnessing protocol."""
 
     n: int

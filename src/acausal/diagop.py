@@ -47,10 +47,10 @@ functions, so everything here is safe for concurrent read-only use.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from types import MappingProxyType
+from typing import NamedTuple
 
 __all__ = [
     "LayoutError",
@@ -85,23 +85,32 @@ class FormatError(ValueError):
     CSV format."""
 
 
-@dataclass(frozen=True)
-class Wire:
+class _Wire(NamedTuple):
+    party: int | str
+    kind: str
+    width: int = 1
+
+
+class Wire(_Wire):
     """One named bit register owned by a party.
 
     ``party`` is a party index, or the string ``"env"`` for free-standing
     registers; ``kind`` is the register label ("I", "O", or any label for
     env wires). The wire name is ``kind + str(party)`` for party-owned
-    wires and just ``kind`` for env wires.
+    wires and just ``kind`` for env wires. Every path to a wire (the
+    constructor, ``_make``, ``_replace``, copy and pickle) checks the width.
     """
 
-    party: int | str
-    kind: str
-    width: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise LayoutError(f"wire width must be >= 1, got {self.width}")
+    def __new__(cls, party: int | str, kind: str, width: int = 1):
+        if width < 1:
+            raise LayoutError(f"wire width must be >= 1, got {width}")
+        return super().__new__(cls, party, kind, width)
+
+    @classmethod
+    def _make(cls, iterable) -> Wire:
+        return cls(*iterable)
 
     @property
     def name(self) -> str:
@@ -121,20 +130,20 @@ class WireLayout:
 
     def __init__(self, wires: Iterable[Wire]):
         self.wires = tuple(wires)
-        names = [w.name for w in self.wires]
-        if len(set(names)) != len(names):
-            raise LayoutError(f"duplicate wire names in layout: {names}")
         self.width = sum(w.width for w in self.wires)
         pos = {}
         hi = self.width
         for w in self.wires:
             pos[w.name] = (hi - w.width, w.width)
             hi -= w.width
+        if len(pos) != len(self.wires):
+            names = [w.name for w in self.wires]
+            raise LayoutError(f"duplicate wire names in layout: {names}")
         self._pos = pos
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(w.name for w in self.wires)
+        return tuple(self._pos)
 
     def field(self, name: str) -> tuple[int, int]:
         """Return ``(shift, width)`` of a wire within the global index."""

@@ -35,12 +35,11 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from math import prod
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .diagop import LayoutError, Wire, WireLayout, _spare_twos, dyadic_json, fraction_json
 from .process import (
@@ -70,22 +69,36 @@ RNG_NAME = "mt19937"
 Strategy = Callable[[int, int, int, int], "LocalBehavior"]
 
 
-@dataclass(frozen=True)
-class GameRound:
-    """One game instance: party count, referee value m, input bits."""
-
+class _GameRound(NamedTuple):
     n: int
     m: int
     inputs: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_game_size(self.n)
-        if not 0 <= self.m < self.n:
-            raise ValueError(f"m must lie in 0..{self.n - 1}, got {self.m}")
-        if len(self.inputs) != self.n:
-            raise ValueError(f"need {self.n} input bits, got {len(self.inputs)}")
-        if any(a not in (0, 1) for a in self.inputs):
+
+class GameRound(_GameRound):
+    """One game instance: party count, referee value m, input bits.
+
+    ``inputs`` is stored as a tuple, whatever sequence is given. Every path
+    to a round (the constructor, ``_make``, ``_replace``, copy and pickle)
+    checks it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, inputs: Sequence[int]):
+        inputs = tuple(inputs)
+        _check_game_size(n)
+        if not 0 <= m < n:
+            raise ValueError(f"m must lie in 0..{n - 1}, got {m}")
+        if len(inputs) != n:
+            raise ValueError(f"need {n} input bits, got {len(inputs)}")
+        if any(a not in (0, 1) for a in inputs):
             raise ValueError("inputs must be bits")
+        return super().__new__(cls, n, m, inputs)
+
+    @classmethod
+    def _make(cls, iterable) -> GameRound:
+        return cls(*iterable)
 
     @property
     def target(self) -> int:
@@ -456,8 +469,7 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     return GameResult(n=n, per_m=tuple(per_m), p_succ=sum(per_m) / n)
 
 
-@dataclass(frozen=True)
-class GameResult:
+class GameResult(NamedTuple):
     """Exact game value: one success probability per m and their average."""
 
     n: int
@@ -483,8 +495,7 @@ class GameResult:
 # Monte-Carlo sampling over the loop mixture
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleResult:
+class SampleResult(NamedTuple):
     """Seeded sampling record; identical seeds give identical transcripts."""
 
     n: int

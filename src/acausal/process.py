@@ -18,9 +18,9 @@ import itertools
 import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .diagop import (
     DiagOperator,
@@ -101,7 +101,6 @@ def generator_group(n: int) -> tuple[int, ...]:
     return tuple(_span(_generators(n)))
 
 
-@dataclass(frozen=True)
 class ProcessMatrix:
     """The n-party circular process matrix, as a handle on n alone.
 
@@ -113,13 +112,30 @@ class ProcessMatrix:
     names are derived on each read. ``layout``, ``normalization`` (whose
     denominator has n | 1 bits) and the wire names are sized by the 2n
     wires, so each is refused from n >= 2^18, decided from n before
-    anything is built.
+    anything is built. The handle is immutable and compares and hashes
+    by n.
     """
 
-    n: int
+    def __init__(self, n: int):
+        _check_party_count(n)
+        self.__dict__["n"] = n
 
-    def __post_init__(self):
-        _check_party_count(self.n)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a ProcessMatrix")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a ProcessMatrix")
+
+    def __eq__(self, other):
+        if type(other) is not ProcessMatrix:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash(self.n)
+
+    def __repr__(self):
+        return f"ProcessMatrix(n={self.n!r})"
 
     def _refuse_wires(self, what: str) -> None:
         refuse_over_budget(f"process {what}", self.n, 2 * self.n, "wires")
@@ -216,14 +232,12 @@ def naive_even_w(n: int) -> DiagOperator:
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BilinearCheck:
+class BilinearCheck(NamedTuple):
     checked: int
     failed: int
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """All logical-consistency checks of a candidate process object.
 
     Every check is reported instead of failing fast, so negative tests can
@@ -564,8 +578,7 @@ def conditional_distribution(
 # loop decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoopChannel:
+class LoopChannel(NamedTuple):
     """One deterministic circular channel: party k's output is carried to
     party k+1's input with the edge's flip pattern XORed on.
 

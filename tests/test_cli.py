@@ -696,6 +696,19 @@ def test_deeply_nested_json_is_usage_error(tmp_path, capsys, command):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, acausal.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    # -S: no site customisation can load either module first.
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

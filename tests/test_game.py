@@ -32,12 +32,19 @@ def sign(bit):
 def test_game_round_validation():
     r = GameRound(n=3, m=1, inputs=(1, 0, 1))
     assert r.target == 0
+    given = [1, 0, 1]
+    listed = GameRound(n=3, m=1, inputs=given)
+    given[1] = 1
+    assert type(listed.inputs) is tuple
+    assert listed == r and hash(listed) == hash(r)
     with pytest.raises(ValueError):
         GameRound(n=3, m=3, inputs=(0, 0, 0))
     with pytest.raises(ValueError):
         GameRound(n=3, m=0, inputs=(0, 0))
     with pytest.raises(ValueError):
         GameRound(n=3, m=0, inputs=(0, 2, 0))
+    with pytest.raises(ValueError):
+        GameRound(n=3, m=0, inputs=[0, 2, 0])
     for n in (-3, 0):
         with pytest.raises(ValueError, match=f"^party count must be >= 2, got {n}$"):
             GameRound(n=n, m=0, inputs=(1,))
