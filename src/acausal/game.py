@@ -8,26 +8,30 @@ by construction: :class:`LocalBehavior` is the one place that checks wires
 and normalization, and no evaluator builds an operator. Every evaluator
 reads a table set through one view, its non-zero ``(x, o, weight)``
 entries per input value, and runs on the process's uniform mixture of
-circular channels. Both exact evaluators walk each loop party by party,
-carrying the weight of each partial path by its input value and
-outcomes, so an outcome distribution costs as much as the paths it
-walks, not 2^n, and is returned on its support. The game value
-contracts only the signed half of the win indicator, since a valid
-process gives the other half total probability one. The Monte-Carlo
-sampler compiles each loop, once per call, into jump tables over runs
-of parties and over the tables each drawing party can deal, and reads
-them shot by shot, walking all of the guesser's start values in one
-pass. Both yield certain winning for the strategies built here, for
-every n >= 3.
+circular channels. The exact outcome distribution, and the game value of
+a caller's strategy, walk each loop party by party, carrying the weight
+of each partial path by its input value and outcomes, so an outcome
+distribution costs as much as the paths it walks, not 2^n, and is
+returned on its support. That game value contracts only the signed half
+of the win indicator, since a valid process gives the other half total
+probability one. The default strategy, the paper's, signals
+deterministically around every loop, so its value is read off the
+parity of each loop's flips on each guesser's path (:func:`_path_parity`)
+with no behavior dealt and no walk. The Monte-Carlo sampler compiles each
+loop, once per call, into jump tables over runs of parties and over the
+tables each drawing party can deal, and reads them shot by shot, walking
+all of the guesser's start values in one pass. Every route yields
+certain winning for the strategies built here, for every n >= 3.
 
 In the winning strategy a party's tables depend only on its class (its
 wire widths, the bits its output and input factors read, and whether it
-starts the loop) and its input bit. Both game evaluators get their
-behaviors from one :func:`_dealer` per call, the one place that holds
-the behavior budget and the default strategy: it builds each behavior
-once per party and class for the call, at most 8n of them. The game
-value shares each party's signed sums among the parties and referee
-values that deal equal tables. Every memo lives for one call.
+starts the loop) and its input bit. The sampler and the walked game
+value get their behaviors from one :func:`_dealer` per call, the one
+place that holds the behavior budget and the default strategy: it
+builds each behavior once per party and class for the call, at most 8n
+of them. The walked game value shares each party's signed sums among
+the parties and referee values that deal equal tables. Every memo lives
+for one call.
 """
 
 from __future__ import annotations
@@ -205,6 +209,37 @@ def _parity_factor(width: int, mask: int | None, bit: int) -> list[int]:
 _CODE_MASKS = {"first": 0b10, "second": 0b01, "both": 0b11}
 
 
+def _path_parity(n: int) -> Callable[[int, int | None], int | None]:
+    """``odd_loop(m, mask)``: the index of the first loop of
+    :func:`~acausal.process.loop_decomposition` whose flips on guesser m's
+    path have odd parity under the winning strategy, or None.
+
+    The path ends at m and runs through every receiver but the starter
+    ``(m + 1) % n``, which sends its bare input bit. At even n the wide
+    receiver ``n - 1`` counts only the bits of its input flip that
+    ``mask`` reads, the bits its wide code decodes; elsewhere ``mask`` is
+    not read. The parity of each loop's single-bit flips is summed once,
+    here; each ``odd_loop`` call takes out the edge into the starter, edge
+    m, and adds the masked wide flip unless the wide receiver starts, so it
+    costs O(1) per loop.
+    """
+    flips = [loop.edge_flips for loop in loop_decomposition(n)]
+    wide = n - 2 if n % 2 == 0 else None  # the edge into the wide receiver
+    singles = [(sum(f) - (f[wide] if wide is not None else 0)) & 1 for f in flips]
+
+    def odd_loop(m: int, mask: int | None) -> int | None:
+        for index, (f, parity) in enumerate(zip(flips, singles)):
+            if m != wide:
+                parity ^= f[m]
+                if wide is not None:
+                    parity ^= (f[wide] & mask).bit_count() & 1
+            if parity:
+                return index
+        return None
+
+    return odd_loop
+
+
 @lru_cache(maxsize=None)
 def wide_code(n: int, m: int) -> str:
     """How the wide-register pair encodes its bit for a given m (even n).
@@ -213,8 +248,8 @@ def wide_code(n: int, m: int) -> str:
     bits of its doubled output; the choice must make the accumulated loop
     flips cancel on the path that ends at party m. The mapping is found by
     checking the (at most three) candidate codes against the derived loop
-    set rather than assumed; when the path avoids the wide edge entirely
-    the register is ignored.
+    set with :func:`_path_parity` rather than assumed; when the path
+    avoids the wide edge entirely the register is ignored.
     """
     if n % 2 or n < 4:
         raise ValueError(f"wide_code needs an even n >= 4, got {n}")
@@ -222,20 +257,9 @@ def wide_code(n: int, m: int) -> str:
         raise ValueError(f"m must lie in 0..{n - 1}, got {m}")
     if m == n - 2:
         return "ignore"
-    loops = loop_decomposition(n)
-    start = (m + 1) % n
-    single_receivers = [j for j in range(n) if j != start and j != n - 1]
+    odd_loop = _path_parity(n)
     for code in ("first", "second", "both"):
-        mask = _CODE_MASKS[code]
-        if all(
-            (
-                sum(loop.flip_into(j) for j in single_receivers)
-                + (loop.flip_into(n - 1) & mask).bit_count()
-            )
-            % 2
-            == 0
-            for loop in loops
-        ):
+        if odd_loop(m, _CODE_MASKS[code]) is None:
             return code
     raise AssertionError(f"no consistent wide-register code for n={n}, m={m}")
 
@@ -290,7 +314,7 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
 
 def _dealer(n: int, strategy: Strategy | None) -> Callable[[int, int, int], LocalBehavior]:
     """``deal(m, i, a_i)``: party i's behavior for referee value m and input
-    bit a_i, for one game evaluation of n parties.
+    bit a_i, for one sample or walked game value of n parties.
 
     It refuses, before any behavior is built, a party count the game
     cannot be played with and the 2n^2 behaviors (n referee values, n
@@ -424,11 +448,22 @@ def _signed_sums(b0: LocalBehavior, b1: LocalBehavior, guesser: bool
 def success_probability_exact(n: int, strategy: Strategy | None = None) -> "GameResult":
     """Exact per-m and overall success probabilities of a strategy family.
 
-    The win indicator ``[x_m = t]``, with ``t`` the parity of the other
-    inputs, is ``(1 + (-1)^x_m * prod_{i != m} (-1)^a_i) / 2``, and both
-    halves factorise party by party. The first half is 1/2 for every
-    strategy: each behavior is normalized (its constructor refuses any
-    other), so a party's tables summed over its input bit and outcome are
+    The default strategy is :func:`winning_behavior`, valued by path
+    parity: each of its loops is deterministic, and guesser m reads the
+    target XOR the loop's flips on its path, so m wins on a loop iff
+    :func:`_path_parity` finds that parity even. The loops are a uniform
+    mixture over a GF(2) subspace, on which the parity is linear, so
+    ``per_m`` is 1 when no loop is odd and exactly 1/2 otherwise; it is 1
+    at every m for every n >= 3. That route deals no behavior and walks
+    nothing: given each m's :func:`wide_code`, it takes O(n · loops)
+    steps, so it answers up to the loop decomposition's budget, n = 725.
+
+    A caller's strategy is walked. The win indicator ``[x_m = t]``, with
+    ``t`` the parity of the other inputs, is ``(1 + (-1)^x_m * prod_{i !=
+    m} (-1)^a_i) / 2``, and both halves factorise party by party. The
+    first half is 1/2 for every strategy: each behavior is normalized (its
+    constructor refuses any other), so a party's tables summed over its
+    input bit and outcome are
     twice a normalized channel, and the loop mixture, a valid process,
     gives every tuple of normalized channels total probability 1; its
     chains sum to ``len(loops) << (n + log2den)``. Only the second half is
@@ -440,13 +475,20 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
 
     Within the call, each party's signed sums and their non-zero entries
     are kept per content of the pair of behaviors it is dealt and its
-    input width, so equal parties share them. The default strategy is
-    :func:`winning_behavior`, built once per party and class for the call
-    (at most 8n behaviors); it wins with certainty for every n >= 3: each
-    per-m probability is exactly 1. A caller's strategy is asked for all
-    2n^2 behaviors. Raises ``ValueError`` up front when those 2n^2
-    behaviors reach 2^(WORK_BUDGET_LOG2 + 1), so n >= 512 is refused.
+    input width, so equal parties share them. A caller's strategy is
+    asked for all 2n^2 behaviors, and passing :func:`winning_behavior`
+    itself takes this route, which the tests hold equal to path parity.
+    Raises ``ValueError`` up front when those 2n^2 behaviors reach
+    2^(WORK_BUDGET_LOG2 + 1), so a caller's strategy is refused from n =
+    512.
     """
+    if strategy is None:
+        _check_game_size(n)
+        odd_loop = _path_parity(n)
+        masks = [_CODE_MASKS.get(wide_code(n, m)) for m in range(n)] if n % 2 == 0 else [None] * n
+        per_m = tuple(Fraction(1) if odd_loop(m, mask) is None else Fraction(1, 2)
+                      for m, mask in enumerate(masks))
+        return GameResult(n=n, per_m=per_m, p_succ=sum(per_m) / n)
     deal = _dealer(n, strategy)
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     folded: dict[tuple, tuple] = {}

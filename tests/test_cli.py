@@ -246,15 +246,24 @@ def test_play_round_refuses_a_party_count_below_two(capsys, n):
     assert out == ""
     assert err == f"error: party count must be >= 2, got {n}\n"
 
-@pytest.mark.parametrize("argv", (("play", "--n", "512"),
+@pytest.mark.parametrize("argv", (("play", "--n", "726"),
                                   ("sample", "--n", "512", "--shots", "1")))
 def test_game_refuses_behaviors_over_the_budget(capsys, argv):
+    # play's default value deals no behavior: its first refusal is the
+    # loop decomposition's, from n = 726; the sampler's is the dealer's
+    refusal = {"play": "loop decomposition", "sample": "game"}[argv[0]]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: game refused") and err.count("\n") == 1
+    assert err.startswith(f"error: {refusal} refused") and err.count("\n") == 1
     assert time.perf_counter() - start < 1.0
+
+
+def test_play_answers_past_the_behavior_budget(capsys):
+    code, out, err = run(capsys, "play", "--n", "512", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["per_m"] == [{"num": 1, "log2den": 0}] * 512
 
 
 def test_sample_runs_below_the_budget(capsys):
@@ -293,6 +302,9 @@ INPUT_TOKENS = st.sampled_from(("0", "1", "2", "-1", "x", ""))
 @example(n=512, m=11, tokens=[], as_json=True, full=(1 << 512) - 1)
 @example(n=725, m=0, tokens=[], as_json=False, full=12345)
 @example(n=726, m=0, tokens=[], as_json=True, full=0)
+# Full games on both sides of the loop decomposition's budget.
+@example(n=725, m=None, tokens=None, as_json=True, full=None)
+@example(n=726, m=None, tokens=None, as_json=False, full=None)
 def test_play_exit_codes(n, m, tokens, as_json, full):
     # full: the round's input bits, read from the integer over all n parties
     if tokens is not None and n > 0 and full is not None:
@@ -307,10 +319,9 @@ def test_play_exit_codes(n, m, tokens, as_json, full):
     round_given = m is not None and tokens is not None
     well_formed = (
         (m is None) == (tokens is None)
-        and 3 <= n
-        and (n < 512 if not round_given
-             else (n <= 725 and 0 <= m < n and len(tokens) == n
-                   and all(t in ("0", "1") for t in tokens)))
+        and 3 <= n <= 725
+        and (not round_given
+             or (0 <= m < n and len(tokens) == n and all(t in ("0", "1") for t in tokens)))
     )
     assert exit_code_and_streams(argv) == (0 if well_formed else 2)
 

@@ -552,8 +552,11 @@ def test_sampler_rejects_behavior_on_wrong_wires():
 
 @pytest.mark.parametrize("n", (512, 2048))
 def test_game_refuses_behaviors_over_the_budget(n):
+    # the default strategy's value deals no behavior; a caller's strategy
+    # and the sampler still go through the dealer's budget
     start = time.perf_counter()
-    for call in (lambda: success_probability_exact(n), lambda: sample_game(n, 1, 0)):
+    for call in (lambda: success_probability_exact(n, winning_behavior),
+                 lambda: sample_game(n, 1, 0)):
         with pytest.raises(ValueError, match=f"^game refused: n={n} needs"):
             call()
     assert time.perf_counter() - start < 1.0
@@ -584,7 +587,8 @@ def built_behaviors(monkeypatch):
 
 
 def test_game_budget_refuses_before_building_a_behavior(built_behaviors):
-    for call in (lambda: success_probability_exact(512), lambda: sample_game(512, 1, 0)):
+    for call in (lambda: success_probability_exact(512, winning_behavior),
+                 lambda: sample_game(512, 1, 0)):
         with pytest.raises(ValueError, match="^game refused: n=512 needs 524288 local behaviors"):
             call()
     assert built_behaviors == []
@@ -594,6 +598,8 @@ def test_game_budget_refuses_before_building_a_behavior(built_behaviors):
 
 @pytest.mark.parametrize("n", (*range(3, 21), 33, 64))
 def test_default_strategy_equals_winning_behavior(n):
+    # the default value is read off path parity; an explicit strategy,
+    # winning_behavior included, is walked
     assert success_probability_exact(n) == success_probability_exact(n, winning_behavior)
     for seed in range(3):
         assert sample_game(n, 400, seed) == sample_game(n, 400, seed, winning_behavior)
@@ -641,8 +647,34 @@ def test_exact_value_contracts_one_chain_per_loop_and_m(monkeypatch, n):
         return walk(entries, flips)
 
     monkeypatch.setattr(game, "_walk", counting)
-    assert success_probability_exact(n).p_succ == 1
+    assert success_probability_exact(n, winning_behavior).p_succ == 1
     assert calls == [n] * (n * len(loop_decomposition(n)))
+
+
+@pytest.mark.parametrize("n", (3, 4, 511, 725))
+def test_default_value_deals_and_walks_nothing(monkeypatch, built_behaviors, n):
+    walks = []
+    monkeypatch.setattr(game, "_walk", lambda entries, flips: walks.append(flips) or {})
+    result = success_probability_exact(n)
+    assert result.per_m == (F(1),) * n and result.p_succ == 1
+    assert built_behaviors == [] and walks == []
+
+
+@pytest.mark.parametrize("n", (5, 7, 9))
+def test_path_parity_names_the_odd_loop(monkeypatch, n):
+    # G^perp = {identity, flip on edge k} belongs to the valid G whose
+    # patterns vanish at edge k. Guesser m's path crosses every edge but
+    # edge m, the edge into its starter, so only guesser k wins for sure.
+    identity = loop_decomposition(n)[0]
+    assert identity.edge_flips == (0,) * n
+    for k in range(n):
+        flipped = identity._replace(edge_flips=tuple(int(e == k) for e in range(n)))
+        monkeypatch.setattr(game, "loop_decomposition", lambda _, loops=(identity, flipped): loops)
+        expected = tuple(F(1) if m == k else F(1, 2) for m in range(n))
+        assert success_probability_exact(n).per_m == expected
+        assert success_probability_exact(n, winning_behavior).per_m == expected
+        odd_loop = game._path_parity(n)
+        assert [odd_loop(m, None) for m in range(n)] == [None if m == k else 1 for m in range(n)]
 
 
 def spread_round(n, spread, outcomes):
