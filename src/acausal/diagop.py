@@ -163,26 +163,26 @@ class WireLayout:
 
     def pack(self, values: Mapping[str, int]) -> int:
         """Global basis index from a complete per-wire assignment."""
-        if set(values) != set(self.names):
+        if set(values) != self._pos.keys():
             raise LayoutError("assignment must cover exactly the layout wires")
         index = 0
-        for w in self.wires:
-            v = values[w.name]
-            if not 0 <= v < (1 << w.width):
-                raise ValueError(f"value {v} out of range for wire {w.name}")
-            index = (index << w.width) | v
+        for name, (_, width) in self._pos.items():
+            v = values[name]
+            if not 0 <= v < (1 << width):
+                raise ValueError(f"value {v} out of range for wire {name}")
+            index = (index << width) | v
         return index
 
     def unpack(self, index: int) -> tuple[int, ...]:
         """Per-wire values of a global basis index, in layout order."""
-        return tuple(self.extract(index, w.name) for w in self.wires)
+        return tuple((index >> shift) & ((1 << width) - 1) for shift, width in self._pos.values())
 
     def restrict(self, names: Iterable[str]) -> "WireLayout":
         keep = set(names)
-        unknown = keep - set(self.names)
+        unknown = keep - self._pos.keys()
         if unknown:
             raise LayoutError(f"unknown wires {sorted(unknown)}")
-        return WireLayout(w for w in self.wires if w.name in keep)
+        return WireLayout(w for w, name in zip(self.wires, self._pos) if name in keep)
 
     def __eq__(self, other):
         if not isinstance(other, WireLayout):

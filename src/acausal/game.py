@@ -17,11 +17,13 @@ of the win indicator, since a valid process gives the other half total
 probability one. The default strategy, the paper's, signals
 deterministically around every loop, so its value is read off the
 parity of each loop's flips on each guesser's path (:func:`_path_parity`)
-with no behavior dealt and no walk. The Monte-Carlo sampler compiles each
-loop, once per call, into jump tables over runs of parties and over the
-tables each drawing party can deal, and reads them shot by shot, walking
-all of the guesser's start values in one pass. Every route yields
-certain winning for the strategies built here, for every n >= 3.
+with no behavior dealt and no walk. The Monte-Carlo sampler has two
+routes. For the default strategy it replays each shot's draws and reads
+the shot's result off the same path parity. For a caller's strategy it
+compiles each loop, once per call, into jump tables over runs of parties
+and over the tables each drawing party can deal, and reads them shot by
+shot, walking all of the guesser's start values in one pass. Every route
+yields certain winning for the strategies built here, for every n >= 3.
 
 In the winning strategy a party's tables depend only on its class (its
 wire widths, the bits its output and input factors read, and whether it
@@ -209,35 +211,39 @@ def _parity_factor(width: int, mask: int | None, bit: int) -> list[int]:
 _CODE_MASKS = {"first": 0b10, "second": 0b01, "both": 0b11}
 
 
-def _path_parity(n: int) -> Callable[[int, int | None], int | None]:
-    """``odd_loop(m, mask)``: the index of the first loop of
-    :func:`~acausal.process.loop_decomposition` whose flips on guesser m's
-    path have odd parity under the winning strategy, or None.
+def _path_parity(n: int) -> Callable[[int, int | None], int]:
+    """``odd_loops(m, mask)``: an integer with bit k set iff the flips of
+    loop k of :func:`~acausal.process.loop_decomposition` on guesser m's
+    path have odd parity, that is, iff the winning strategy loses on loop
+    k at referee value m.
 
-    The path ends at m and runs through every receiver but the starter
-    ``(m + 1) % n``, which sends its bare input bit. At even n the wide
-    receiver ``n - 1`` counts only the bits of its input flip that
+    The starter ``(m + 1) % n`` sends its bare input bit, which cuts the
+    loop, so each tuple of dealt tables has exactly one consistent
+    assignment (the unique fixed point of Baumeler & Wolf, NJP 18, 013036,
+    2016), and the guesser reads the target XOR these flips. The path ends
+    at m and runs through every receiver but the starter. At even n the
+    wide receiver ``n - 1`` counts only the bits of its input flip that
     ``mask`` reads, the bits its wide code decodes; elsewhere ``mask`` is
     not read. The parity of each loop's single-bit flips is summed once,
-    here; each ``odd_loop`` call takes out the edge into the starter, edge
-    m, and adds the masked wide flip unless the wide receiver starts, so it
-    costs O(1) per loop.
+    here; each ``odd_loops`` call takes out the edge into the starter,
+    edge m, and adds the masked wide flip unless the wide receiver starts,
+    so it costs O(1) per loop. Nothing else sums path flips.
     """
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     wide = n - 2 if n % 2 == 0 else None  # the edge into the wide receiver
     singles = [(sum(f) - (f[wide] if wide is not None else 0)) & 1 for f in flips]
 
-    def odd_loop(m: int, mask: int | None) -> int | None:
+    def odd_loops(m: int, mask: int | None) -> int:
+        odd = 0
         for index, (f, parity) in enumerate(zip(flips, singles)):
             if m != wide:
                 parity ^= f[m]
                 if wide is not None:
                     parity ^= (f[wide] & mask).bit_count() & 1
-            if parity:
-                return index
-        return None
+            odd |= parity << index
+        return odd
 
-    return odd_loop
+    return odd_loops
 
 
 @lru_cache(maxsize=None)
@@ -257,11 +263,17 @@ def wide_code(n: int, m: int) -> str:
         raise ValueError(f"m must lie in 0..{n - 1}, got {m}")
     if m == n - 2:
         return "ignore"
-    odd_loop = _path_parity(n)
+    odd_loops = _path_parity(n)
     for code in ("first", "second", "both"):
-        if odd_loop(m, _CODE_MASKS[code]) is None:
+        if not odd_loops(m, _CODE_MASKS[code]):
             return code
     raise AssertionError(f"no consistent wide-register code for n={n}, m={m}")
+
+
+def _wide_mask(n: int, m: int) -> int | None:
+    """The bits of the wide register that :func:`wide_code` reads for
+    referee value m, or None at odd n and where the code ignores it."""
+    return _CODE_MASKS.get(wide_code(n, m)) if n % 2 == 0 else None
 
 
 def _winning_class(n: int, m: int, i: int) -> tuple[int, int, int | None, int | None, bool]:
@@ -270,8 +282,8 @@ def _winning_class(n: int, m: int, i: int) -> tuple[int, int, int | None, int | 
     output and input factors read, and whether it starts the loop."""
     starter = i == (m + 1) % n
     wo, wi = _widths(n, i)
-    o_mask = _CODE_MASKS.get(wide_code(n, m)) if wo == 2 else 0b1
-    i_mask = 0b1 if wi == 1 else None if starter else _CODE_MASKS[wide_code(n, m)]
+    o_mask = _wide_mask(n, m) if wo == 2 else 0b1
+    i_mask = 0b1 if wi == 1 else None if starter else _wide_mask(n, m)
     return wo, wi, o_mask, i_mask, starter
 
 
@@ -484,10 +496,9 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     """
     if strategy is None:
         _check_game_size(n)
-        odd_loop = _path_parity(n)
-        masks = [_CODE_MASKS.get(wide_code(n, m)) for m in range(n)] if n % 2 == 0 else [None] * n
-        per_m = tuple(Fraction(1) if odd_loop(m, mask) is None else Fraction(1, 2)
-                      for m, mask in enumerate(masks))
+        odd_loops = _path_parity(n)
+        per_m = tuple(Fraction(1) if odd_loops(m, _wide_mask(n, m)) == 0 else Fraction(1, 2)
+                      for m in range(n))
         return GameResult(n=n, per_m=per_m, p_succ=sum(per_m) / n)
     deal = _dealer(n, strategy)
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
@@ -703,6 +714,34 @@ def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], Local
     return guess, starts, per_loop
 
 
+def _draw_plan(n: int, m: int, deal: Callable[[int, int, int], LocalBehavior],
+               odd_loops: Callable[[int, int | None], int], behaviors: dict) -> tuple:
+    """Referee value m planned for the default strategy's shots in
+    :func:`sample_game`: ``(odd, drawers)``.
+
+    ``odd`` is :func:`_path_parity`'s answer for m: a shot on loop k loses
+    iff bit k is set. ``drawers`` lists each drawing party, in party
+    order, as ``(shift, per_bit)``: its input bit is ``(a_idx >> shift) &
+    1``, and ``per_bit[a]`` is ``(draws, den, bits)`` from
+    :func:`_compile_behavior`, or None where bit a does not draw. Only
+    even n draws: the wide sender's don't-care output bit, and at m = n -
+    2 the wide receiver's outcome. ``behaviors`` is the calling sample's
+    memo by behavior; its dealer deals each behavior once per class.
+    """
+    drawers = []
+    for i in range(n):
+        per_bit = []
+        for a in (0, 1):
+            behavior = deal(m, i, a)
+            if behavior not in behaviors:
+                digits, den, bits, _, _ = _compile_behavior(behavior)
+                behaviors[behavior] = (len(digits), den, bits) if digits else None
+            per_bit.append(behaviors[behavior])
+        if per_bit != [None, None]:
+            drawers.append((n - 1 - i, tuple(per_bit)))
+    return odd_loops(m, _wide_mask(n, m)), drawers
+
+
 def sample_game(n: int, shots: int, seed: int,
                 strategy: Strategy | None = None) -> SampleResult:
     """Estimate the game value by simulating the circular-channel mixture.
@@ -710,36 +749,42 @@ def sample_game(n: int, shots: int, seed: int,
     Each shot draws m, the inputs, one loop, and one deterministic function
     table per party, then counts the loop-consistent assignments and how
     many of them win. The count is an unbiased weight: averaged over shots
-    it estimates the exact success probability, and for the default winning
-    strategy every shot contributes exactly one consistent, winning
-    assignment.
-
-    The first shot that draws a given m compiles it, asking the strategy
-    for both input bits of every party, so a behavior on the wrong wires
-    (``LayoutError``), or a strategy that builds a malformed one (the
-    :class:`LocalBehavior` constructor's ``ValueError``), raises on that
-    shot, whichever bits it draws. Compiling cuts the walk around each loop
-    into jump tables: runs of up to four consecutive parties that never
-    draw become one table per loop, which maps the run's input bits to its
-    composed step, and every drawing party gets the precompiled step and
-    outcomes of each table it can deal. A shot maps each draw to its
-    choice by bisection, so its cost does not grow with the behaviors'
-    denominators, and writes the dealt step into its run's slot for the
-    drawn input bit. It then walks the guesser's start values in pairs,
-    two lanes from ``c`` and ``c + 1``, reading each run's step once per
-    pair: one pass, or two for the wide receiver's four values at
-    ``m = n - 1``. A start value the walk returns to is a consistent
-    assignment, and it wins when the guesser's outcome there is the
-    parity of the other inputs. Tables are shared by content within the
-    call and kept by none across calls. The default strategy is
-    :func:`winning_behavior`, built once per party and class for the call
-    (at most 8n behaviors); a caller's strategy is asked for both input
-    bits of every party at each m drawn. Each shot draws m below n,
+    it estimates the exact success probability. Each shot draws m below n,
     ``getrandbits(n)`` for the inputs, a loop below the loop count, then,
     party by party and input value by input value, one draw below the
     behavior's ``2**log2den`` per input value with several choices. A draw
     below b is ``getrandbits(b.bit_length())``, redrawn while it is ``>=
     b``: the stream ``randrange(b)`` gives, without its call frames.
+
+    The default strategy, :func:`winning_behavior`, is built once per party
+    and class for the call (at most 8n behaviors) and is not walked. Its
+    starter sends its bare input bit, which cuts each loop, so every shot
+    has exactly one consistent assignment, and it wins iff the loop's flips
+    on the guesser's path have even parity. The first shot that draws a
+    given m plans it (:func:`_draw_plan`); a shot replays the draws, whose
+    values cannot change it, and reads the result off :func:`_path_parity`.
+
+    A caller's strategy, :func:`winning_behavior` passed explicitly
+    included, is walked; the tests hold the two routes equal. The first
+    shot that draws a given m compiles it (:func:`_compile_referee_value`),
+    asking the strategy for both input bits of every party, so a behavior
+    on the wrong wires (``LayoutError``), or a strategy that builds a
+    malformed one (the :class:`LocalBehavior` constructor's
+    ``ValueError``), raises on that shot, whichever bits it draws.
+    Compiling cuts the walk around each loop into jump tables: runs of up
+    to four consecutive parties that never draw become one table per loop,
+    which maps the run's input bits to its composed step, and every
+    drawing party gets the precompiled step and outcomes of each table it
+    can deal. A shot maps each draw to its choice by bisection, so its
+    cost does not grow with the behaviors' denominators, and writes the
+    dealt step into its run's slot for the drawn input bit. It then walks
+    the guesser's start values in pairs, two lanes from ``c`` and ``c +
+    1``, reading each run's step once per pair: one pass, or two for the
+    wide receiver's four values at ``m = n - 1``. A start value the walk
+    returns to is a consistent assignment, and it wins when the guesser's
+    outcome there is the parity of the other inputs. Tables are shared by
+    content within the call and kept by none across calls.
+
     Raises ``ValueError`` up front for a negative seed (``random.Random``
     seeds -s like s, so it would alias a positive seed) and when the 2n^2
     behaviors it may ask for reach 2^(WORK_BUDGET_LOG2 + 1).
@@ -754,6 +799,8 @@ def sample_game(n: int, shots: int, seed: int,
     n_bits, loop_bits = n.bit_length(), nloops.bit_length()
     full = (1 << n) - 1
     getrandbits = random.Random(seed).getrandbits
+    replay = strategy is None
+    odd_loops = _path_parity(n) if replay else None
     compiled: list = [None] * n
     behaviors: dict = {}
     jumps: dict = {}
@@ -770,7 +817,25 @@ def sample_game(n: int, shots: int, seed: int,
             loop = getrandbits(loop_bits)
         plan = compiled[m]
         if plan is None:
-            plan = compiled[m] = _compile_referee_value(n, m, deal, flips, behaviors, jumps)
+            plan = compiled[m] = (
+                _draw_plan(n, m, deal, odd_loops, behaviors) if replay
+                else _compile_referee_value(n, m, deal, flips, behaviors, jumps))
+        per_m_shots[m] += 1
+        if replay:
+            odd, drawers = plan
+            for shift, per_bit in drawers:
+                drawn = per_bit[(a_idx >> shift) & 1]
+                if drawn is not None:
+                    draws, den, bits = drawn
+                    for _ in range(draws):
+                        d = getrandbits(bits)
+                        while d >= den:
+                            d = getrandbits(bits)
+            if (odd >> loop) & 1:
+                losses += 1
+            else:
+                per_m_wins[m] += 1
+            continue
         guess, starts, per_loop = plan
         runs, drawers = per_loop[loop]
         rotated = ((a_idx << m) | (a_idx >> (n - m))) & full
@@ -791,7 +856,6 @@ def sample_game(n: int, shots: int, seed: int,
                 if r == 0:
                     xs = xss[j]
         target = (a_idx.bit_count() - bit) & 1
-        per_m_shots[m] += 1
         for c in starts:
             v0 = c
             v1 = c + 1

@@ -20,6 +20,7 @@ from acausal.game import (
     winning_behavior,
 )
 from acausal.process import UnsupportedPartyCount, build_w, loop_decomposition
+import conftest
 from conftest import behavior_ops, pairing_outcome_oracle, pairing_success_oracle, sampler_oracle
 
 F = Fraction
@@ -449,14 +450,51 @@ ORACLE_SIZES = (*range(3, 13), 16, 33, 64)
 
 @pytest.mark.parametrize(
     ("strategy", "n"),
-    [(strategy, n) for strategy in STRATEGIES for n in ORACLE_SIZES]
+    [(strategy, n) for strategy in (None, *STRATEGIES) for n in ORACLE_SIZES]
     + [(mixed_strategy, n) for n in (*range(3, 9), 16)],
-    ids=[f"{name}-{n}" for name in STRATEGY_IDS for n in ORACLE_SIZES]
+    ids=[f"{name}-{n}" for name in ("default", *STRATEGY_IDS) for n in ORACLE_SIZES]
     + [f"mixed-{n}" for n in (*range(3, 9), 16)],
 )
 def test_sampler_equals_oracle(strategy, n):
+    # the default route replays the draws and reads path parity; every
+    # strategy passed, winning_behavior included, is walked
     for seed in range(3):
         assert sample_game(n, 1500, seed, strategy) == sampler_oracle(n, 1500, seed, strategy)
+
+
+def test_default_sampler_route_compiles_and_walks_nothing(monkeypatch):
+    expected = {n: sampler_oracle(n, 500, 1) for n in (3, 4, 16)}
+
+    def refuse(*args):
+        raise AssertionError("compiled a walk")
+
+    monkeypatch.setattr(game, "_compile_referee_value", refuse)
+    monkeypatch.setattr(game, "_jump_table", refuse)
+    for n, result in expected.items():
+        assert sample_game(n, 500, 1) == result
+    result = sample_game(511, 1000, 0)
+    assert (result.wins, result.losses, sum(result.per_m_shots)) == (1000, 0, 1000)
+    with pytest.raises(AssertionError, match="^compiled a walk$"):
+        sample_game(3, 1, 0, winning_behavior)
+
+
+@pytest.mark.parametrize("n", (5, 7, 9))
+def test_default_sampler_route_counts_odd_loops_as_losses(monkeypatch, n):
+    # G^perp = {identity, flip on edge k}: the winning strategy loses every
+    # shot on the flipped loop unless the guesser is k (see
+    # test_path_parity_names_the_odd_loop)
+    identity = loop_decomposition(n)[0]
+    for k in range(n):
+        flipped = identity._replace(edge_flips=tuple(int(e == k) for e in range(n)))
+        for module in (game, conftest):
+            monkeypatch.setattr(module, "loop_decomposition",
+                                lambda _, loops=(identity, flipped): loops)
+        result = sample_game(n, 600, k)
+        assert result == sampler_oracle(n, 600, k)
+        assert result.losses > 0
+        odd_loops = game._path_parity(n)
+        lost = [shots - wins for shots, wins in zip(result.per_m_shots, result.per_m_wins)]
+        assert all(odd_loops(m, None) or not lost[m] for m in range(n))
 
 
 @pytest.mark.parametrize("n", (3, 4, 33))
@@ -673,8 +711,8 @@ def test_path_parity_names_the_odd_loop(monkeypatch, n):
         expected = tuple(F(1) if m == k else F(1, 2) for m in range(n))
         assert success_probability_exact(n).per_m == expected
         assert success_probability_exact(n, winning_behavior).per_m == expected
-        odd_loop = game._path_parity(n)
-        assert [odd_loop(m, None) for m in range(n)] == [None if m == k else 1 for m in range(n)]
+        odd_loops = game._path_parity(n)
+        assert [odd_loops(m, None) for m in range(n)] == [0 if m == k else 0b10 for m in range(n)]
 
 
 def spread_round(n, spread, outcomes):
