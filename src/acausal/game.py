@@ -8,22 +8,21 @@ by construction: :class:`LocalBehavior` is the one place that checks wires
 and normalization, and no evaluator builds an operator. Every evaluator
 reads a table set through one view, its non-zero ``(x, o, weight)``
 entries per input value, and runs on the process's uniform mixture of
-circular channels. The exact outcome distribution, and the game value of
-a caller's strategy, walk each loop party by party, carrying the weight
-of each partial path by its input value and outcomes, so an outcome
-distribution costs as much as the paths it walks, not 2^n, and is
-returned on its support. That game value contracts only the signed half
-of the win indicator, since a valid process gives the other half total
-probability one. The default strategy, the paper's, signals
-deterministically around every loop, so its value is read off the
-parity of each loop's flips on each guesser's path (:func:`_path_parity`)
-with no behavior dealt and no walk. The Monte-Carlo sampler has two
-routes. For the default strategy it replays each shot's draws and reads
-the shot's result off the same path parity. For a caller's strategy it
-compiles each loop, once per call, into jump tables over runs of parties
-and over the tables each drawing party can deal, and reads them shot by
-shot, walking all of the guesser's start values in one pass. Every route
-yields certain winning for the strategies built here, for every n >= 3.
+circular channels. One contraction, :func:`_walk`, walks each loop party
+by party, carrying the weight of each partial path by its input value
+and outcomes, so an outcome distribution costs as much as the paths it
+walks, not 2^n, and is returned on its support. It serves the exact
+outcome distribution, the game value of a caller's strategy, which
+contracts only the signed half of the win indicator since a valid
+process gives the other half total probability one, and the sampler's
+shots of a caller's strategy, each the dealt deterministic tables
+walked around the shot's loop. The default strategy, the paper's,
+signals deterministically around every loop, so its value is read off
+the parity of each loop's flips on each guesser's path
+(:func:`_path_parity`) with no behavior dealt and no walk, and the
+sampler replays each of its shots' draws and reads the result off the
+same path parity. Every route yields certain winning for the strategies
+built here, for every n >= 3.
 
 In the winning strategy a party's tables depend only on its class (its
 wire widths, the bits its output and input factors read, and whether it
@@ -43,7 +42,7 @@ from bisect import bisect
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from math import prod
 from typing import Callable, NamedTuple, Sequence
 
@@ -578,140 +577,24 @@ class SampleResult(NamedTuple):
         }
 
 
-_RUN_LENGTH = 4
-"""Most parties one jump table of :func:`sample_game` composes: a run of L
-parties has ``2**L`` entries per loop, one per value of their input bits."""
+def _deal_form(behavior: LocalBehavior) -> tuple:
+    """Sampling form of a behavior: ``(table, draws, den, bits)``.
 
-
-def _compile_behavior(behavior: LocalBehavior) -> tuple:
-    """Sampling form of a behavior: ``(digits, den, bits, xss, oss)``.
-
-    ``xss[j]`` and ``oss[j]`` give, by input value, the outcomes and the
-    outputs of the j-th deterministic table the behavior can deal: every
-    combination of the choices of :meth:`LocalBehavior.outcome_lookup`,
-    the first input value's choice most significant. ``digits`` lists, for
-    each input value with several choices, ``(radix, cum)``: the number of
-    choices and their cumulative weights over ``den``. A draw ``r`` below
-    ``den``, read off ``getrandbits(bits)`` with ``bits =
-    den.bit_length()``, picks choice ``bisect(cum, r)``, and the picks,
-    read as mixed-radix digits, index the table dealt. A behavior with one
-    choice at every input value has no ``digits`` and one table.
+    ``table`` is, by input value, a deterministic table in the entry form
+    :func:`_walk` reads, ``[(x, o, 1)]``: the behavior's one choice, or
+    its first where it has several. ``draws`` lists, for each input value
+    v with several choices, ``(v, cum, dealt)``: the cumulative weights of
+    the choices of :meth:`LocalBehavior.outcome_lookup` over ``den``, and
+    each choice's entry. A draw ``r`` below ``den``, read off
+    ``getrandbits(bits)`` with ``bits = den.bit_length()``, deals
+    ``dealt[bisect(cum, r)]`` at v.
     """
     lookup, log2den = behavior.outcome_lookup()
-    digits = tuple((len(choices), list(accumulate(num for _, _, num in choices)))
-                   for choices in lookup if len(choices) > 1)
-    dealt = list(product(*lookup))
-    xss = [tuple(x for x, _, _ in table) for table in dealt]
-    oss = [tuple(o for _, o, _ in table) for table in dealt]
+    dealt = [[[(x, o, 1)] for x, o, _ in choices] for choices in lookup]
+    draws = [(v, list(accumulate(p for _, _, p in choices)), dealt[v])
+             for v, choices in enumerate(lookup) if len(choices) > 1]
     den = 1 << log2den
-    return digits, den, den.bit_length(), xss, oss
-
-
-def _jump_table(steps: tuple[tuple[tuple[int, ...], ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Composed steps of a run of parties, keyed by their input bits.
-
-    ``steps[j][a]`` maps the run's j-th party's input value to the next
-    party's for input bit a. Entry ``key`` of the result maps the first
-    party's input value to the input value after the run, each party's
-    bit read from ``key``, the first party's most significant."""
-    size = len(steps)
-    table = []
-    for key in range(1 << size):
-        chosen = [pair[(key >> (size - 1 - j)) & 1] for j, pair in enumerate(steps)]
-        composed = []
-        for start in range(len(chosen[0])):
-            v = start
-            for step in chosen:
-                v = step[v]
-            composed.append(v)
-        table.append(tuple(composed))
-    return tuple(table)
-
-
-def _compile_referee_value(n: int, m: int, deal: Callable[[int, int, int], LocalBehavior],
-                           flips: Sequence[tuple[int, ...]],
-                           behaviors: dict, jumps: dict) -> tuple:
-    """Referee value m compiled for the shot loop of :func:`sample_game`.
-
-    Position k is party ``(m + k) % n``: a consistent assignment is a
-    fixed point of the walk around the loop read at any party, so walks
-    start at the guesser's input. With the packed inputs rotated left by
-    m, position k's bit sits at shift ``n - 1 - k``. Consecutive positions
-    at which neither input bit draws form runs of at most ``_RUN_LENGTH``;
-    every other position is a run of its own.
-
-    Returns ``(guess, starts, per_loop)``. ``guess[a]`` is the guesser's
-    outcome by input value, for input bit a, or None where that bit draws.
-    ``starts`` is ``range(0, 2**w, 2)`` for the guesser's input width w:
-    the first of each pair of start values a shot walks as two lanes.
-    ``per_loop[loop]`` is ``(runs, drawers)``. ``runs`` lists, in position
-    order, ``(shift, mask, table)``: the run's bits are ``(rotated >>
-    shift) & mask`` and ``table`` maps them to the run's composed step,
-    the loop's edge flips folded in. A drawing party's run has a table of
-    its own for this m and loop, a two-slot list by input bit: a bit that
-    does not draw holds its fixed step, a bit that draws None until a
-    shot writes the step it deals. ``drawers`` lists, in party order,
-    ``(r, shift, slots, per_bit)`` for the drawing party at run r, with
-    ``slots`` that run's table. ``per_bit[a]`` is None where bit a does
-    not draw, and otherwise ``(digits, den, bits, steps, xss)``: the draws
-    of :func:`_compile_behavior` and, per dealt table, its step and
-    outcomes.
-
-    ``deal`` is the calling sample's :func:`_dealer`. ``behaviors`` and
-    ``jumps`` are its memos, keyed by content: a behavior's tables,
-    denominator and party (the dealer puts it on the party's layout, so
-    the party stands for it), and a run's steps. Each outcome lookup runs
-    on the first sight of its content.
-    """
-    order = [(m + k) % n for k in range(n)]
-    dealt = [None] * n
-    for i in range(n):
-        per_bit = []
-        for a in (0, 1):
-            behavior = deal(m, i, a)
-            key = (behavior.tables, behavior.log2den, i)
-            if key not in behaviors:
-                behaviors[key] = _compile_behavior(behavior)
-            per_bit.append(behaviors[key])
-        dealt[(i - m) % n] = per_bit
-    spans = []  # [first position, length, draws]
-    for k, per_bit in enumerate(dealt):
-        draws = any(digits for digits, *_ in per_bit)
-        if draws or not spans or spans[-1][2] or spans[-1][1] == _RUN_LENGTH:
-            spans.append([k, 1, draws])
-        else:
-            spans[-1][1] += 1
-    drawing = sorted((order[k], r) for r, (k, _, draws) in enumerate(spans) if draws)
-    per_loop = []
-    for edge in flips:
-        runs = []
-        for k, size, draws in spans:
-            steps = tuple(
-                tuple(None if digits else tuple(o ^ edge[order[j]] for o in oss[0])
-                      for digits, _, _, _, oss in dealt[j])
-                for j in range(k, k + size)
-            )
-            if draws:
-                table = list(steps[0])
-            elif steps in jumps:
-                table = jumps[steps]
-            else:
-                table = jumps[steps] = _jump_table(steps)
-            runs.append((n - k - size, (1 << size) - 1, table))
-        drawers = []
-        for i, r in drawing:
-            flip = edge[i]
-            per_bit = tuple(
-                (digits, den, bits, [tuple(o ^ flip for o in os) for os in oss], xss)
-                if digits else None
-                for digits, den, bits, xss, oss in dealt[spans[r][0]]
-            )
-            shift, _, slots = runs[r]
-            drawers.append((r, shift, slots, per_bit))
-        per_loop.append((runs, drawers))
-    guess = [None if digits else xss[0] for digits, _, _, xss, _ in dealt[0]]
-    starts = range(0, 1 << _widths(n, m)[1], 2)
-    return guess, starts, per_loop
+    return [entries[0] for entries in dealt], draws, den, den.bit_length()
 
 
 def _draw_plan(n: int, m: int, deal: Callable[[int, int, int], LocalBehavior],
@@ -722,8 +605,8 @@ def _draw_plan(n: int, m: int, deal: Callable[[int, int, int], LocalBehavior],
     ``odd`` is :func:`_path_parity`'s answer for m: a shot on loop k loses
     iff bit k is set. ``drawers`` lists each drawing party, in party
     order, as ``(shift, per_bit)``: its input bit is ``(a_idx >> shift) &
-    1``, and ``per_bit[a]`` is ``(draws, den, bits)`` from
-    :func:`_compile_behavior`, or None where bit a does not draw. Only
+    1``, and ``per_bit[a]`` is ``(draws, den, bits)``, the draw count
+    and bound of :func:`_deal_form`, or None where bit a does not draw. Only
     even n draws: the wide sender's don't-care output bit, and at m = n -
     2 the wide receiver's outcome. ``behaviors`` is the calling sample's
     memo by behavior; its dealer deals each behavior once per class.
@@ -734,8 +617,8 @@ def _draw_plan(n: int, m: int, deal: Callable[[int, int, int], LocalBehavior],
         for a in (0, 1):
             behavior = deal(m, i, a)
             if behavior not in behaviors:
-                digits, den, bits, _, _ = _compile_behavior(behavior)
-                behaviors[behavior] = (len(digits), den, bits) if digits else None
+                _, draws, den, bits = _deal_form(behavior)
+                behaviors[behavior] = (len(draws), den, bits) if draws else None
             per_bit.append(behaviors[behavior])
         if per_bit != [None, None]:
             drawers.append((n - 1 - i, tuple(per_bit)))
@@ -766,44 +649,37 @@ def sample_game(n: int, shots: int, seed: int,
 
     A caller's strategy, :func:`winning_behavior` passed explicitly
     included, is walked; the tests hold the two routes equal. The first
-    shot that draws a given m compiles it (:func:`_compile_referee_value`),
-    asking the strategy for both input bits of every party, so a behavior
+    shot that draws a given m asks the strategy for both input bits of
+    every party and keeps each behavior's :func:`_deal_form`, so a behavior
     on the wrong wires (``LayoutError``), or a strategy that builds a
     malformed one (the :class:`LocalBehavior` constructor's
-    ``ValueError``), raises on that shot, whichever bits it draws.
-    Compiling cuts the walk around each loop into jump tables: runs of up
-    to four consecutive parties that never draw become one table per loop,
-    which maps the run's input bits to its composed step, and every
-    drawing party gets the precompiled step and outcomes of each table it
-    can deal. A shot maps each draw to its choice by bisection, so its
-    cost does not grow with the behaviors' denominators, and writes the
-    dealt step into its run's slot for the drawn input bit. It then walks
-    the guesser's start values in pairs, two lanes from ``c`` and ``c +
-    1``, reading each run's step once per pair: one pass, or two for the
-    wide receiver's four values at ``m = n - 1``. A start value the walk
-    returns to is a consistent assignment, and it wins when the guesser's
-    outcome there is the parity of the other inputs. Tables are shared by
-    content within the call and kept by none across calls.
+    ``ValueError``), raises on that shot, whichever bits it draws. A shot
+    deals each party its table, a draw finding its choice by bisection
+    over the cumulative weights, and contracts the dealt tables around its
+    loop with :func:`_walk`, the one loop contraction of this module. Each
+    outcome string it returns weighs as many consistent assignments as
+    give it, and they win when the guesser's outcome there is the parity
+    of the other inputs. Nothing is kept across calls.
 
     Raises ``ValueError`` up front for a negative seed (``random.Random``
-    seeds -s like s, so it would alias a positive seed) and when the 2n^2
-    behaviors it may ask for reach 2^(WORK_BUDGET_LOG2 + 1).
+    seeds -s like s, so it would alias a positive seed), for 2^19 or more
+    shots, and when the 2n^2 behaviors it may ask for reach
+    2^(WORK_BUDGET_LOG2 + 1).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    refuse_over_budget("sample", n, shots, "shots")
     deal = _dealer(n, strategy)
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     nloops = len(flips)
     n_bits, loop_bits = n.bit_length(), nloops.bit_length()
-    full = (1 << n) - 1
     getrandbits = random.Random(seed).getrandbits
     replay = strategy is None
     odd_loops = _path_parity(n) if replay else None
-    compiled: list = [None] * n
+    plans: list = [None] * n
     behaviors: dict = {}
-    jumps: dict = {}
     losses = 0
     per_m_wins = [0] * n
     per_m_shots = [0] * n
@@ -815,11 +691,11 @@ def sample_game(n: int, shots: int, seed: int,
         loop = getrandbits(loop_bits)
         while loop >= nloops:
             loop = getrandbits(loop_bits)
-        plan = compiled[m]
+        plan = plans[m]
         if plan is None:
-            plan = compiled[m] = (
+            plan = plans[m] = (
                 _draw_plan(n, m, deal, odd_loops, behaviors) if replay
-                else _compile_referee_value(n, m, deal, flips, behaviors, jumps))
+                else [[_deal_form(deal(m, i, a)) for a in (0, 1)] for i in range(n)])
         per_m_shots[m] += 1
         if replay:
             odd, drawers = plan
@@ -836,43 +712,24 @@ def sample_game(n: int, shots: int, seed: int,
             else:
                 per_m_wins[m] += 1
             continue
-        guess, starts, per_loop = plan
-        runs, drawers = per_loop[loop]
-        rotated = ((a_idx << m) | (a_idx >> (n - m))) & full
-        bit = rotated >> (n - 1)
-        xs = guess[bit]
-        for r, shift, slots, per_bit in drawers:
-            a = (rotated >> shift) & 1
-            drawn = per_bit[a]
-            if drawn is not None:
-                digits, den, bits, steps, xss = drawn
-                j = 0
-                for radix, cum in digits:
+        tables = []
+        for i, per_bit in enumerate(plan):
+            table, draws, den, bits = per_bit[(a_idx >> (n - 1 - i)) & 1]
+            if draws:
+                table = table.copy()
+                for v, cum, dealt in draws:
                     d = getrandbits(bits)
                     while d >= den:
                         d = getrandbits(bits)
-                    j = j * radix + bisect(cum, d)
-                slots[a] = steps[j]
-                if r == 0:
-                    xs = xss[j]
-        target = (a_idx.bit_count() - bit) & 1
-        for c in starts:
-            v0 = c
-            v1 = c + 1
-            for shift, mask, table in runs:
-                step = table[(rotated >> shift) & mask]
-                v0 = step[v0]
-                v1 = step[v1]
-            if v0 == c:
-                if xs[v0] == target:
-                    per_m_wins[m] += 1
-                else:
-                    losses += 1
-            if v1 == c + 1:
-                if xs[v1] == target:
-                    per_m_wins[m] += 1
-                else:
-                    losses += 1
+                    table[v] = dealt[bisect(cum, d)]
+            tables.append(table)
+        shift = n - 1 - m
+        target = (a_idx.bit_count() - ((a_idx >> shift) & 1)) & 1
+        for packed, count in _walk(tables, flips[loop]).items():
+            if (packed >> shift) & 1 == target:
+                per_m_wins[m] += count
+            else:
+                losses += count
     return SampleResult(
         n=n,
         shots=shots,

@@ -13,8 +13,9 @@ uses. The protocol enumeration lists every first party and order rule at
 n = 2, 3, independently of the per-key optimum ``brute_force_causal``
 takes, and the recursive-model oracle searches a wider class of causal
 strategies than the package models. The sampler oracle asks the strategy
-for every party's behavior on every shot and walks each loop from party 0,
-independently of the per-m compilation ``sample_game`` does. The dense
+for every party's behavior on every shot, draws through ``randrange`` and
+walks each loop from party 0 inline, independently of the per-m plans and
+the shared ``_walk`` that ``sample_game`` uses. The dense
 CSV oracle formats every row with its own f-string, independently of the
 1,000-row templates ``dense_csv`` fills.
 """

@@ -272,6 +272,15 @@ def test_sample_runs_below_the_budget(capsys):
     assert json.loads(out)["wins"] == 1
 
 
+@pytest.mark.parametrize("shots", (1 << 19, 10**12))
+def test_sample_refuses_shots_over_the_budget(capsys, shots):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sample", "--n", "3", "--shots", str(shots))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: sample refused: n=3 needs {shots} shots") and err.count("\n") == 1
+    assert time.perf_counter() - start < 1.0
+
+
 def exit_code_and_streams(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

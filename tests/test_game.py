@@ -468,8 +468,7 @@ def test_default_sampler_route_compiles_and_walks_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("compiled a walk")
 
-    monkeypatch.setattr(game, "_compile_referee_value", refuse)
-    monkeypatch.setattr(game, "_jump_table", refuse)
+    monkeypatch.setattr(game, "_walk", refuse)
     for n, result in expected.items():
         assert sample_game(n, 500, 1) == result
     result = sample_game(511, 1000, 0)
@@ -519,6 +518,15 @@ def test_sampler_calls_no_randrange(monkeypatch):
         assert sample_game(n, 500, 3, strategy) == result
 
 
+@pytest.mark.parametrize("n", (3, 16))
+def test_sampler_refuses_shots_over_the_budget(n):
+    start = time.perf_counter()
+    for shots in (1 << 19, 10**12):
+        with pytest.raises(ValueError, match=f"^sample refused: n={n} needs {shots} shots"):
+            sample_game(n, shots, 0)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("seed", (-1, -5, -(1 << 70)))
 def test_sampler_refuses_a_negative_seed(seed):
     with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
@@ -545,7 +553,7 @@ def test_mixed_strategy_is_not_certain(n):
 
 def test_sampler_raises_on_first_shot_of_a_malformed_m():
     # party 0's behavior for one input bit has a negative weight; the only
-    # shot deals party 0 the other bit, so only the per-m compilation sees it
+    # shot deals party 0 the other bit, so only the per-m deal of both bits sees it
     n, seed = 3, 0
     rng = random.Random(seed)
     rng.randrange(n)
@@ -756,8 +764,8 @@ def split_strategy(n, m, i, a_i):
 
 @pytest.mark.parametrize("n", (3, 4, 5, 6, 16))
 def test_sampler_with_one_drawing_bit_equals_oracle(n):
-    # a party drawing at input bit 0 only: the walk must keep bit 1's fixed
-    # step in the drawing run's other slot
+    # a party drawing at input bit 0 only: a shot that deals it bit 1 must
+    # walk bit 1's fixed table
     for seed in range(3):
         assert sample_game(n, 1500, seed, split_strategy) == sampler_oracle(n, 1500, seed, split_strategy)
 
