@@ -19,11 +19,14 @@ representations, every equality test is exact, and no floating point
 enters the core. Only this module knows the format; ``Fraction`` values
 appear at its boundary (constructor, ``terms``, ``to_dense``).
 
-One GF(2) elimination, :func:`gf2_echelon`, serves the package: it gives
-``process`` its kernels, and the dense side (:func:`is_nonnegative`,
-:func:`to_dense`, :func:`dense_csv`) the coordinates in which an operator
-whose masks span rank r has only ``2**r`` distinct dense entries. That is
-the one route from parity form to dense entries; only the inverse,
+One GF(2) elimination, :func:`gf2_echelon`, serves the package. It
+reduces only each incoming vector, so it reads every stored row at most
+once per insertion, and each caller derives what more it needs: ``process``
+reads its kernels off by back-substitution, and the dense side
+(:func:`is_nonnegative`, :func:`to_dense`, :func:`dense_csv`) reduces its
+own copy of the at most ``rank`` rows to get the coordinates in which an
+operator whose masks span rank r has only ``2**r`` distinct dense entries.
+That is the one route from parity form to dense entries; only the inverse,
 :func:`from_dense`, transforms the ``2**width`` entries it is given.
 
 The algebra is what the package uses: entrywise products, partial
@@ -421,26 +424,18 @@ def from_dense(layout: WireLayout, values: Sequence[Fraction | int]) -> DiagOper
 
 
 def gf2_echelon(vectors: Iterable[int]) -> dict[int, int]:
-    """Reduced echelon basis of the GF(2) span of bit vectors: each row
-    keyed by its pivot, its highest set bit, and every pivot set in its own
-    row only. The number of rows is the rank."""
+    """Echelon basis of the GF(2) span of bit vectors: each row keyed by
+    its pivot, its highest set bit. Only the incoming vector is reduced, by
+    the rows whose pivots it holds, so a row may hold lower pivots; no
+    stored row is touched again. The number of rows is the rank."""
     rows: dict[int, int] = {}
     for v in vectors:
         while v:
             p = v.bit_length() - 1
             if p not in rows:
+                rows[p] = v
                 break
             v ^= rows[p]
-        if v:
-            # v is new: clear the lower pivots from it, then its pivot p
-            # from the rows above.
-            for q, r in rows.items():
-                if v >> q & 1:
-                    v ^= r
-            for q, r in list(rows.items()):
-                if r >> p & 1:
-                    rows[q] = r ^ v
-            rows[p] = v
     return rows
 
 
@@ -453,16 +448,22 @@ def _rank_transform(a: DiagOperator, rows: dict[int, int] | None = None
     such functional occurs. The bits at the pivots of :func:`gf2_echelon`
     map that span linearly and bijectively onto GF(2)**rank, so ``vals``,
     the Walsh transform of the coefficients in those coordinates, lists
-    every dense entry, as numerators over ``2**a.log2den``. The rows being
-    reduced, row j is the span element at the j-th unit vector, and the
-    entry at ``x`` is ``vals[y]`` with ``y_j = parity(row_j & x)``: the XOR
-    of ``cols[b]``, the coordinates whose rows hold layout bit b, over the
-    set bits b of ``x``. ``rows``, when given, is ``gf2_echelon(a.nums)``
-    already computed by the caller.
+    every dense entry, as numerators over ``2**a.log2den``. A copy of the
+    rows is reduced here, each pivot cleared from the rows above it, so
+    row j is the span element at the j-th unit vector, and the entry at
+    ``x`` is ``vals[y]`` with ``y_j = parity(row_j & x)``: the XOR of
+    ``cols[b]``, the coordinates whose rows hold layout bit b, over the set
+    bits b of ``x``. ``rows``, when given, is ``gf2_echelon(a.nums)``
+    already computed by the caller, and is left as given.
     """
     if rows is None:
         rows = gf2_echelon(a.nums)
     pivots = sorted(rows)
+    rows = dict(rows)
+    for j, p in enumerate(pivots):
+        for q in pivots[j + 1:]:
+            if rows[q] >> p & 1:
+                rows[q] ^= rows[p]
     vals = [0] * (1 << len(pivots))
     for mask, v in a.nums.items():
         vals[sum(((mask >> p) & 1) << j for j, p in enumerate(pivots))] = v

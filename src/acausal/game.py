@@ -260,19 +260,29 @@ def wide_code(n: int, m: int) -> str:
         raise ValueError(f"wide_code needs an even n >= 4, got {n}")
     if not 0 <= m < n:
         raise ValueError(f"m must lie in 0..{n - 1}, got {m}")
+    return _choose_code(n, m, _path_parity(n))
+
+
+def _choose_code(n: int, m: int, odd_loops: Callable[[int, int | None], int]) -> str:
+    """:func:`wide_code` for an even n, checked against ``odd_loops``, the
+    :func:`_path_parity` of n, so a caller holding it sums no loop again."""
     if m == n - 2:
         return "ignore"
-    odd_loops = _path_parity(n)
     for code in ("first", "second", "both"):
         if not odd_loops(m, _CODE_MASKS[code]):
             return code
     raise AssertionError(f"no consistent wide-register code for n={n}, m={m}")
 
 
-def _wide_mask(n: int, m: int) -> int | None:
+def _wide_mask(n: int, m: int, odd_loops: Callable[[int, int | None], int] | None = None
+               ) -> int | None:
     """The bits of the wide register that :func:`wide_code` reads for
-    referee value m, or None at odd n and where the code ignores it."""
-    return _CODE_MASKS.get(wide_code(n, m)) if n % 2 == 0 else None
+    referee value m, or None at odd n and where the code ignores it; chosen
+    with ``odd_loops`` when it is given, by the cached ``wide_code``
+    otherwise."""
+    if n % 2:
+        return None
+    return _CODE_MASKS.get(wide_code(n, m) if odd_loops is None else _choose_code(n, m, odd_loops))
 
 
 def _winning_class(n: int, m: int, i: int) -> tuple[int, int, int | None, int | None, bool]:
@@ -466,8 +476,10 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     mixture over a GF(2) subspace, on which the parity is linear, so
     ``per_m`` is 1 when no loop is odd and exactly 1/2 otherwise; it is 1
     at every m for every n >= 3. That route deals no behavior and walks
-    nothing: given each m's :func:`wide_code`, it takes O(n · loops)
-    steps, so it answers up to the loop decomposition's budget, n = 725.
+    nothing: it sums the loops' flips once and picks each m's
+    :func:`wide_code` from that one sum, so it takes O(n · loops) steps and
+    answers up to the loop decomposition's budget, n = 5759 at odd n and
+    n = 4694 at even n.
 
     A caller's strategy is walked. The win indicator ``[x_m = t]``, with
     ``t`` the parity of the other inputs, is ``(1 + (-1)^x_m * prod_{i !=
@@ -496,8 +508,8 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     if strategy is None:
         _check_game_size(n)
         odd_loops = _path_parity(n)
-        per_m = tuple(Fraction(1) if odd_loops(m, _wide_mask(n, m)) == 0 else Fraction(1, 2)
-                      for m in range(n))
+        per_m = tuple(Fraction(1) if odd_loops(m, _wide_mask(n, m, odd_loops)) == 0
+                      else Fraction(1, 2) for m in range(n))
         return GameResult(n=n, per_m=per_m, p_succ=sum(per_m) / n)
     deal = _dealer(n, strategy)
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
@@ -663,14 +675,19 @@ def sample_game(n: int, shots: int, seed: int,
 
     Raises ``ValueError`` up front for a negative seed (``random.Random``
     seeds -s like s, so it would alias a positive seed), for 2^19 or more
-    shots, and when the 2n^2 behaviors it may ask for reach
+    shots of the default strategy, or ``shots * n`` walked party steps of a
+    caller's, and when the 2n^2 behaviors it may ask for reach
     2^(WORK_BUDGET_LOG2 + 1).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    refuse_over_budget("sample", n, shots, "shots")
+    if strategy is None:
+        refuse_over_budget("sample", n, shots, "shots")
+    else:
+        _check_game_size(n)
+        refuse_over_budget("sample", n, shots * n, "walked party steps")
     deal = _dealer(n, strategy)
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     nloops = len(flips)

@@ -302,7 +302,7 @@ SAMPLE_COUNT = 1000
 # validate_process refuses files needing 2**(WORK_BUDGET_LOG2 + 1) or more
 # table tuples, drawn table entries or nonnegativity entries, and the
 # process operator, conditional_distribution, loop_decomposition, the game
-# and the causal witness refuse as many terms, products, row operations or
+# and the causal witness refuse as many terms, products, row words or
 # entries.
 WORK_BUDGET_LOG2 = 18
 
@@ -605,14 +605,21 @@ class LoopChannel(NamedTuple):
 
 
 def _gf2_kernel(vectors: Iterable[int], width: int) -> list[int]:
-    """All d with even-parity overlap against every vector, as bit masks."""
+    """All d with even-parity overlap against every vector, as bit masks.
+
+    Each bit below ``width`` that is no pivot of :func:`gf2_echelon` is
+    free and gives one basis vector d by back-substitution: d starts as
+    the free bit alone, and row p holds no bit above its pivot, so going
+    through the pivots in ascending order, bit p is set iff d meets row p
+    oddly."""
     rows = gf2_echelon(vectors)
+    pivots = sorted(rows)
     free = [b for b in range(width) if b not in rows]
     basis = []
     for f in free:
         d = 1 << f
-        for p, r in rows.items():
-            if (r >> f) & 1:
+        for p in pivots:
+            if (rows[p] & d).bit_count() & 1:
                 d |= 1 << p
         basis.append(d)
     return sorted(_span(basis))
@@ -628,12 +635,27 @@ def loop_decomposition(n: int) -> tuple[LoopChannel, ...]:
     every input-side mask of the generator group, that is, to its n - 1
     generators, which :func:`_place` puts on the inputs unchanged. Odd n
     yields two loops (identity and all-edges-flip), even n yields four.
-    No term of ``build_w(n)`` is built. The elimination of the n - 1
-    generators costs (n - 1)^2 row operations, refused with ``ValueError``
-    before any is done once they reach the work budget, from n = 726.
+    No term of ``build_w(n)`` is built. The elimination reads the 64-bit
+    words of the n - 1 generator rows, of up to n + 1 bits each, once to
+    insert them and once more per free bit (one at odd n, two at even n)
+    to back-substitute; that count is decided from n before any row is
+    built and refused with ``ValueError`` once it reaches the work budget:
+    n <= 5759 at odd n and n <= 4694 at even n answer, and n = 4696 is the
+    first refused.
     """
     _check_party_count(n)
-    refuse_over_budget("loop decomposition", n, (n - 1) ** 2, "row operations")
+    # Generator k has k + 1 bits (k = 1..n-1) at odd n; at even n the
+    # lifted ones have k + 3 (k = 1..n-2) and the last n + 1. words(L)
+    # sums ceil(j / 64) over j = 1..L.
+    def words(length: int) -> int:
+        q, r = divmod(length, 64)
+        return (q + 1) * (32 * q + r)
+
+    if n % 2:
+        reads = 2 * (words(n) - 1)
+    else:
+        reads = 3 * (words(n + 1) - 3 + -(-(n + 1) // 64))
+    refuse_over_budget("loop decomposition", n, reads, "64-bit row words read")
     sub = game_layout(n).restrict(f"I{k}" for k in range(n))
     flips = _gf2_kernel(_generators(n), sub.width)
     weight = Fraction(1, len(flips))

@@ -17,7 +17,11 @@ for every party's behavior on every shot, draws through ``randrange`` and
 walks each loop from party 0 inline, independently of the per-m plans and
 the shared ``_walk`` that ``sample_game`` uses. The dense
 CSV oracle formats every row with its own f-string, independently of the
-1,000-row templates ``dense_csv`` fills.
+1,000-row templates ``dense_csv`` fills. The GF(2) oracles keep their
+echelon basis reduced on every insertion and read kernels and dense
+coordinates straight off those rows, independently of the unreduced
+elimination, the back-substitution and the local reduction the package
+uses.
 """
 
 from __future__ import annotations
@@ -449,3 +453,59 @@ def all_subgroups(masks) -> set[frozenset[int]]:
                     seen.add(bigger)
                     frontier.append(bigger)
     return seen
+
+
+def reduced_echelon_oracle(vectors) -> dict[int, int]:
+    """Reduced echelon basis of the GF(2) span of bit vectors: each row
+    keyed by its pivot, its highest set bit, and every pivot set in its
+    own row only. The reduced form is unique, so two vector sets span the
+    same space iff their oracle rows are equal."""
+    rows: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            p = v.bit_length() - 1
+            if p not in rows:
+                break
+            v ^= rows[p]
+        if v:
+            # v is new: clear the lower pivots from it, then its pivot p
+            # from the rows above.
+            for q, r in rows.items():
+                if v >> q & 1:
+                    v ^= r
+            for q, r in list(rows.items()):
+                if r >> p & 1:
+                    rows[q] = r ^ v
+            rows[p] = v
+    return rows
+
+
+def reduced_kernel_oracle(vectors, width: int) -> list[int]:
+    """Every d below ``2**width`` with even-parity overlap against each
+    vector, ascending: each free bit f of the reduced rows, plus the
+    pivots whose rows hold f, spans them."""
+    rows = reduced_echelon_oracle(vectors)
+    span = [0]
+    for f in range(width):
+        if f not in rows:
+            d = (1 << f) | sum(1 << p for p, r in rows.items() if r >> f & 1)
+            span += [s ^ d for s in span]
+    return sorted(span)
+
+
+def rank_transform_oracle(op: DiagOperator) -> tuple[list[int], list[int]]:
+    """``_rank_transform(op)`` read off the reduced rows: the masks in
+    pivot coordinates, each distinct entry summed term by term with the
+    sign rule, and the coordinates whose rows hold each layout bit."""
+    rows = reduced_echelon_oracle(op.nums)
+    pivots = sorted(rows)
+
+    def coordinates(mask: int) -> int:
+        return sum((mask >> p & 1) << j for j, p in enumerate(pivots))
+
+    coeffs = [(coordinates(mask), v) for mask, v in op.nums.items()]
+    vals = [sum(-v if (c & y).bit_count() & 1 else v for c, v in coeffs)
+            for y in range(1 << len(pivots))]
+    cols = [sum((rows[p] >> b & 1) << j for j, p in enumerate(pivots))
+            for b in range(op.layout.width)]
+    return vals, cols

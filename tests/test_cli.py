@@ -219,22 +219,33 @@ def _refuse_terms(self):
     raise AssertionError("built the process terms")
 
 
-@pytest.mark.parametrize("n", (20, 40, 511, 725, 726, 727))
+def loops_answer(n: int) -> bool:
+    """Whether the loop elimination's row words stay under the budget:
+    up to n = 5759 at odd n and n = 4694 at even n."""
+    return n <= (5759 if n % 2 else 4694)
+
+
+# the first refused n of each parity and the 64-bit row words it would read
+LOOP_REFUSALS = {4696: 524355, 5761: 524340}
+
+
+@pytest.mark.parametrize("n", (20, 40, 511, 725, 726, 727, 4694, 4696, 5759, 5761))
 def test_play_refuses_a_round_over_the_budget(monkeypatch, capsys, n):
     # A round runs on the loops alone: W's term budget (n >= 20) does not
-    # bound it, the loop elimination's (n - 1)^2 row operations do, from
-    # n = 726.
+    # bound it, the 64-bit row words the loop elimination reads do, from
+    # n = 4696 at even n and n = 5761 at odd n.
     monkeypatch.setattr(ProcessMatrix, "operator", property(_refuse_terms))
     start = time.perf_counter()
     inputs = ",".join("01"[i & 1] for i in range(n))
     code, out, err = run(capsys, "play", "--n", str(n), "--m", "0", "--inputs", inputs)
-    if n <= 725:
+    if loops_answer(n):
         assert (code, err) == (0, "")
         assert out.count("x=") == (2 if n % 2 else 4)
     else:
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: loop decomposition refused: n={n} needs {(n - 1) ** 2} row operations")
+        assert err.startswith(f"error: loop decomposition refused: n={n} needs "
+                              f"{LOOP_REFUSALS[n]} 64-bit row words read")
         assert err.count("\n") == 1 and "Traceback" not in err
     assert time.perf_counter() - start < 1.0
 
@@ -246,11 +257,11 @@ def test_play_round_refuses_a_party_count_below_two(capsys, n):
     assert out == ""
     assert err == f"error: party count must be >= 2, got {n}\n"
 
-@pytest.mark.parametrize("argv", (("play", "--n", "726"),
+@pytest.mark.parametrize("argv", (("play", "--n", "4696"),
                                   ("sample", "--n", "512", "--shots", "1")))
 def test_game_refuses_behaviors_over_the_budget(capsys, argv):
     # play's default value deals no behavior: its first refusal is the
-    # loop decomposition's, from n = 726; the sampler's is the dealer's
+    # loop decomposition's, from n = 4696; the sampler's is the dealer's
     refusal = {"play": "loop decomposition", "sample": "game"}[argv[0]]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -297,7 +308,7 @@ def exit_code_and_streams(argv):
     return code
 
 
-GAME_SIZES = st.integers(-3, 10) | st.sampled_from((19, 40, 512, 725, 726, 2048))
+GAME_SIZES = st.integers(-3, 10) | st.sampled_from((19, 40, 512, 2048, 4694, 4696, 5759, 5761))
 INPUT_TOKENS = st.sampled_from(("0", "1", "2", "-1", "x", ""))
 
 
@@ -309,11 +320,11 @@ INPUT_TOKENS = st.sampled_from(("0", "1", "2", "-1", "x", ""))
 # rarely draw one at these sizes.
 @example(n=40, m=3, tokens=[], as_json=False, full=0b1011)
 @example(n=512, m=11, tokens=[], as_json=True, full=(1 << 512) - 1)
-@example(n=725, m=0, tokens=[], as_json=False, full=12345)
-@example(n=726, m=0, tokens=[], as_json=True, full=0)
+@example(n=4694, m=0, tokens=[], as_json=False, full=12345)
+@example(n=4696, m=0, tokens=[], as_json=True, full=0)
 # Full games on both sides of the loop decomposition's budget.
-@example(n=725, m=None, tokens=None, as_json=True, full=None)
-@example(n=726, m=None, tokens=None, as_json=False, full=None)
+@example(n=5759, m=None, tokens=None, as_json=True, full=None)
+@example(n=5761, m=None, tokens=None, as_json=False, full=None)
 def test_play_exit_codes(n, m, tokens, as_json, full):
     # full: the round's input bits, read from the integer over all n parties
     if tokens is not None and n > 0 and full is not None:
@@ -328,7 +339,7 @@ def test_play_exit_codes(n, m, tokens, as_json, full):
     round_given = m is not None and tokens is not None
     well_formed = (
         (m is None) == (tokens is None)
-        and 3 <= n <= 725
+        and 3 <= n and loops_answer(n)
         and (not round_given
              or (0 <= m < n and len(tokens) == n and all(t in ("0", "1") for t in tokens)))
     )

@@ -527,6 +527,16 @@ def test_sampler_refuses_shots_over_the_budget(n):
     assert time.perf_counter() - start < 1.0
 
 
+def test_sampler_refuses_walked_party_steps_of_a_caller_strategy(built_behaviors):
+    # a caller's shot walks every party: 3000 shots at n = 511 are
+    # 1,533,000 steps, refused before any behavior is dealt
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^sample refused: n=511 needs 1533000 walked party steps"):
+        sample_game(511, 3000, 0, winning_behavior)
+    assert time.perf_counter() - start < 1.0
+    assert built_behaviors == []
+
+
 @pytest.mark.parametrize("seed", (-1, -5, -(1 << 70)))
 def test_sampler_refuses_a_negative_seed(seed):
     with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
@@ -704,6 +714,18 @@ def test_default_value_deals_and_walks_nothing(monkeypatch, built_behaviors, n):
     result = success_probability_exact(n)
     assert result.per_m == (F(1),) * n and result.p_succ == 1
     assert built_behaviors == [] and walks == []
+
+
+@pytest.mark.parametrize("n", (4, 10, 64))
+def test_default_value_sums_the_loops_once(monkeypatch, n):
+    # each m's wide code is picked from the game value's own path parity,
+    # not from a cold wide_code that would sum the loops again
+    built = []
+    path_parity = game._path_parity
+    monkeypatch.setattr(game, "_path_parity", lambda n: built.append(n) or path_parity(n))
+    wide_code.cache_clear()
+    assert success_probability_exact(n).p_succ == 1
+    assert built == [n]
 
 
 @pytest.mark.parametrize("n", (5, 7, 9))

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acausal import diagop, process
 from acausal.diagop import (
@@ -39,6 +40,9 @@ from conftest import (
     mask_from_fields,
     odd_term_fields,
     random_party_operator,
+    rank_transform_oracle,
+    reduced_echelon_oracle,
+    reduced_kernel_oracle,
     total_probability_oracle,
 )
 
@@ -830,8 +834,6 @@ def test_gf2_elimination_equals_brute_force():
         rows = gf2_echelon(vectors)
         assert 1 << len(rows) == len(span)
         assert all(r.bit_length() - 1 == p for p, r in rows.items())
-        # reduced: each pivot is set in its own row only
-        assert all([q for q in rows if r >> q & 1] == [p] for p, r in rows.items())
         row_span = {0}
         for r in rows.values():
             row_span |= {s ^ r for s in row_span}
@@ -839,6 +841,64 @@ def test_gf2_elimination_equals_brute_force():
         kernel = [d for d in range(1 << width)
                   if all((d & v).bit_count() % 2 == 0 for v in vectors)]
         assert _gf2_kernel(vectors, width) == kernel
+
+
+@st.composite
+def vector_sets(draw):
+    """``(width, vectors)``: up to 12 vectors, whose rank is small enough
+    for the dense coordinates, or about ``width`` of them, whose kernel is
+    small enough to list."""
+    width = draw(st.integers(1, 70))
+    count = draw(st.integers(0, 12) | st.integers(max(0, width - 10), width + 2))
+    return width, draw(st.lists(st.integers(0, (1 << width) - 1), min_size=count, max_size=count))
+
+
+def assert_elimination_matches_oracle(vectors, width):
+    rows = gf2_echelon(vectors)
+    reduced = reduced_echelon_oracle(vectors)
+    assert sorted(rows) == sorted(reduced)  # rank and pivots
+    assert all(r.bit_length() - 1 == p for p, r in rows.items())
+    assert reduced_echelon_oracle(rows.values()) == reduced  # row span
+    if width - len(rows) <= 12:
+        assert _gf2_kernel(vectors, width) == reduced_kernel_oracle(vectors, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=vector_sets(), data=st.data())
+def test_unreduced_elimination_matches_the_reduced_oracle(case, data):
+    width, vectors = case
+    assert_elimination_matches_oracle(vectors, width)
+    if len(gf2_echelon(vectors)) <= 12:
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors)))
+        op = DiagOperator(WireLayout([Wire("env", "X", width)]), dict(zip(vectors, coeffs)))
+        rows = gf2_echelon(op.nums)
+        given_rows = dict(rows)
+        assert diagop._rank_transform(op, rows) == rank_transform_oracle(op)
+        assert rows == given_rows  # the caller's rows are reduced on a copy
+
+
+def test_loops_match_the_reduced_kernel_oracle():
+    for n in range(3, 201):
+        gens = process._generators(n)
+        sub = game_layout(n).restrict(f"I{k}" for k in range(n))
+        assert_elimination_matches_oracle(gens, sub.width)
+        expected = [tuple(sub.extract(d, f"I{(k + 1) % n}") for k in range(n))
+                    for d in reduced_kernel_oracle(gens, sub.width)]
+        assert [loop.edge_flips for loop in loop_decomposition.__wrapped__(n)] == expected
+
+
+@pytest.mark.parametrize("n", (3, 4, 63, 64, 65, 66, 128, 129, 1000, 1001))
+def test_loop_refusal_counts_the_row_words_it_reads(monkeypatch, n):
+    # one insertion pass over the generator rows' 64-bit words, and one
+    # back-substitution pass per free bit
+    gens = process._generators(n)
+    width = game_layout(n).restrict(f"I{k}" for k in range(n)).width
+    free = width - len(gf2_echelon(gens))
+    words = sum(-(-g.bit_length() // 64) for g in gens)
+    monkeypatch.setattr(process, "WORK_BUDGET_LOG2", -1)  # refuse any work
+    with pytest.raises(ValueError, match=f"^loop decomposition refused: n={n} needs "
+                                         f"{(1 + free) * words} 64-bit row words read, "):
+        loop_decomposition.__wrapped__(n)
 
 
 def test_validate_rejects_unpartitioned_layout():
