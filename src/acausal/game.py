@@ -17,22 +17,20 @@ contracts only the signed half of the win indicator since a valid
 process gives the other half total probability one, and the sampler's
 shots of a caller's strategy, each the dealt deterministic tables
 walked around the shot's loop. The default strategy, the paper's,
-signals deterministically around every loop, so its value is read off
-the parity of each loop's flips on each guesser's path
-(:func:`_path_parity`) with no behavior dealt and no walk, and the
-sampler replays each of its shots' draws and reads the result off the
-same path parity. Every route yields certain winning for the strategies
-built here, for every n >= 3.
+signals deterministically around every loop, so whether it wins is read
+off the parity of each loop's flips on each guesser's path
+(:func:`_losing_loops`) with no behavior dealt and no walk: the game
+value from that parity, and each sampled shot from it and the shot's
+referee value and loop alone. Every route yields certain winning for
+the strategies built here, for every n >= 3.
 
 In the winning strategy a party's tables depend only on its class (its
 wire widths, the bits its output and input factors read, and whether it
-starts the loop) and its input bit. The sampler and the walked game
-value get their behaviors from one :func:`_dealer` per call, the one
-place that holds the behavior budget and the default strategy: it
-builds each behavior once per party and class for the call, at most 8n
-of them. The walked game value shares each party's signed sums among
-the parties and referee values that deal equal tables. Every memo lives
-for one call.
+starts the loop) and its input bit. A caller's strategy reaches the
+sampler and the walked game value through one :func:`_dealer` per call,
+the one place that holds the behavior budget. The walked game value
+shares each party's signed sums among the parties and referee values
+that deal equal tables. Every memo lives for one call.
 """
 
 from __future__ import annotations
@@ -285,6 +283,15 @@ def _wide_mask(n: int, m: int, odd_loops: Callable[[int, int | None], int] | Non
     return _CODE_MASKS.get(wide_code(n, m) if odd_loops is None else _choose_code(n, m, odd_loops))
 
 
+def _losing_loops(n: int) -> list[int]:
+    """Per referee value m, the winning strategy's :func:`_path_parity`
+    answer with m's wide code: bit k is set iff the strategy loses on loop
+    k at m. One path-parity sum serves every m; the default game value and
+    the default sampler both read this list."""
+    odd_loops = _path_parity(n)
+    return [odd_loops(m, _wide_mask(n, m, odd_loops)) for m in range(n)]
+
+
 def _winning_class(n: int, m: int, i: int) -> tuple[int, int, int | None, int | None, bool]:
     """Party i's class in the winning strategy for referee value m:
     ``(wo, wi, o_mask, i_mask, starter)``, its wire widths, the bits its
@@ -333,35 +340,19 @@ def winning_behavior(n: int, m: int, i: int, a_i: int) -> LocalBehavior:
     return LocalBehavior(i, _party_layout(n, i), *_winning_tables(*_winning_class(n, m, i), a_i))
 
 
-def _dealer(n: int, strategy: Strategy | None) -> Callable[[int, int, int], LocalBehavior]:
-    """``deal(m, i, a_i)``: party i's behavior for referee value m and input
-    bit a_i, for one sample or walked game value of n parties.
+def _dealer(n: int, strategy: Strategy) -> Callable[[int, int, int], LocalBehavior]:
+    """``deal(m, i, a_i)``: party i's behavior from a caller's strategy for
+    referee value m and input bit a_i, for one sample or walked game value
+    of n parties.
 
     It refuses, before any behavior is built, a party count the game
     cannot be played with and the 2n^2 behaviors (n referee values, n
-    parties, two input bits) that reach the work budget. A caller's
-    strategy is asked once per deal, its answer checked to sit on party
-    i's wires. The default answers as :func:`winning_behavior` does, but
-    builds each behavior once per party and class (widths included: the
-    wide sender and the wide receiver have tables of the same length) and
-    input bit, on the party's own layout, so an evaluation builds at most
-    8n behaviors instead of 2n^2. The memo lives as long as ``deal``: one
-    evaluator call."""
+    parties, two input bits) that reach the work budget. The strategy is
+    asked once per deal, its answer checked to sit on party i's wires."""
     _check_game_size(n)
     refuse_over_budget("game", n, 2 * n * n, "local behaviors")
     layouts = [_party_layout(n, i) for i in range(n)]
-    if strategy is not None:
-        return lambda m, i, a_i: _check_layout(strategy(n, m, i, a_i), i, layouts[i])
-    built: dict[tuple, LocalBehavior] = {}
-
-    def deal(m: int, i: int, a_i: int) -> LocalBehavior:
-        key = (i, *_winning_class(n, m, i), a_i)
-        behavior = built.get(key)
-        if behavior is None:
-            behavior = built[key] = LocalBehavior(i, layouts[i], *_winning_tables(*key[1:]))
-        return behavior
-
-    return deal
+    return lambda m, i, a_i: _check_layout(strategy(n, m, i, a_i), i, layouts[i])
 
 
 def behavior_from_table(party: int, o_width: int, i_width: int,
@@ -472,7 +463,7 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     The default strategy is :func:`winning_behavior`, valued by path
     parity: each of its loops is deterministic, and guesser m reads the
     target XOR the loop's flips on its path, so m wins on a loop iff
-    :func:`_path_parity` finds that parity even. The loops are a uniform
+    :func:`_losing_loops` finds that parity even. The loops are a uniform
     mixture over a GF(2) subspace, on which the parity is linear, so
     ``per_m`` is 1 when no loop is odd and exactly 1/2 otherwise; it is 1
     at every m for every n >= 3. That route deals no behavior and walks
@@ -507,9 +498,7 @@ def success_probability_exact(n: int, strategy: Strategy | None = None) -> "Game
     """
     if strategy is None:
         _check_game_size(n)
-        odd_loops = _path_parity(n)
-        per_m = tuple(Fraction(1) if odd_loops(m, _wide_mask(n, m, odd_loops)) == 0
-                      else Fraction(1, 2) for m in range(n))
+        per_m = tuple(Fraction(1) if odd == 0 else Fraction(1, 2) for odd in _losing_loops(n))
         return GameResult(n=n, per_m=per_m, p_succ=sum(per_m) / n)
     deal = _dealer(n, strategy)
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
@@ -609,55 +598,23 @@ def _deal_form(behavior: LocalBehavior) -> tuple:
     return [entries[0] for entries in dealt], draws, den, den.bit_length()
 
 
-def _draw_plan(n: int, m: int, deal: Callable[[int, int, int], LocalBehavior],
-               odd_loops: Callable[[int, int | None], int], behaviors: dict) -> tuple:
-    """Referee value m planned for the default strategy's shots in
-    :func:`sample_game`: ``(odd, drawers)``.
-
-    ``odd`` is :func:`_path_parity`'s answer for m: a shot on loop k loses
-    iff bit k is set. ``drawers`` lists each drawing party, in party
-    order, as ``(shift, per_bit)``: its input bit is ``(a_idx >> shift) &
-    1``, and ``per_bit[a]`` is ``(draws, den, bits)``, the draw count
-    and bound of :func:`_deal_form`, or None where bit a does not draw. Only
-    even n draws: the wide sender's don't-care output bit, and at m = n -
-    2 the wide receiver's outcome. ``behaviors`` is the calling sample's
-    memo by behavior; its dealer deals each behavior once per class.
-    """
-    drawers = []
-    for i in range(n):
-        per_bit = []
-        for a in (0, 1):
-            behavior = deal(m, i, a)
-            if behavior not in behaviors:
-                _, draws, den, bits = _deal_form(behavior)
-                behaviors[behavior] = (len(draws), den, bits) if draws else None
-            per_bit.append(behaviors[behavior])
-        if per_bit != [None, None]:
-            drawers.append((n - 1 - i, tuple(per_bit)))
-    return odd_loops(m, _wide_mask(n, m)), drawers
-
-
 def sample_game(n: int, shots: int, seed: int,
                 strategy: Strategy | None = None) -> SampleResult:
     """Estimate the game value by simulating the circular-channel mixture.
 
-    Each shot draws m, the inputs, one loop, and one deterministic function
-    table per party, then counts the loop-consistent assignments and how
-    many of them win. The count is an unbiased weight: averaged over shots
-    it estimates the exact success probability. Each shot draws m below n,
-    ``getrandbits(n)`` for the inputs, a loop below the loop count, then,
-    party by party and input value by input value, one draw below the
-    behavior's ``2**log2den`` per input value with several choices. A draw
-    below b is ``getrandbits(b.bit_length())``, redrawn while it is ``>=
-    b``: the stream ``randrange(b)`` gives, without its call frames.
+    Each shot draws m below n, ``getrandbits(n)`` for the inputs and a
+    loop below the loop count, in that order; a shot of a caller's
+    strategy then draws the parties' choices. A draw below b is
+    ``getrandbits(b.bit_length())``, redrawn while it is ``>= b``: the
+    stream ``randrange(b)`` gives, without its call frames.
 
-    The default strategy, :func:`winning_behavior`, is built once per party
-    and class for the call (at most 8n behaviors) and is not walked. Its
-    starter sends its bare input bit, which cuts each loop, so every shot
-    has exactly one consistent assignment, and it wins iff the loop's flips
-    on the guesser's path have even parity. The first shot that draws a
-    given m plans it (:func:`_draw_plan`); a shot replays the draws, whose
-    values cannot change it, and reads the result off :func:`_path_parity`.
+    The default strategy, :func:`winning_behavior`, draws nothing more
+    and deals no behavior. Its starter sends its bare input bit, which cuts
+    each loop, so every shot has exactly one consistent assignment, whatever
+    the inputs and whatever a party with several choices would choose, and
+    it loses iff bit ``loop`` of m's :func:`_losing_loops` is set. The
+    inputs are still drawn: they are the referee's randomness, and the
+    draw keeps the stream the walked route reads.
 
     A caller's strategy, :func:`winning_behavior` passed explicitly
     included, is walked; the tests hold the two routes equal. The first
@@ -666,37 +623,41 @@ def sample_game(n: int, shots: int, seed: int,
     on the wrong wires (``LayoutError``), or a strategy that builds a
     malformed one (the :class:`LocalBehavior` constructor's
     ``ValueError``), raises on that shot, whichever bits it draws. A shot
-    deals each party its table, a draw finding its choice by bisection
-    over the cumulative weights, and contracts the dealt tables around its
-    loop with :func:`_walk`, the one loop contraction of this module. Each
+    deals each party its table, party by party and input value by input
+    value, one draw below the behavior's ``2**log2den`` per input value
+    with several choices, finding its choice by bisection over the
+    cumulative weights. It contracts the dealt tables around its loop
+    with :func:`_walk`, the one loop contraction of this module. Each
     outcome string it returns weighs as many consistent assignments as
     give it, and they win when the guesser's outcome there is the parity
-    of the other inputs. Nothing is kept across calls.
+    of the other inputs. The count is an unbiased weight: averaged over
+    shots it estimates the exact success probability. Nothing is kept
+    across calls.
 
     Raises ``ValueError`` up front for a negative seed (``random.Random``
     seeds -s like s, so it would alias a positive seed), for 2^19 or more
     shots of the default strategy, or ``shots * n`` walked party steps of a
-    caller's, and when the 2n^2 behaviors it may ask for reach
-    2^(WORK_BUDGET_LOG2 + 1).
+    caller's, when the 2n^2 behaviors a caller's strategy may be asked for
+    reach 2^(WORK_BUDGET_LOG2 + 1), and when the loop decomposition is
+    refused, from n = 4696.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_game_size(n)
     if strategy is None:
         refuse_over_budget("sample", n, shots, "shots")
+        losing = _losing_loops(n)
     else:
-        _check_game_size(n)
         refuse_over_budget("sample", n, shots * n, "walked party steps")
-    deal = _dealer(n, strategy)
+        deal = _dealer(n, strategy)
+        losing = None
     flips = [loop.edge_flips for loop in loop_decomposition(n)]
     nloops = len(flips)
     n_bits, loop_bits = n.bit_length(), nloops.bit_length()
     getrandbits = random.Random(seed).getrandbits
-    replay = strategy is None
-    odd_loops = _path_parity(n) if replay else None
     plans: list = [None] * n
-    behaviors: dict = {}
     losses = 0
     per_m_wins = [0] * n
     per_m_shots = [0] * n
@@ -708,27 +669,16 @@ def sample_game(n: int, shots: int, seed: int,
         loop = getrandbits(loop_bits)
         while loop >= nloops:
             loop = getrandbits(loop_bits)
-        plan = plans[m]
-        if plan is None:
-            plan = plans[m] = (
-                _draw_plan(n, m, deal, odd_loops, behaviors) if replay
-                else [[_deal_form(deal(m, i, a)) for a in (0, 1)] for i in range(n)])
         per_m_shots[m] += 1
-        if replay:
-            odd, drawers = plan
-            for shift, per_bit in drawers:
-                drawn = per_bit[(a_idx >> shift) & 1]
-                if drawn is not None:
-                    draws, den, bits = drawn
-                    for _ in range(draws):
-                        d = getrandbits(bits)
-                        while d >= den:
-                            d = getrandbits(bits)
-            if (odd >> loop) & 1:
+        if losing is not None:
+            if (losing[m] >> loop) & 1:
                 losses += 1
             else:
                 per_m_wins[m] += 1
             continue
+        plan = plans[m]
+        if plan is None:
+            plan = plans[m] = [[_deal_form(deal(m, i, a)) for a in (0, 1)] for i in range(n)]
         tables = []
         for i, per_bit in enumerate(plan):
             table, draws, den, bits = per_bit[(a_idx >> (n - 1 - i)) & 1]

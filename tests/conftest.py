@@ -13,9 +13,10 @@ uses. The protocol enumeration lists every first party and order rule at
 n = 2, 3, independently of the per-key optimum ``brute_force_causal``
 takes, and the recursive-model oracle searches a wider class of causal
 strategies than the package models. The sampler oracle asks the strategy
-for every party's behavior on every shot, draws through ``randrange`` and
-walks each loop from party 0 inline, independently of the per-m plans and
-the shared ``_walk`` that ``sample_game`` uses. The dense
+for every party's behavior on every shot, draws through ``randrange`` (or
+deals a fixed choice where a behavior has several) and walks each loop
+from party 0 inline, independently of the path parity, the per-m plans
+and the shared ``_walk`` that ``sample_game`` uses. The dense
 CSV oracle formats every row with its own f-string, independently of the
 1,000-row templates ``dense_csv`` fills. The GF(2) oracles keep their
 echelon basis reduced on every insertion and read kernels and dense
@@ -167,14 +168,20 @@ def pairing_success_oracle(n: int, strategy) -> list[Fraction]:
     return per_m
 
 
-def sampler_oracle(n: int, shots: int, seed: int, strategy=None) -> SampleResult:
+def sampler_oracle(n: int, shots: int, seed: int, strategy=None,
+                   choice: str | None = None) -> SampleResult:
     """Seeded sampler rebuilding every party's table on every shot.
 
     Draws in the order ``sample_game`` documents, so both must return the
-    same record for the same seed.
+    same record for the same seed. With ``choice`` "first" or "last", a
+    behavior with several choices at an input value deals that one of its
+    outcome lookup there, with no draw: the stream the default strategy's
+    shots read, which draw no choice.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if choice not in (None, "first", "last"):
+        raise ValueError(f"choice must be None, 'first' or 'last', got {choice!r}")
     _check_game_size(n)
     strategy = strategy or winning_behavior
     loops = loop_decomposition(n)
@@ -199,6 +206,8 @@ def sampler_oracle(n: int, shots: int, seed: int, strategy=None) -> SampleResult
             for choices in lookup:
                 if len(choices) == 1:
                     table.append(choices[0][:2])
+                elif choice is not None:
+                    table.append(choices[0 if choice == "first" else -1][:2])
                 else:
                     r = rng.randrange(1 << scale)
                     acc = 0

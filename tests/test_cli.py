@@ -258,16 +258,17 @@ def test_play_round_refuses_a_party_count_below_two(capsys, n):
     assert err == f"error: party count must be >= 2, got {n}\n"
 
 @pytest.mark.parametrize("argv", (("play", "--n", "4696"),
-                                  ("sample", "--n", "512", "--shots", "1")))
+                                  ("sample", "--n", "4696", "--shots", "1")))
 def test_game_refuses_behaviors_over_the_budget(capsys, argv):
-    # play's default value deals no behavior: its first refusal is the
-    # loop decomposition's, from n = 4696; the sampler's is the dealer's
-    refusal = {"play": "loop decomposition", "sample": "game"}[argv[0]]
+    # the default strategy deals no behavior, in play or in sample: the
+    # first refusal of either is the loop decomposition's, from n = 4696
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {refusal} refused") and err.count("\n") == 1
+    assert err.startswith("error: loop decomposition refused: n=4696 needs "
+                          f"{LOOP_REFUSALS[4696]} 64-bit row words read")
+    assert err.count("\n") == 1
     assert time.perf_counter() - start < 1.0
 
 
@@ -281,6 +282,18 @@ def test_sample_runs_below_the_budget(capsys):
     code, out, _ = run(capsys, "sample", "--n", "511", "--shots", "1", "--json")
     assert code == 0
     assert json.loads(out)["wins"] == 1
+
+
+@pytest.mark.parametrize("n", (512, 4694, 5759))
+def test_sample_answers_past_the_behavior_budget(capsys, n):
+    # the default sampler deals no behavior, so only the loop budget's
+    # edges bound it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sample", "--n", str(n), "--shots", "1000", "--json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert (result["wins"], result["losses"], len(result["per_m_shots"])) == (1000, 0, n)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("shots", (1 << 19, 10**12))
@@ -353,7 +366,7 @@ def test_sample_exit_codes(n, shots, seed, as_json):
     argv = ["sample", "--n", str(n), "--shots", str(shots), "--seed", str(seed)]
     if as_json:
         argv.append("--json")
-    well_formed = shots >= 1 and seed >= 0 and 3 <= n < 512
+    well_formed = shots >= 1 and seed >= 0 and 3 <= n and loops_answer(n)
     assert exit_code_and_streams(argv) == (0 if well_formed else 2)
 
 

@@ -456,21 +456,42 @@ ORACLE_SIZES = (*range(3, 13), 16, 33, 64)
     + [f"mixed-{n}" for n in (*range(3, 9), 16)],
 )
 def test_sampler_equals_oracle(strategy, n):
-    # the default route replays the draws and reads path parity; every
+    # the default route reads path parity and draws no choice; every
     # strategy passed, winning_behavior included, is walked
     for seed in range(3):
-        assert sample_game(n, 1500, seed, strategy) == sampler_oracle(n, 1500, seed, strategy)
+        result = sample_game(n, 1500, seed, strategy)
+        if strategy is None:
+            assert_default_oracles(result, n, 1500, seed)
+        else:
+            assert result == sampler_oracle(n, 1500, seed, strategy)
+
+
+def assert_default_oracles(result, n, shots, seed):
+    """The default route's record equals the oracle's for the paper's
+    strategy dealing the first and the last choice wherever a behavior has
+    several, with no draw, and at odd n, where it has no choice to draw,
+    the drawing oracle's as well."""
+    for choice in ("first", "last", None) if n % 2 else ("first", "last"):
+        assert result == sampler_oracle(n, shots, seed, choice=choice)
+
+
+def test_fixed_choice_oracles_read_no_choice_draw():
+    # n = 4: the wide parties have several choices, so the drawing oracle
+    # reads further into the stream and deals other shots than the fixed ones
+    first, last = (sampler_oracle(4, 2000, 5, choice=c) for c in ("first", "last"))
+    drawn = sampler_oracle(4, 2000, 5)
+    assert first == last != drawn
+    assert first.per_m_shots != drawn.per_m_shots
+    assert (first.wins, drawn.wins) == (2000, 2000)
 
 
 def test_default_sampler_route_compiles_and_walks_nothing(monkeypatch):
-    expected = {n: sampler_oracle(n, 500, 1) for n in (3, 4, 16)}
-
     def refuse(*args):
         raise AssertionError("compiled a walk")
 
-    monkeypatch.setattr(game, "_walk", refuse)
-    for n, result in expected.items():
-        assert sample_game(n, 500, 1) == result
+    monkeypatch.setattr(game, "_walk", refuse)  # the oracle walks inline
+    for n in (3, 4, 16):
+        assert_default_oracles(sample_game(n, 500, 1), n, 500, 1)
     result = sample_game(511, 1000, 0)
     assert (result.wins, result.losses, sum(result.per_m_shots)) == (1000, 0, 1000)
     with pytest.raises(AssertionError, match="^compiled a walk$"):
@@ -489,7 +510,7 @@ def test_default_sampler_route_counts_odd_loops_as_losses(monkeypatch, n):
             monkeypatch.setattr(module, "loop_decomposition",
                                 lambda _, loops=(identity, flipped): loops)
         result = sample_game(n, 600, k)
-        assert result == sampler_oracle(n, 600, k)
+        assert_default_oracles(result, n, 600, k)
         assert result.losses > 0
         odd_loops = game._path_parity(n)
         lost = [shots - wins for shots, wins in zip(result.per_m_shots, result.per_m_wins)]
@@ -608,11 +629,11 @@ def test_sampler_rejects_behavior_on_wrong_wires():
 
 @pytest.mark.parametrize("n", (512, 2048))
 def test_game_refuses_behaviors_over_the_budget(n):
-    # the default strategy's value deals no behavior; a caller's strategy
-    # and the sampler still go through the dealer's budget
+    # the default strategy deals no behavior, in its value and in its
+    # samples; a caller's strategy still goes through the dealer's budget
     start = time.perf_counter()
     for call in (lambda: success_probability_exact(n, winning_behavior),
-                 lambda: sample_game(n, 1, 0)):
+                 lambda: sample_game(n, 1, 0, winning_behavior)):
         with pytest.raises(ValueError, match=f"^game refused: n={n} needs"):
             call()
     assert time.perf_counter() - start < 1.0
@@ -622,9 +643,9 @@ def test_game_refuses_behaviors_over_the_budget(n):
 def test_game_budget_refuses_from_2_19_behaviors():
     # 2·400^2 = 320,000 behaviors lie above 2^18 but below the 2^19 at
     # which the game is refused.
-    game._dealer(400, None)
+    game._dealer(400, winning_behavior)
     with pytest.raises(ValueError, match=r"work reaching 2\^19 is refused$"):
-        game._dealer(512, None)
+        game._dealer(512, winning_behavior)
 
 
 @pytest.fixture
@@ -644,21 +665,26 @@ def built_behaviors(monkeypatch):
 
 def test_game_budget_refuses_before_building_a_behavior(built_behaviors):
     for call in (lambda: success_probability_exact(512, winning_behavior),
-                 lambda: sample_game(512, 1, 0)):
+                 lambda: sample_game(512, 1, 0, winning_behavior)):
         with pytest.raises(ValueError, match="^game refused: n=512 needs 524288 local behaviors"):
             call()
     assert built_behaviors == []
 
 
-# --- the default strategy, shared by class within one call ---------------
+# --- the default strategy, read off path parity ---------------------------
 
 @pytest.mark.parametrize("n", (*range(3, 21), 33, 64))
 def test_default_strategy_equals_winning_behavior(n):
-    # the default value is read off path parity; an explicit strategy,
-    # winning_behavior included, is walked
+    # the default value and samples are read off path parity; an explicit
+    # strategy, winning_behavior included, is walked. At even n the walk
+    # draws the wide parties' choices, which no default shot draws.
     assert success_probability_exact(n) == success_probability_exact(n, winning_behavior)
     for seed in range(3):
-        assert sample_game(n, 400, seed) == sample_game(n, 400, seed, winning_behavior)
+        result = sample_game(n, 400, seed)
+        if n % 2:
+            assert result == sample_game(n, 400, seed, winning_behavior)
+        else:
+            assert_default_oracles(result, n, 400, seed)
 
 
 @pytest.mark.parametrize("n", (128, 130))
@@ -671,15 +697,13 @@ def test_default_strategy_is_certain_at_large_even_n(n):
 
 
 def test_default_call_builds_behaviors_per_class(built_behaviors):
-    n = 40
-    built = built_behaviors
-    assert success_probability_exact(n).p_succ == 1
-    assert len(built) <= 8 * n
-    built.clear()
-    result = sample_game(n, 4000, 0)
-    assert all(per_m_shots for per_m_shots in result.per_m_shots)
-    assert (result.wins, result.losses) == (4000, 0)
-    assert len(built) <= 8 * n
+    # neither default route builds a behavior, at odd or even n
+    for n in (39, 40):
+        assert success_probability_exact(n).p_succ == 1
+        result = sample_game(n, 4000, 0)
+        assert all(per_m_shots for per_m_shots in result.per_m_shots)
+        assert (result.wins, result.losses) == (4000, 0)
+    assert built_behaviors == []
 
 
 @pytest.mark.parametrize("n", (5, 6))
@@ -688,7 +712,7 @@ def test_default_call_after_a_caller_strategy_keeps_no_memo(n):
         success_probability_exact(n, strategy)
         assert success_probability_exact(n).per_m == tuple(pairing_success_oracle(n, winning_behavior))
         sample_game(n, 600, 2, strategy)
-        assert sample_game(n, 600, 2) == sampler_oracle(n, 600, 2)
+        assert_default_oracles(sample_game(n, 600, 2), n, 600, 2)
 
 
 @pytest.mark.parametrize("n", (3, 4, 9))

@@ -87,15 +87,15 @@ GOLDEN = {
     ("causal-bound", "--n", "3", "--float"):
         (0, "58419ae63be1e2b951a2426bcf35e7c79a52d0dce49b67402ae9495452f5eaff"),
     ("sample", "--n", "4", "--shots", "2000", "--seed", "5", "--json"):
-        (0, "b9e0df8cf21e88f06679afd0574a1680cfa25c67cf89885b52f6aa3d7448a72f"),
+        (0, "764aff7f7d60a2417d54dc9d777c156d703af20eee3b355c57adc4b6fc308c5d"),
     ("sample", "--n", "7", "--shots", "2000", "--seed", "5", "--json"):
         (0, "860f27d5cfdd28182da8346a3b0c65b3dcc6fb178b7217138c193368f12d69ca"),
     ("sample", "--n", "16", "--shots", "2000", "--seed", "5", "--json"):
-        (0, "cbded908ea1990037a71fe559640c4b8cedff44390b3bf33e7f5b5235b93efe9"),
+        (0, "edc8c800ed21ece393923ec2b21955155ad942bdfec3c49e6fc5e9f328935f77"),
     ("sample", "--n", "10", "--shots", "3000", "--seed", "11", "--json"):
-        (0, "b79b5271712744beb376f9d7e13965931cb26e108367313e3a3f2544d190bda1"),
+        (0, "c15535e80ac66b6b3034297de853917eb5adcc7a78ba754279a7dc2a15edba80"),
     ("sample", "--n", "64", "--shots", "500", "--seed", "2", "--json"):
-        (0, "18a3ace0495964a5d1006e25f94238ab5d62bd8416e5ef9ebb5d0c5944f6c6cd"),
+        (0, "2b7a4c521cf1a29ae6fc7d5ab8542e46f09f58346db0dc79ee4f145ebf686be5"),
 }
 
 
