@@ -25,7 +25,9 @@ once per insertion, and each caller derives what more it needs: ``process``
 reads its kernels off by back-substitution, and the dense side
 (:func:`is_nonnegative`, :func:`to_dense`, :func:`dense_csv`) reduces its
 own copy of the at most ``rank`` rows to get the coordinates in which an
-operator whose masks span rank r has only ``2**r`` distinct dense entries.
+operator whose masks span rank r has only ``2**r`` distinct dense entries,
+each on a coset of rows: the dense writers place only the rows whose entry
+is not the one most rows hold.
 That is the one route from parity form to dense entries; only the inverse,
 :func:`from_dense`, transforms the ``2**width`` entries it is given.
 
@@ -49,9 +51,10 @@ functions, so everything here is safe for concurrent read-only use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import chain, islice
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -390,27 +393,42 @@ def _span(vectors: Iterable[int]) -> list[int]:
     return span
 
 
-def _dense_tables(a: DiagOperator) -> tuple[list[int], list[int], list[int]]:
-    """``(vals, high, low)`` with the dense entry at ``x`` equal to
-    ``vals[high[x >> h] ^ low[x & (2**h - 1)]]`` over ``2**a.log2den``,
-    ``h = width // 2``: two index tables of ``2**(width / 2)`` entries each
-    place the ``2**rank`` values of :func:`_rank_transform`."""
+def _placement(a: DiagOperator) -> tuple[list[int], int, list[int], list[int]]:
+    """``(vals, common, rows, ys)``: the entries of :func:`_rank_transform`,
+    the first of those most rows hold, and every row holding another,
+    ascending, with the index in ``vals`` of its entry. The rows of
+    ``vals[y]`` form the coset ``x0(y) ^ ker``: as ``cols[p_j] = 2**j`` at
+    pivot ``p_j``, ``x0`` spans the pivot bits and ``ker`` is spanned by
+    ``2**b ^ x0(cols[b])`` over the other bits ``b``. Past the transform
+    it costs O(width * rank + 2**rank) and the sort of the placed rows."""
     vals, cols = _rank_transform(a)
-    h = a.layout.width // 2
-    return vals, _span(cols[h:]), _span(cols[:h])
+    common = Counter(vals).most_common(1)[0][0]
+    ys = [y for y, v in enumerate(vals) if v != common]
+    rank = len(vals).bit_length() - 1
+    if rank == a.layout.width:  # cols[b] = 2**b, so y(x) = x
+        return vals, common, ys, ys
+    pivots = [max(b for b, c in enumerate(cols) if c >> j & 1) for j in range(rank)]
+    x0 = _span([1 << p for p in pivots])
+    kernel = _span([(1 << b) ^ x0[c] for b, c in enumerate(cols) if b not in pivots])
+    # row << rank | y sorts by row and keeps its y
+    keys = sorted((x0[y] ^ k) << rank | y for y in ys for k in kernel)
+    return vals, common, [key >> rank for key in keys], [key & (len(vals) - 1) for key in keys]
 
 
 def to_dense(a: DiagOperator) -> list[Fraction]:
     """Full diagonal vector, indexed by the global basis string.
 
-    The ``2**rank`` distinct entries come from :func:`_rank_transform` and
-    are placed by table lookup, so no transform runs on ``2**width``
-    entries and equal entries share one ``Fraction``.
+    It starts as the entry most rows hold and :func:`_placement` writes
+    the other rows: no transform runs on ``2**width`` entries, and the
+    rows of one coset share one ``Fraction``.
     """
     den = 1 << a.log2den
-    vals, high, low = _dense_tables(a)
-    fracs = [Fraction(v, den) for v in vals]
-    return [fracs[y ^ z] for y in high for z in low]
+    vals, common, rows, ys = _placement(a)
+    fracs = {y: Fraction(vals[y], den) for y in set(ys)}
+    dense = [Fraction(common, den)] * (1 << a.layout.width)
+    for x, y in zip(rows, ys):
+        dense[x] = fracs[y]
+    return dense
 
 
 def from_dense(layout: WireLayout, values: Sequence[Fraction | int]) -> DiagOperator:
@@ -575,10 +593,6 @@ def operator_from_json(obj) -> DiagOperator:
 
 _CSV_HEADER = "index,numerator,log2_denominator"
 _CSV_BLOCK = 1000
-# Row r of the first block, and row r of block p >= 1 after the prefix
-# str(p): the index of row p * 1000 + r is str(p) + f"{r:03d}".
-_FIRST_ROWS = [f"{r},%s\n" for r in range(_CSV_BLOCK)]
-_BLOCK_ROWS = [f"{r:03d},%s\n" for r in range(_CSV_BLOCK)]
 
 
 def dense_csv(a: DiagOperator) -> str:
@@ -586,28 +600,29 @@ def dense_csv(a: DiagOperator) -> str:
     then one row per dense entry, in lowest terms, each line ending in a
     newline.
 
-    Like :func:`to_dense`, it takes the rank route: each of the ``2**rank``
-    distinct entries is reduced and formatted once, and the rows take
-    their texts by lookup. Rows are written 1,000 at a time with one
-    ``%``-format each: block p >= 1 joins the cached rows ``000,%s`` ..
-    ``999,%s`` with its prefix ``str(p)``, so no per-row string is made.
+    Like :func:`to_dense`, it takes the rank route, and each entry of the
+    transform is reduced and formatted once. Rows are written 1,000 at a time:
+    block p >= 1 joins the rows ``000,t`` .. ``999,t`` of the text ``t``
+    most rows hold with its prefix ``str(p)``, and only the rows
+    :func:`_placement` lists are formatted one by one, in place.
     """
-    vals, high, low = _dense_tables(a)
+    vals, common, rows, ys = _placement(a)
     texts = []
-    for v in vals:
+    for v in vals + [common]:  # the common entry's text last
         shift = _spare_twos((v,), a.log2den)
-        texts.append(f"{v >> shift},{a.log2den - shift}")
-    entries = chain.from_iterable([texts[y ^ z] for z in low] for y in high)
-    total = len(high) * len(low)
+        texts.append(f"{v >> shift},{a.log2den - shift}\n")
+    total = 1 << a.layout.width
+    # row r's index field in block 0, then after the prefix of a later block
+    heads = [[f % r for r in range(min(total, _CSV_BLOCK))] for f in ("%d,", "%03d,")]
+    filled = [[h + texts[-1] for h in head] for head in heads]
     parts = [_CSV_HEADER + "\n"]
-    for p in range((total + _CSV_BLOCK - 1) // _CSV_BLOCK):
-        count = min(total - p * _CSV_BLOCK, _CSV_BLOCK)
-        if p:
-            prefix = str(p)
-            template = prefix + prefix.join(_BLOCK_ROWS[:count])
-        else:
-            template = "".join(_FIRST_ROWS[:count])
-        parts.append(template % tuple(islice(entries, count)))
+    for p, start in enumerate(range(0, total, _CSV_BLOCK)):
+        block, head = filled[p > 0][:total - start], heads[p > 0]
+        lo, hi = bisect_left(rows, start), bisect_left(rows, start + _CSV_BLOCK)
+        for x, y in zip(rows[lo:hi], ys[lo:hi]):
+            block[x - start] = head[x - start] + texts[y]
+        prefix = str(p) if p else ""
+        parts.append(prefix + prefix.join(block))
     return "".join(parts)
 
 

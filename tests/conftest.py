@@ -17,12 +17,16 @@ for every party's behavior on every shot, draws through ``randrange`` (or
 deals a fixed choice where a behavior has several) and walks each loop
 from party 0 inline, independently of the path parity, the per-m plans
 and the shared ``_walk`` that ``sample_game`` uses. The dense
-CSV oracle formats every row with its own f-string, independently of the
-1,000-row templates ``dense_csv`` fills. The GF(2) oracles keep their
-echelon basis reduced on every insertion and read kernels and dense
-coordinates straight off those rows, independently of the unreduced
-elimination, the back-substitution and the local reduction the package
-uses.
+CSV oracle formats every entry of the sign-rule oracle (or, for a group
+sum, of the sign rule summed by character orthogonality over the rows
+the kernel oracle lists) with its own f-string, independently of the
+rank route and the 1,000-row blocks ``dense_csv`` writes. The GF(2)
+oracles keep their echelon basis reduced on every insertion and read
+kernels and dense coordinates straight off those rows, independently of
+the unreduced elimination, the back-substitution and the local reduction
+the package uses. The fixed-point oracle decides a deterministic process
+by counting the fixed points of every tuple of local functions, with no
+parity term.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from acausal.diagop import (
     DiagOperator,
     Wire,
     WireLayout,
-    _dense_tables,
-    _spare_twos,
     from_dense,
 )
 from acausal.game import RNG_NAME, SampleResult, _check_game_size, winning_behavior
@@ -67,19 +69,28 @@ def dense_oracle(op: DiagOperator) -> list[Fraction]:
     return out
 
 
-def dense_csv_oracle(op: DiagOperator) -> str:
+def dense_csv_oracle(op: DiagOperator, dense=None) -> str:
     """Dense CSV text written one row at a time: the header, then one
-    f-string per row from the rank-route tables, each line ending in a
-    newline."""
-    vals, high, low = _dense_tables(op)
-    texts = []
-    for v in vals:
-        shift = _spare_twos((v,), op.log2den)
-        texts.append(f"{v >> shift},{op.log2den - shift}")
+    f-string per entry of ``dense`` (by default the sign-rule oracle's),
+    in lowest terms, each line ending in a newline."""
+    dense = dense_oracle(op) if dense is None else dense
     lines = ["index,numerator,log2_denominator"]
-    for i, y in enumerate(high):
-        lines += [f"{x},{texts[y ^ z]}" for x, z in enumerate(low, i * len(low))]
+    for x, value in enumerate(dense):
+        lines.append(f"{x},{value.numerator},{value.denominator.bit_length() - 1}")
     return "\n".join(lines) + "\n"
+
+
+def group_sum_dense_oracle(op: DiagOperator) -> list[Fraction]:
+    """Dense entries of an operator whose masks form a group G, all with
+    one coefficient c: by character orthogonality the sign rule sums to
+    ``c * |G|`` on the rows orthogonal to G, which
+    :func:`reduced_kernel_oracle` lists, and to 0 on the others."""
+    (c,) = set(op.terms.values())
+    assert len(op.terms) == 1 << len(reduced_echelon_oracle(op.nums))
+    dense = [Fraction(0)] * (1 << op.layout.width)
+    for x in reduced_kernel_oracle(op.nums, op.layout.width):
+        dense[x] = c * len(op.terms)
+    return dense
 
 
 def total_probability_oracle(op: DiagOperator, tables, dense=None) -> Fraction:
@@ -518,3 +529,67 @@ def rank_transform_oracle(op: DiagOperator) -> tuple[list[int], list[int]]:
     cols = [sum((rows[p] >> b & 1) << j for j, p in enumerate(pivots))
             for b in range(op.layout.width)]
     return vals, cols
+
+
+def _wires(n: int, widths) -> list[tuple[int, int]]:
+    """``(|O_k|, |I_k|)`` per party: ``widths``, or 1-bit wires."""
+    return list(widths) if widths is not None else [(1, 1)] * n
+
+
+def deterministic_process(omega: Mapping, n: int, widths=None) -> DiagOperator:
+    """The process ``W(x|a) = [x = omega[a]]`` of a deterministic map from
+    the parties' outputs ``a`` to their inputs ``x`` (tuples in party
+    order), on wires ``I_0..I_{n-1}, O_0..O_{n-1}`` of ``widths[k] =
+    (|O_k|, |I_k|)`` (1-bit by default): its dense 0/1 diagonal, one entry
+    per output tuple, put through ``from_dense``."""
+    widths = _wires(n, widths)
+    layout = WireLayout([Wire(k, "I", wi) for k, (_, wi) in enumerate(widths)]
+                        + [Wire(k, "O", wo) for k, (wo, _) in enumerate(widths)])
+    dense = [0] * (1 << layout.width)
+    for a, x in omega.items():
+        assignment = {f"I{k}": v for k, v in enumerate(x)}
+        assignment.update((f"O{k}", v) for k, v in enumerate(a))
+        dense[layout.pack(assignment)] = 1
+    return from_dense(layout, dense)
+
+
+def fixed_point_oracle(omega: Mapping, n: int, widths=None) -> bool:
+    """Whether every tuple of deterministic local functions ``f_k: I_k ->
+    O_k`` has exactly one fixed point ``x = omega[f(x)]``, the criterion
+    of Baumeler & Wolf (NJP 18, 013036, 2016) for a deterministic process
+    to be logically consistent. Every tuple is enumerated, with no parity
+    term: the fixed points are the ``x = omega[a]`` with ``f(x) = a``, so
+    each function of party k is kept as the bit set of the output tuples
+    ``a`` with ``f_k(x_k) = a_k``, and a tuple's count is the size of the
+    intersection of its parties' sets."""
+    widths = _wires(n, widths)
+    outputs = list(omega)
+    sets = [[sum(1 << i for i, a in enumerate(outputs) if f[omega[a][k]] == a[k])
+             for f in itertools.product(range(1 << wo), repeat=1 << wi)]
+            for k, (wo, wi) in enumerate(widths)]
+    for chosen in itertools.product(*sets):
+        fixed = -1
+        for bits in chosen:
+            fixed &= bits
+        if fixed.bit_count() != 1:
+            return False
+    return True
+
+
+def random_omega(rng: random.Random, n: int, widths=None, reads=None) -> dict:
+    """A random map from output tuples to input tuples: party p's input is
+    a random function of the outputs of the parties ``reads[p]``, by
+    default of all of them."""
+    widths = _wires(n, widths)
+    reads = [range(n)] * n if reads is None else reads
+    tables = [{} for _ in range(n)]  # party -> (outputs it reads -> its input)
+    omega = {}
+    for a in itertools.product(*(range(1 << wo) for wo, _ in widths)):
+        x = []
+        for p, table in enumerate(tables):
+            seen = tuple(a[q] for q in reads[p])
+            if seen not in table:
+                table[seen] = rng.randrange(1 << widths[p][1])
+            x.append(table[seen])
+        omega[a] = tuple(x)
+    return omega

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from acausal.process import build_w, naive_even_w
 from conftest import (
     dense_csv_oracle,
     dense_oracle,
+    group_sum_dense_oracle,
     is_group,
     mask_fields,
     mask_from_fields,
@@ -407,21 +409,52 @@ def dense_route_operators(rng, width):
             DiagOperator(layout, {m: nonzero_dyadic(rng) for m in full})]
 
 
+def named_dense_operators(rng, width):
+    """``(most, tie, distinct)`` on ``width >= 2`` bits. ``most`` holds
+    3/4 on half the rows and 5/4 or 1/4 on the rows whose bits 9 and 8
+    (below 10 bits, the top two) agree, among them rows 999, 1000, 1001
+    and the last row from 10 bits on. ``tie`` holds 3/4 and 1/4 on half
+    the rows each. ``distinct`` is a full-rank operator with ``2**width``
+    distinct entries, up to 8 bits, and None beyond."""
+    layout = WireLayout([Wire("env", "R", width)])
+    high, low = (9, 8) if width >= 10 else (width - 1, width - 2)
+    most = DiagOperator(layout, {0: F(3, 4), 1 << high: F(1, 4), 1 << low: F(1, 4)})
+    tie = DiagOperator(layout, {0: F(1, 2), 1 << high: F(1, 4)})
+    values = [F((-1) ** k * (2 * k + 1), 1 << k % 3) for k in range(1 << width)]
+    rng.shuffle(values)
+    return most, tie, from_dense(layout, values) if width <= 8 else None
+
+
 @pytest.mark.parametrize("width", range(13))
 def test_dense_route_matches_the_sign_rule_oracle(width):
     # 1 to 4,096 CSV rows: one partial 1,000-row block up to width 9, then
     # full blocks, the crossings at rows 999/1000/1001 and a partial last one
     rng = random.Random(100 + width)
     ranks = set()
-    for _ in range(3):
-        for a in dense_route_operators(rng, width):
-            ranks.add(len(gf2_echelon(a.nums)))
-            dense = to_dense(a)
-            assert dense == dense_oracle(a)
-            text = dense_csv(a)
-            assert text == dense_csv_oracle(a)
-            assert parse_dense_csv(text.splitlines()) == dense
+    named = named_dense_operators(rng, width) if width >= 2 else ()
+    for a in [a for _ in range(3) for a in dense_route_operators(rng, width)] + list(named):
+        if a is None:
+            continue
+        ranks.add(len(gf2_echelon(a.nums)))
+        expected = dense_oracle(a)
+        assert to_dense(a) == expected
+        text = dense_csv(a)
+        assert text == dense_csv_oracle(a, expected)
+        assert parse_dense_csv(text.splitlines()) == expected
     assert {0, width} <= ranks and (width < 4 or len(ranks) > 2)
+    if named:
+        most, tie, distinct = named
+        half = 1 << width - 1
+        assert Counter(to_dense(most))[F(3, 4)] == half
+        assert diagop._placement(most)[1] == 3  # 3/4, over 2^2
+        placed = diagop._placement(most)[2]
+        assert len(placed) == half
+        if width >= 10:  # placed rows cross blocks and reach the partial last one
+            assert {999, 1000, 1001, (1 << width) - 1} <= set(placed)
+            assert (1 << width) % 1000
+        assert sorted(Counter(to_dense(tie)).values()) == [half, half]
+        if distinct is not None:
+            assert len(set(to_dense(distinct))) == 1 << width
 
 
 def test_dense_export_transforms_2_to_the_rank_entries(monkeypatch):
@@ -437,9 +470,36 @@ def test_dense_export_transforms_2_to_the_rank_entries(monkeypatch):
     assert set(dense) == {0, F(1, 4)}
 
 
+def test_dense_writers_place_only_the_rows_off_the_most_common_entry(monkeypatch):
+    # build_w(n) holds 2^-(n|1) * |G| on the 2^(width - rank) rows
+    # orthogonal to its group and 0 on the others: only those rows are
+    # formatted one by one, 2^(18 - 7) at n = 8 and 2^(18 - 8) at n = 9
+    placed = []
+    placement = diagop._placement
+
+    def counted(a):
+        result = placement(a)
+        placed.append(len(result[2]))
+        return result
+
+    monkeypatch.setattr(diagop, "_placement", counted)
+    identity = DiagOperator(WireLayout([Wire("env", "R", 12)]), {0: 1})
+    for op, rank, rows in [(build_w(8).operator, 7, 2048), (build_w(9).operator, 8, 1024),
+                           (identity, 0, 0)]:
+        assert len(gf2_echelon(op.nums)) == rank
+        placed.clear()
+        assert len(dense_csv(op).splitlines()) == (1 << op.layout.width) + 1
+        assert len(to_dense(op)) == 1 << op.layout.width
+        assert placed == [rows, rows]
+
+
 def test_dense_csv_equals_the_per_row_oracle_on_the_processes():
-    for op in [build_w(n).operator for n in range(3, 10)] + [naive_even_w(n) for n in (4, 6, 8)]:
-        assert dense_csv(op) == dense_csv_oracle(op)
+    ops = [build_w(n).operator for n in range(3, 10)] + [naive_even_w(n) for n in (4, 6, 8)]
+    for op in ops:
+        dense = group_sum_dense_oracle(op)
+        if op.layout.width <= 10:
+            assert dense == dense_oracle(op)
+        assert dense_csv(op) == dense_csv_oracle(op, dense)
 
 
 def test_parse_dense_csv_skips_the_header_only_as_the_first_line():

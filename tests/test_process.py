@@ -35,10 +35,13 @@ from acausal.process import (
 )
 from conftest import (
     dense_oracle,
+    deterministic_process,
     even_term_fields,
+    fixed_point_oracle,
     group_oracle,
     mask_from_fields,
     odd_term_fields,
+    random_omega,
     random_party_operator,
     rank_transform_oracle,
     reduced_echelon_oracle,
@@ -972,3 +975,53 @@ def test_broken_loop_gives_deterministic_chain(n):
                     for j in range(n):
                         assert atom[j] == o[(j - 1) % n] ^ beta
                 assert seen_beta == {0, 1}
+
+
+def omega_reads(rng, n, kind):
+    """The outputs each party's input reads: all of them ("random"), those
+    of the parties before it in a random order ("causal"), or those of
+    one other party ("sparse", which may close a signaling loop)."""
+    if kind == "random":
+        return None
+    if kind == "sparse":
+        return [[rng.choice([q for q in range(n) if q != p])] for p in range(n)]
+    order = rng.sample(range(n), n)
+    reads = [None] * n
+    for k, p in enumerate(order):
+        reads[p] = order[:k]
+    return reads
+
+
+@pytest.mark.parametrize("n, wide, count", [(3, False, 600), (4, False, 240), (4, True, 60)])
+def test_validate_equals_the_unique_fixed_point_criterion(n, wide, count):
+    # A deterministic process is valid iff every tuple of local functions
+    # has one fixed point (Baumeler & Wolf 2016), a criterion on functions
+    # alone. A fully random map on the even-n widths has hundreds of
+    # surviving terms, and validate refuses its 4,096 tuples times them.
+    widths = [process._widths(n, k) for k in range(n)] if wide else None
+    kinds = ("causal", "sparse") if wide else ("random", "causal", "sparse")
+    rng = random.Random(n + 10 * wide)
+    verdicts = {kind: set() for kind in kinds}
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        omega = random_omega(rng, n, widths, omega_reads(rng, n, kind))
+        valid = fixed_point_oracle(omega, n, widths)
+        assert validate_process(deterministic_process(omega, n, widths)).passed == valid
+        verdicts[kind].add(valid)
+    assert verdicts["causal"] == {True} and verdicts["sparse"] == {True, False}
+
+
+def test_validate_equals_the_fixed_point_criterion_on_named_processes():
+    outputs = list(itertools.product((0, 1), repeat=3))
+    # the Lugano process: party k receives (not a_{k+1}) and a_{k+2}
+    lugano = {a: tuple(int(not a[(k + 1) % 3] and a[(k + 2) % 3]) for k in range(3))
+              for a in outputs}
+    op = deterministic_process(lugano, 3)
+    assert fixed_point_oracle(lugano, 3) and validate_process(op).passed
+    # valid, and outside the group-sum family: 29 terms, unequal coefficients
+    assert len(op.nums) == 29 and len(set(op.nums.values())) == 3
+    # the bare identity loop: party k receives a_{k-1}
+    loop = {a: tuple(a[k - 1] for k in range(3)) for a in outputs}
+    assert not fixed_point_oracle(loop, 3)
+    assert validate_process(deterministic_process(loop, 3)).failures() == [
+        "bilinear_norm", "term_structure"]
